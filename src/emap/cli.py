@@ -340,7 +340,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("project", help="decompose a score grid into its additive parts")
     p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("verify", help="numerically verify projection optimality")

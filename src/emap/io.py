@@ -12,13 +12,18 @@ file extension (anything but ``.json``).  Binary layouts are little-endian:
                  text float64[n*d1], visual float64[n*d2],
                  config-JSON length u64 + UTF-8 bytes.
 
-All writers produce byte-identical output for identical inputs.
+All writers produce byte-identical output for identical inputs.  Every
+loader turns a malformed file into ``InputError``; binary readers check each
+length a header claims against the bytes left in the file before reading or
+allocating anything.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +59,26 @@ def dump_json(payload: dict, path) -> None:
 
 
 def _load_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise InputError(f"{path} is not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise InputError(f"{path} does not hold a JSON object")
+    return payload
+
+
+@contextmanager
+def _malformed(path, what: str):
+    """Report a missing field or an unparseable value in ``path`` as ``InputError``."""
+    try:
+        yield
+    except InputError:
+        raise
+    except KeyError as exc:
+        raise InputError(f"{path}: {what} file has no field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed {what} file ({exc})") from None
 
 
 def _is_json(path) -> bool:
@@ -62,6 +86,9 @@ def _is_json(path) -> bool:
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > left:
+        raise InputError(f"truncated file while reading {what}: need {count} bytes, {left} left")
     data = fh.read(count)
     if len(data) != count:
         raise InputError(f"truncated file while reading {what}")
@@ -95,25 +122,28 @@ def save_grid(grid: ScoreGrid, path) -> None:
 def load_grid(path) -> ScoreGrid:
     if _is_json(path):
         payload = _load_json(path)
-        values = np.asarray(payload["values"], dtype=np.float64)
-        if values.ndim == 2:
-            values = values[:, :, np.newaxis]
-        n, d = int(payload["n"]), int(payload["d"])
-        if values.shape != (n, n, d):
-            raise InputError(
-                f"grid file claims n={n}, d={d} but values have shape {values.shape}"
+        with _malformed(path, "grid"):
+            values = np.asarray(payload["values"], dtype=np.float64)
+            if values.ndim == 2:
+                values = values[:, :, np.newaxis]
+            n, d = int(payload["n"]), int(payload["d"])
+            if values.shape != (n, n, d):
+                raise InputError(
+                    f"grid file claims n={n}, d={d} but values have shape {values.shape}"
+                )
+            return ScoreGrid(
+                values=values,
+                text_ids=tuple(payload.get("text_ids", ())),
+                visual_ids=tuple(payload.get("visual_ids", ())),
             )
-        return ScoreGrid(
-            values=values,
-            text_ids=tuple(payload.get("text_ids", ())),
-            visual_ids=tuple(payload.get("visual_ids", ())),
-        )
     with open(path, "rb") as fh:
         if _read_exact(fh, 8, "magic") != GRID_MAGIC:
             raise InputError(f"{path} is not a grid file (bad magic)")
         version, n, d = struct.unpack("<IQQ", _read_exact(fh, 20, "header"))
         if version != FORMAT_VERSION:
             raise InputError(f"unsupported grid format version {version}")
+        if n < 1 or d < 1:
+            raise InputError(f"grid header claims n={n}, d={d}; both must be >= 1")
         raw = _read_exact(fh, 8 * n * n * d, "values")
         values = np.frombuffer(raw, dtype="<f8").reshape(n, n, d).astype(np.float64)
     return ScoreGrid(values=values)
@@ -148,11 +178,12 @@ def save_decomposition(dec: AdditiveDecomposition, path) -> None:
 def load_decomposition(path) -> AdditiveDecomposition:
     if _is_json(path):
         payload = _load_json(path)
-        return AdditiveDecomposition(
-            tau=np.asarray(payload["tau"], dtype=np.float64),
-            phi=np.asarray(payload["phi"], dtype=np.float64),
-            mu=np.asarray(payload["mu"], dtype=np.float64),
-        )
+        with _malformed(path, "decomposition"):
+            return AdditiveDecomposition(
+                tau=np.asarray(payload["tau"], dtype=np.float64),
+                phi=np.asarray(payload["phi"], dtype=np.float64),
+                mu=np.asarray(payload["mu"], dtype=np.float64),
+            )
     with open(path, "rb") as fh:
         if _read_exact(fh, 8, "magic") != DECOMP_MAGIC:
             raise InputError(f"{path} is not a decomposition file (bad magic)")
@@ -209,15 +240,19 @@ def save_dataset(dataset: PairedDataset, path) -> None:
 def load_dataset(path) -> PairedDataset:
     if _is_json(path):
         payload = _load_json(path)
-        split = np.asarray([_SPLIT_CODES[name] for name in payload["split"]], dtype=np.int8)
-        return PairedDataset(
-            text=np.asarray(payload["text"], dtype=np.float64),
-            visual=np.asarray(payload["visual"], dtype=np.float64),
-            labels=np.asarray(payload["labels"], dtype=np.int64),
-            split=split,
-            num_classes=int(payload["num_classes"]),
-            meta=dict(payload.get("config", {})),
-        )
+        with _malformed(path, "dataset"):
+            names = payload["split"]
+            unknown = sorted(set(names) - set(_SPLIT_CODES))
+            if unknown:
+                raise InputError(f"{path}: unknown split names {unknown}")
+            return PairedDataset(
+                text=np.asarray(payload["text"], dtype=np.float64),
+                visual=np.asarray(payload["visual"], dtype=np.float64),
+                labels=np.asarray(payload["labels"], dtype=np.int64),
+                split=np.asarray([_SPLIT_CODES[name] for name in names], dtype=np.int8),
+                num_classes=int(payload["num_classes"]),
+                meta=dict(payload.get("config", {})),
+            )
     with open(path, "rb") as fh:
         if _read_exact(fh, 8, "magic") != DATA_MAGIC:
             raise InputError(f"{path} is not a dataset file (bad magic)")
@@ -231,7 +266,9 @@ def load_dataset(path) -> PairedDataset:
         text = np.frombuffer(_read_exact(fh, 8 * n * d1, "text"), dtype="<f8").reshape(n, d1)
         visual = np.frombuffer(_read_exact(fh, 8 * n * d2, "visual"), dtype="<f8").reshape(n, d2)
         (config_len,) = struct.unpack("<Q", _read_exact(fh, 8, "config length"))
-        meta = json.loads(_read_exact(fh, config_len, "config").decode("utf-8"))
+        config = _read_exact(fh, config_len, "config")
+    with _malformed(path, "dataset"):
+        meta = json.loads(config.decode("utf-8"))
     return PairedDataset(
         text=text.copy(),
         visual=visual.copy(),
@@ -258,7 +295,8 @@ def save_model(model, path) -> None:
 
 def load_model(path):
     payload = _load_json(path)
-    kind = payload.get("kind")
-    if kind not in _MODEL_KINDS:
-        raise InputError(f"unknown model kind {kind!r} in {path}")
-    return _MODEL_KINDS[kind].from_json_dict(payload)
+    with _malformed(path, "model"):
+        kind = payload.get("kind")
+        if kind not in _MODEL_KINDS:
+            raise InputError(f"unknown model kind {kind!r} in {path}")
+        return _MODEL_KINDS[kind].from_json_dict(payload)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .boosting import (
     AdaBoostConfig,
@@ -283,6 +282,8 @@ def representable_oracle(table) -> bool:
     scale-free, so the unit margin loses no generality.  Limited to tables
     with at most 16 rows/columns per side.
     """
+    from scipy.optimize import linprog  # deferred: costs ~1 s of import, used only here
+
     arr = _coerce_table(table)
     n_rows, n_cols = arr.shape
     if n_rows > ORACLE_SIDE_LIMIT or n_cols > ORACLE_SIDE_LIMIT:
@@ -426,9 +427,9 @@ def run_size_sweep(
 ) -> list[SweepRow]:
     """Mean/std additive-fit AUC per problem size for each method.
 
-    Each sample's RNG is derived from (seed, n, sample index), so results do
-    not depend on evaluation order and samples may be computed in parallel.
-    Only nonconstant tables are drawn.
+    Samples are evaluated one after another.  Each sample's RNG is derived
+    from (seed, n, sample index), so a sample's result does not depend on
+    which samples ran before it.  Only nonconstant tables are drawn.
     """
     if samples_per_n < 1:
         raise InputError("samples_per_n must be >= 1")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import PairedDataset
 from .exceptions import InputError, UndefinedMetricError
@@ -58,6 +57,24 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array, tied values sharing their mean rank.
+
+    Matches ``scipy.stats.rankdata(scores, method="average")`` bit for bit,
+    including its all-NaN result when any score is NaN.  Average ranks are
+    integers or halves, so they are exact in float64.
+    """
+    if np.isnan(scores).any():
+        return np.full(scores.shape[0], np.nan)
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(starts, append=scores.shape[0])
+    ranks = np.empty(scores.shape[0])
+    ranks[order] = np.repeat((starts + 1) + (counts - 1) / 2.0, counts)
+    return ranks
+
+
 def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mann-Whitney AUC of 1-D scores against binary labels."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
@@ -69,7 +86,7 @@ def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs both classes present")
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
-from scipy.special import erf
 
 from .data import PairedDataset
 from .exceptions import InputError, TrainingError
@@ -286,6 +285,8 @@ def _activation(name: str):
     if name == "relu":
         return lambda x: np.maximum(x, 0.0), lambda x, a: (x > 0.0).astype(np.float64)
     if name == "gelu":
+        from scipy.special import erf  # deferred so relu-only runs never import scipy
+
         def gelu(x):
             return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 

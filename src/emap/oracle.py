@@ -11,10 +11,17 @@ answer from first principles and checks the claim numerically:
   constant that can be shifted between the two unimodal parts.
 * ``check_stationarity`` evaluates the analytic gradient of the half
   squared-error objective at a candidate decomposition and cross-checks it
-  against central finite differences.
+  against central finite differences.  Each probe is row-local: moving
+  ``tau[i, c]`` changes only the cells ``(i, :, c)`` and moving
+  ``phi[j, c]`` only ``(:, j, c)``, so the loss difference is taken over
+  that one slice, O(N) per probe instead of O(N^2 d).  The rest of the loss
+  cancels exactly, so this is the same central difference with less
+  rounding, and it never consults the analytic gradient.
 * ``check_hessian`` verifies the structural identity
   ``z' H z = sum_{i,j} (z_i + z_j)^2`` (hence positive semi-definiteness)
-  and ``H r = 0`` on random probes.
+  and ``H r = 0`` on random probes.  The pair sums are built a few probes
+  at a time, about ``HESSIAN_BLOCK_CELLS`` floats (and at least one probe)
+  per block, not as one (samples, n, n) tensor.
 
 Two solver routes are kept deliberately separate: a dense generic
 least-squares solve (the "dumb" oracle, default up to n = 64) and a
@@ -43,6 +50,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 64
+HESSIAN_BLOCK_CELLS = 1 << 20  # pair-sum floats per block in check_hessian (8 MB)
 
 
 @dataclass
@@ -131,9 +139,37 @@ def solve_exact(grid: ScoreGrid, method: str = "auto") -> AdditiveDecomposition:
     return _canonical_from_system(solution[:n], solution[n:])
 
 
-def _half_loss(values: np.ndarray, tau_sys: np.ndarray, phi_sys: np.ndarray) -> float:
-    resid = values - tau_sys[:, np.newaxis, :] - phi_sys[np.newaxis, :, :]
+def _half_loss_slice(cells: np.ndarray, own: float, others: np.ndarray) -> float:
+    resid = cells - own - others
     return 0.5 * float(np.sum(resid * resid))
+
+
+def _fd_derivatives(
+    values: np.ndarray,
+    tau_sys: np.ndarray,
+    phi_sys: np.ndarray,
+    probe: np.ndarray,
+    step: float,
+) -> np.ndarray:
+    """Central-difference derivatives of the half loss at the flat indices ``probe``.
+
+    Indices below ``tau_sys.size`` address ``tau_sys``, the rest ``phi_sys``
+    (both row-major).  Each difference is evaluated on the one slice of the
+    grid its parameter touches.
+    """
+    n_tau, d = tau_sys.size, values.shape[2]
+    out = np.empty(len(probe))
+    for k, flat in enumerate(probe):
+        if flat < n_tau:
+            i, c = divmod(int(flat), d)
+            cells, own, others = values[i, :, c], tau_sys[i, c], phi_sys[:, c]
+        else:
+            j, c = divmod(int(flat) - n_tau, d)
+            cells, own, others = values[:, j, c], phi_sys[j, c], tau_sys[:, c]
+        hi = _half_loss_slice(cells, own + step, others)
+        lo = _half_loss_slice(cells, own - step, others)
+        out[k] = (hi - lo) / (2.0 * step)
+    return out
 
 
 def analytic_gradient(grid: ScoreGrid, dec: AdditiveDecomposition):
@@ -169,36 +205,36 @@ def check_stationarity(
     """
     if dec.tau.shape[0] != grid.n_text or dec.phi.shape[0] != grid.n_visual or dec.d != grid.d:
         raise InputError("decomposition shape does not match grid")
-    values = grid.values
     g_tau, g_phi = analytic_gradient(grid, dec)
     grad = np.concatenate([g_tau.ravel(), g_phi.ravel()])
     grad_inf = float(np.max(np.abs(grad)))
 
-    tau_sys = dec.tau + dec.mu
-    phi_sys = dec.phi.copy()
     n_params = grad.size
     if n_params <= fd_max_params:
         probe = np.arange(n_params)
     else:
         probe = np.random.default_rng(seed).choice(n_params, size=fd_max_params, replace=False)
-
-    n_tau = tau_sys.size
-    fd_gap = 0.0
-    for flat in probe:
-        target, idx = (tau_sys, flat) if flat < n_tau else (phi_sys, flat - n_tau)
-        orig = target.flat[idx]
-        target.flat[idx] = orig + fd_step
-        hi = _half_loss(values, tau_sys, phi_sys)
-        target.flat[idx] = orig - fd_step
-        lo = _half_loss(values, tau_sys, phi_sys)
-        target.flat[idx] = orig
-        fd_gap = max(fd_gap, abs((hi - lo) / (2.0 * fd_step) - grad[flat]))
+    fd = _fd_derivatives(grid.values, dec.tau + dec.mu, dec.phi, probe, fd_step)
+    fd_gap = np.max(np.abs(fd - grad[probe]), initial=0.0)
 
     return StationarityReport(
         alg_loss=projection_loss(grid, dec),
         grad_inf_norm=grad_inf,
         fd_gap=float(fd_gap),
     )
+
+
+def _pair_sum_identity(z: np.ndarray, n: int, block: int) -> np.ndarray:
+    """``sum_{i < n <= j} (z_i + z_j)^2`` for each row of ``z``, ``block`` rows at a time.
+
+    This is ``z' H z`` expanded by the block structure of ``H``.
+    """
+    identity = np.empty(z.shape[0])
+    for start in range(0, z.shape[0], block):
+        rows = z[start : start + block]
+        pair_sums = rows[:, :n, np.newaxis] + rows[:, np.newaxis, n:]
+        identity[start : start + block] = np.sum(pair_sums * pair_sums, axis=(1, 2))
+    return identity
 
 
 def check_hessian(n: int, samples: int = 1000, seed: int = 0) -> StationarityReport:
@@ -218,9 +254,7 @@ def check_hessian(n: int, samples: int = 1000, seed: int = 0) -> StationarityRep
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((samples, 2 * n))
     quad = np.einsum("si,ij,sj->s", z, H, z)
-    # identity from expanding the block structure: sum over i<=n, j>n of (z_i + z_j)^2
-    pair_sums = z[:, :n, np.newaxis] + z[:, np.newaxis, n:]
-    identity = np.sum(pair_sums * pair_sums, axis=(1, 2))
+    identity = _pair_sum_identity(z, n, max(1, HESSIAN_BLOCK_CELLS // (n * n)))
     rel_err = np.abs(quad - identity) / (1.0 + np.abs(identity))
     return StationarityReport(
         hessian_min_quadform=float(np.min(quad)),

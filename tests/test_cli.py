@@ -1,10 +1,16 @@
 """End-to-end CLI behavior: subcommands, exit codes, manifests, determinism."""
 
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emap
 from emap.cli import main
 
 
@@ -166,6 +172,63 @@ class TestLogic:
             run(capsys, "logic", "sweep", "--n-range", "1..1", "--samples", "15",
                 "--seed", "9", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
+
+
+MALFORMED_GRIDS = {
+    "missing_values.json": '{"n": 1, "d": 1}',
+    "non_numeric.json": '{"n": 1, "d": 1, "values": [[["x"]]]}',
+    "syntax_error.json": '{"n": 1, "d": 1, "values": [[[1.0]]',
+    "huge_header.bin": b"EMAPGRID" + struct.pack("<IQQ", 1, 2**40, 1) + bytes(16),
+}
+
+
+class TestInputContract:
+    """Malformed inputs end in exit 1 with one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_GRIDS))
+    def test_malformed_grid(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        content = MALFORMED_GRIDS[name]
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        code, _, err = run(capsys, "project", "--grid", str(path), "--out", str(tmp_path / "d.json"))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_dataset_without_split(self, capsys, tmp_path):
+        data = tmp_path / "data.json"
+        run(capsys, "synth", "--out", str(data), "--n", "40")
+        payload = json.loads(data.read_text())
+        del payload["split"]
+        data.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys, "train", "--data", str(data), "--model", "linear", "--out", str(tmp_path / "m.json")
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "'split'" in err
+
+
+class TestImportCost:
+    def test_verify_never_imports_scipy(self):
+        """scipy is loaded only by the LP oracle and gelu models, not at start-up."""
+        script = (
+            "import sys\n"
+            "import emap.cli\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy')], 'import'\n"
+            "code = emap.cli.main(['verify', '--grid', 'fixture:worked_example_grid.json'])\n"
+            "assert code == 0, code\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy')], 'verify'\n"
+        )
+        src = str(Path(emap.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestUsageErrors:

@@ -1,7 +1,13 @@
 """Round-trips and error handling for the on-disk formats."""
 
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emap import io as emap_io
 from emap.boosting import AdaBoostConfig, train_adaboost
@@ -53,6 +59,28 @@ class TestGridFiles:
         path = tmp_path / "grid.json"
         path.write_text('{"n": 3, "d": 1, "values": [[[1.0]]]}')
         with pytest.raises(InputError, match="shape"):
+            emap_io.load_grid(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 2**64 - 1), d=st.integers(0, 2**64 - 1), payload=st.binary(max_size=80))
+    def test_any_binary_header_loads_or_is_input_error(self, n, d, payload):
+        """The header is checked against the file size before anything is read."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.bin"
+            path.write_bytes(b"EMAPGRID" + struct.pack("<IQQ", 1, n, d) + payload)
+            try:
+                loaded = emap_io.load_grid(path)
+            except InputError:
+                return
+        assert loaded.values.nbytes <= len(payload)
+
+    @pytest.mark.parametrize(
+        "text", ['{"n": 1, "d": 1}', '{"n": 1, "d": 1, "values": [[["x"]]]}', "{", "[1, 2]", '"grid"']
+    )
+    def test_malformed_json_grid_is_input_error(self, tmp_path, text):
+        path = tmp_path / "grid.json"
+        path.write_text(text)
+        with pytest.raises(InputError):
             emap_io.load_grid(path)
 
     def test_write_is_deterministic(self, grid, tmp_path):

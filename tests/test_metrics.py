@@ -13,6 +13,7 @@ from emap.metrics import (
     auc_binary,
     auc_from_logits,
     auc_macro_ovr,
+    _average_ranks,
     disagreement_advantage,
     metric_from_logits,
     subsampled_emap_metric,
@@ -67,6 +68,32 @@ class TestBinaryAuc:
         base = auc_binary(scores, labels)
         assert auc_binary(scale * scores + shift, labels) == pytest.approx(base, abs=1e-12)
         assert auc_binary(np.exp(scores), labels) == pytest.approx(base, abs=1e-12)
+
+
+class TestAverageRanks:
+    """The numpy ranks must equal scipy's average ranks bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=60))
+    def test_heavily_tied_integers_match_scipy(self, values):
+        from scipy.stats import rankdata
+
+        scores = np.asarray(values, dtype=np.float64)
+        assert _average_ranks(scores).tobytes() == rankdata(scores, method="average").tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False, width=16), min_size=1, max_size=40),
+        st.data(),
+    )
+    def test_any_nan_gives_all_nan_like_scipy(self, values, data):
+        from scipy.stats import rankdata
+
+        scores = np.asarray(values, dtype=np.float64)
+        scores[data.draw(st.integers(0, len(values) - 1))] = np.nan
+        ours = _average_ranks(scores)
+        assert np.isnan(ours).all()
+        assert ours.tobytes() == rankdata(scores, method="average").tobytes()
 
 
 class TestMulticlass:

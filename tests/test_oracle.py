@@ -5,6 +5,8 @@ import pytest
 
 from emap.grid import AdditiveDecomposition, ScoreGrid, emap_decompose, emap_predictions, projection_loss
 from emap.oracle import (
+    _fd_derivatives,
+    _pair_sum_identity,
     analytic_gradient,
     check_hessian,
     check_stationarity,
@@ -95,6 +97,34 @@ class TestStationarity:
         report = check_stationarity(grid, dec)
         assert report.fd_gap <= 1e-6
 
+    def test_row_local_probes_match_full_loss_differences(self):
+        """Each slice-only probe equals the central difference of the whole loss."""
+
+        def full_half_loss(values, tau_sys, phi_sys):
+            resid = values - tau_sys[:, np.newaxis, :] - phi_sys[np.newaxis, :, :]
+            return 0.5 * float(np.sum(resid * resid))
+
+        rng = np.random.default_rng(4)
+        step = 1e-5
+        for _ in range(5):
+            n, d = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+            values = rng.standard_normal((n, n, d)) * 3.0
+            tau_sys = rng.standard_normal((n, d))
+            phi_sys = rng.standard_normal((n, d))
+            probe = np.arange(2 * n * d)
+            reference = np.empty(probe.size)
+            for k in probe:
+                t, p = tau_sys.copy(), phi_sys.copy()
+                target, idx = (t, k) if k < t.size else (p, k - t.size)
+                orig = target.flat[idx]
+                target.flat[idx] = orig + step
+                hi = full_half_loss(values, t, p)
+                target.flat[idx] = orig - step
+                lo = full_half_loss(values, t, p)
+                reference[k] = (hi - lo) / (2.0 * step)
+            local = _fd_derivatives(values, tau_sys, phi_sys, probe, step)
+            np.testing.assert_allclose(local, reference, rtol=0.0, atol=1e-6)
+
 
 class TestHessian:
     def test_nullspace_vector_is_exact(self):
@@ -115,6 +145,14 @@ class TestHessian:
         assert report.hessian_max_rel_err <= 1e-8
         assert report.hessian_min_quadform >= -1e-10
         assert report.nullspace_residual == 0.0
+
+    @pytest.mark.parametrize("n", [1, 4, 37])
+    def test_blocked_identity_is_bit_equal_to_dense(self, n):
+        z = np.random.default_rng(n).standard_normal((23, 2 * n))
+        pair_sums = z[:, :n, np.newaxis] + z[:, np.newaxis, n:]
+        dense = np.sum(pair_sums * pair_sums, axis=(1, 2))
+        for block in (1, 5, 23, 64):
+            assert _pair_sum_identity(z, n, block).tobytes() == dense.tobytes()
 
     def test_rank_is_2n_minus_1(self):
         for n in (2, 4, 7):
