@@ -10,8 +10,9 @@ values.
 The unimodal-restricted variant fits one candidate tree per modality each
 round and keeps the one with lower weighted error, so every stage reads only
 text features or only visual features.  Identical feature rows are
-aggregated into weighted pseudo-samples before each fit; this leaves every
-split statistic unchanged and makes boolean-table boosting cheap.
+aggregated into weighted pseudo-samples before each fit, which leaves every
+split statistic unchanged.  ``weighted_error`` and ``stage_update`` hold the
+stage arithmetic; the boolean lab's table learner (``logic.py``) shares it.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ __all__ = [
     "unimodal_restricted_boost_round",
     "full_boost_round",
     "train_adaboost",
+    "class_sums",
+    "weighted_error",
+    "stage_update",
 ]
 
 _CHANCE_TOL = 1e-9
@@ -79,23 +83,28 @@ class DecisionTree:
         return out
 
     def to_json_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
+        return {name: array.tolist() for name, array in vars(self).items()}
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DecisionTree":
-        return cls(
+        """Load a tree, rejecting any that ``predict`` could not walk to a leaf."""
+        tree = cls(
             feature=np.asarray(payload["feature"], dtype=np.int64),
             threshold=np.asarray(payload["threshold"], dtype=np.float64),
             left=np.asarray(payload["left"], dtype=np.int64),
             right=np.asarray(payload["right"], dtype=np.int64),
             value=np.asarray(payload["value"], dtype=np.float64),
         )
+        size = tree.feature.size
+        if size == 0 or any(a.shape != (size,) for a in vars(tree).values()):
+            raise InputError("tree node arrays must be non-empty, flat and of equal length")
+        split, node = tree.feature >= 0, np.arange(size)
+        for child in (tree.left, tree.right):
+            if np.any(split & ((child <= node) | (child >= size))):
+                raise InputError("a tree split node's children must come after it in the node arrays")
+        if not np.isin(tree.value[~split], (-1.0, 1.0)).all():
+            raise InputError("tree leaf values must be -1 or +1")
+        return tree
 
 
 def _best_split(X: np.ndarray, wp: np.ndarray, wn: np.ndarray, idx: np.ndarray):
@@ -138,8 +147,6 @@ def _best_split(X: np.ndarray, wp: np.ndarray, wn: np.ndarray, idx: np.ndarray):
             best_gain = float(gains[k])
             thr = 0.5 * (v_sorted[cut[k]] + v_sorted[cut[k] + 1])
             best = (f, float(thr))
-    if best is None:
-        return None
     return best
 
 
@@ -154,35 +161,25 @@ def fit_tree(X: np.ndarray, y: np.ndarray, w: np.ndarray, max_depth: int) -> Dec
     wp = np.where(y == 1, w, 0.0)
     wn = np.where(y == 1, 0.0, w)
 
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def add_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
+    nodes = []  # [feature, threshold, left, right, value], numbered in preorder
 
     def build(idx: np.ndarray, depth: int) -> int:
-        node = add_node()
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, 0.0])
         p, q = wp[idx].sum(), wn[idx].sum()
-        if depth >= max_depth or p == 0.0 or q == 0.0:
-            value[node] = 1.0 if p > q else -1.0
-            return node
-        split = _best_split(X, wp, wn, idx)
+        split = None if depth >= max_depth or p == 0.0 or q == 0.0 else _best_split(X, wp, wn, idx)
         if split is None:
-            value[node] = 1.0 if p > q else -1.0
+            nodes[node][4] = 1.0 if p > q else -1.0
             return node
         f, thr = split
-        feature[node] = f
-        threshold[node] = thr
         mask = X[idx, f] <= thr
-        left[node] = build(idx[mask], depth + 1)
-        right[node] = build(idx[~mask], depth + 1)
+        left = build(idx[mask], depth + 1)
+        right = build(idx[~mask], depth + 1)
+        nodes[node][:4] = f, thr, left, right
         return node
 
     build(np.arange(X.shape[0]), 0)
+    feature, threshold, left, right, value = zip(*nodes)
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -204,63 +201,17 @@ def _fit_deduplicated(X: np.ndarray, y: np.ndarray, w: np.ndarray, max_depth: in
     if uniq.shape[0] == X.shape[0]:
         tree = fit_tree(X, y, w, max_depth)
         return tree, tree.predict(X)
-    wp = np.bincount(inverse, weights=np.where(y == 1, w, 0.0), minlength=uniq.shape[0])
-    wn = np.bincount(inverse, weights=np.where(y == 1, 0.0, w), minlength=uniq.shape[0])
-    pseudo_X = np.vstack([uniq, uniq])
-    pseudo_y = np.concatenate([np.ones(uniq.shape[0], dtype=np.int64), np.zeros(uniq.shape[0], dtype=np.int64)])
-    pseudo_w = np.concatenate([wp, wn])
-    tree = fit_tree(pseudo_X, pseudo_y, pseudo_w, max_depth)
+    pseudo_y = np.repeat(np.array([1, 0], dtype=np.int64), uniq.shape[0])
+    tree = fit_tree(np.vstack([uniq, uniq]), pseudo_y, np.concatenate(class_sums(inverse, y, w)), max_depth)
     return tree, tree.predict(uniq)[inverse]
 
 
-def _bit_reverse(codes: np.ndarray, n_bits: int) -> np.ndarray:
-    out = np.zeros_like(codes)
-    for k in range(n_bits):
-        out |= ((codes >> k) & 1) << (n_bits - 1 - k)
-    return out
-
-
-def _fit_binary_complete(X: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Direct fit for all-binary features that fit within the depth budget.
-
-    When every feature is 0/1 and there are at most max_depth of them, the
-    greedy fit (which splits impure nodes even at zero gain) always descends
-    to feature-identical groups, so the fitted function is the per-group
-    weighted majority.  This builds that same function as a complete tree
-    splitting feature k at depth k, skipping the recursion entirely; on the
-    training support the two constructions classify identically.
-    """
-    n_feat = X.shape[1]
-    codes = X.astype(np.int64) @ (1 << np.arange(n_feat))
-    n_groups = 2**n_feat
-    wp = np.bincount(codes, weights=np.where(y == 1, w, 0.0), minlength=n_groups)
-    wn = np.bincount(codes, weights=np.where(y == 1, 0.0, w), minlength=n_groups)
-    majority = np.where(wp > wn, 1.0, -1.0)
-
-    total = 2 * n_groups - 1
-    feature = np.full(total, -1, dtype=np.int64)
-    threshold = np.zeros(total)
-    left = np.full(total, -1, dtype=np.int64)
-    right = np.full(total, -1, dtype=np.int64)
-    value = np.zeros(total)
-    for depth in range(n_feat):
-        idx = np.arange(2**depth - 1, 2 ** (depth + 1) - 1)
-        feature[idx] = depth
-        threshold[idx] = 0.5
-        left[idx] = 2 * idx + 1
-        right[idx] = 2 * idx + 2
-    # leaf heap position encodes the root-to-leaf choices most-significant-first
-    value[n_groups - 1 + _bit_reverse(np.arange(n_groups), n_feat)] = majority
-    tree = DecisionTree(
-        feature=feature, threshold=threshold, left=left, right=right, value=value
+def class_sums(groups: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Per-group total weight of class 1 and of class 0, summed in sample order."""
+    return (
+        np.bincount(groups, weights=np.where(y == 1, w, 0.0)),
+        np.bincount(groups, weights=np.where(y == 1, 0.0, w)),
     )
-    return tree, majority[codes]
-
-
-def _fit_weak(X: np.ndarray, y: np.ndarray, w: np.ndarray, max_depth: int):
-    if X.shape[1] <= max_depth and ((X == 0.0) | (X == 1.0)).all():
-        return _fit_binary_complete(X, y, w)
-    return _fit_deduplicated(X, y, w, max_depth)
 
 
 @dataclass
@@ -297,34 +248,49 @@ def init_boost_state(X_t: np.ndarray, X_v: np.ndarray, y: np.ndarray, max_depth:
     )
 
 
-def _apply_stage(state: BoostState, tree: DecisionTree, h: np.ndarray, err: float, side: str) -> None:
+def weighted_error(weights: np.ndarray, y_sign: np.ndarray, h: np.ndarray) -> float:
+    """Total weight of the samples a {-1, +1} weak learner misclassifies."""
+    return float(weights[h != y_sign].sum())
+
+
+def stage_update(weights: np.ndarray, y_sign: np.ndarray, h: np.ndarray, err: float):
+    """AdaBoost stage weight and reweighted, renormalised samples for ``h``.
+
+    Returns ``(alpha, weights)``, or None when ``h`` is at chance (majority
+    leaves guarantee ``err <= 0.5``, so "at chance" means ``err ~ 0.5``).
+    """
+    if err >= 0.5 - _CHANCE_TOL:
+        return None
     alpha = 0.5 * np.log((1.0 - err + _ALPHA_EPS) / (err + _ALPHA_EPS))
+    weights = weights * np.exp(-alpha * y_sign * h)
+    return alpha, weights / weights.sum()
+
+
+def _boost_round(state: BoostState, sides: dict) -> BoostState:
+    """Fit one tree per side, keep the lowest weighted error (the first on ties), apply it."""
+    y01 = (state.y_sign > 0).astype(np.int64)
+    fits = []
+    for side, X in sides.items():
+        tree, h = _fit_deduplicated(X, y01, state.weights, state.max_depth)
+        fits.append((weighted_error(state.weights, state.y_sign, h), tree, h, side))
+    err, tree, h, side = min(fits, key=lambda fit: fit[0])
+    stage = stage_update(state.weights, state.y_sign, h, err)
+    if stage is None:
+        state.stop_reason = "no_weak_learner"
+        return state
+    alpha, state.weights = stage
     state.stages.append((tree, float(alpha), side))
     state.scores = state.scores + alpha * h
-    state.weights = state.weights * np.exp(-alpha * state.y_sign * h)
-    state.weights = state.weights / state.weights.sum()
     if not np.any(np.sign(state.scores) != state.y_sign):
         state.stop_reason = "perfect_fit"
-
-
-def _weighted_error(state: BoostState, h: np.ndarray) -> float:
-    return float(state.weights[h != state.y_sign].sum())
+    return state
 
 
 def full_boost_round(state: BoostState) -> BoostState:
     """One unrestricted round: the tree sees both modalities concatenated."""
     if state.stop_reason is not None:
         return state
-    X = np.hstack([state.X_t, state.X_v])
-    y01 = (state.y_sign > 0).astype(np.int64)
-    tree, h = _fit_weak(X, y01, state.weights, state.max_depth)
-    err = _weighted_error(state, h)
-    # majority leaves guarantee err <= 0.5, so "at chance" means err ~ 0.5
-    if err >= 0.5 - _CHANCE_TOL:
-        state.stop_reason = "no_weak_learner"
-        return state
-    _apply_stage(state, tree, h, err, "full")
-    return state
+    return _boost_round(state, {"full": np.hstack([state.X_t, state.X_v])})
 
 
 def unimodal_restricted_boost_round(state: BoostState) -> BoostState:
@@ -337,19 +303,7 @@ def unimodal_restricted_boost_round(state: BoostState) -> BoostState:
     """
     if state.stop_reason is not None:
         return state
-    y01 = (state.y_sign > 0).astype(np.int64)
-    tree_t, h_t = _fit_weak(state.X_t, y01, state.weights, state.max_depth)
-    tree_v, h_v = _fit_weak(state.X_v, y01, state.weights, state.max_depth)
-    err_t = _weighted_error(state, h_t)
-    err_v = _weighted_error(state, h_v)
-    if min(err_t, err_v) >= 0.5 - _CHANCE_TOL:
-        state.stop_reason = "no_weak_learner"
-        return state
-    if err_t <= err_v:
-        _apply_stage(state, tree_t, h_t, err_t, "text")
-    else:
-        _apply_stage(state, tree_v, h_v, err_v, "visual")
-    return state
+    return _boost_round(state, {"text": state.X_t, "visual": state.X_v})
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,31 +322,32 @@ class AdaBoostModel:
     def num_classes(self) -> int:
         return 2
 
-    def decision_scores(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Signed staged score sum(alpha * h) per item."""
+    def _side_inputs(self, T: np.ndarray, V: np.ndarray) -> dict:
+        """The features each stage side reads, after checking their widths."""
         T, V = np.atleast_2d(T), np.atleast_2d(V)
         if T.shape[1] != self.d1 or V.shape[1] != self.d2:
             raise InputError(
                 f"feature dims ({T.shape[1]}, {V.shape[1]}) do not match model "
                 f"({self.d1}, {self.d2})"
             )
-        scores = np.zeros(T.shape[0])
-        full = np.hstack([T, V])
+        return {"full": np.hstack([T, V]), "text": T, "visual": V}
+
+    def decision_scores(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Signed staged score sum(alpha * h) per item."""
+        inputs = self._side_inputs(T, V)
+        scores = np.zeros(inputs["text"].shape[0])
         for tree, alpha, side in self.stages:
-            X = {"full": full, "text": T, "visual": V}[side]
-            scores += alpha * tree.predict(X)
+            scores += alpha * tree.predict(inputs[side])
         return scores
 
     def logits(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
 
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-        T, V = np.atleast_2d(T), np.atleast_2d(V)
-        full = np.hstack([T, V])
-        per_class = np.zeros((T.shape[0], 2))
+        inputs = self._side_inputs(T, V)
+        per_class = np.zeros((inputs["text"].shape[0], 2))
         for tree, alpha, side in self.stages:
-            X = {"full": full, "text": T, "visual": V}[side]
-            h = tree.predict(X)
+            h = tree.predict(inputs[side])
             per_class[:, 1] += alpha * (h > 0)
             per_class[:, 0] += alpha * (h < 0)
         return per_class
@@ -414,15 +369,23 @@ class AdaBoostModel:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "AdaBoostModel":
-        stages = tuple(
-            (DecisionTree.from_json_dict(s["tree"]), float(s["alpha"]), s["side"])
-            for s in payload["stages"]
-        )
+        d1, d2 = int(payload["d1"]), int(payload["d2"])
+        widths = {"full": d1 + d2, "text": d1, "visual": d2}
+        stages = []
+        for s in payload["stages"]:
+            tree, alpha, side = DecisionTree.from_json_dict(s["tree"]), float(s["alpha"]), s["side"]
+            if side not in widths:
+                raise InputError(f"unknown stage side {side!r}; expected full, text or visual")
+            if tree.feature.max() >= widths[side]:
+                raise InputError(f"a {side} stage reads feature {tree.feature.max()} of {widths[side]}")
+            if not np.isfinite(alpha):
+                raise InputError(f"stage weight {alpha} is not finite")
+            stages.append((tree, alpha, side))
         return cls(
-            stages=stages,
+            stages=tuple(stages),
             restriction=payload["restriction"],
-            d1=int(payload["d1"]),
-            d2=int(payload["d2"]),
+            d1=d1,
+            d2=d2,
             rounds_run=int(payload.get("rounds_run", len(stages))),
             stop_reason=payload.get("stop_reason"),
             config=dict(payload.get("config", {})),

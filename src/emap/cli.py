@@ -409,7 +409,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sampler", default="uniform", choices=["uniform", "circuit"])
     p.add_argument("--stages", type=int, default=200)
     p.add_argument("--max-depth", type=int, default=15)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted; the sweep runs single-threaded")
     p.set_defaults(func=_cmd_logic_sweep)
 
     return parser

@@ -15,7 +15,7 @@ file extension (anything but ``.json``).  Binary layouts are little-endian:
 All writers produce byte-identical output for identical inputs.  Every
 loader turns a malformed file into ``InputError``; binary readers check each
 length a header claims against the bytes left in the file before reading or
-allocating anything.
+allocating anything, and reject bytes left over after the payload.
 """
 
 from __future__ import annotations
@@ -95,6 +95,24 @@ def _read_exact(fh, count: int, what: str) -> bytes:
     return data
 
 
+def _read_header(fh, path, magic: bytes, fmt: str, what: str) -> list[int]:
+    """Check magic and version; return the header's sizes, each of which must be >= 1."""
+    if _read_exact(fh, 8, "magic") != magic:
+        raise InputError(f"{path} is not a {what} file (bad magic)")
+    version, *sizes = struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), "header"))
+    if version != FORMAT_VERSION:
+        raise InputError(f"unsupported {what} format version {version}")
+    if min(sizes) < 1:
+        raise InputError(f"{what} header claims sizes {sizes}; each must be >= 1")
+    return sizes
+
+
+def _expect_end(fh, path) -> None:
+    extra = os.fstat(fh.fileno()).st_size - fh.tell()
+    if extra:
+        raise InputError(f"{path}: {extra} unexpected bytes after the payload")
+
+
 # -- grids ------------------------------------------------------------------
 
 
@@ -137,15 +155,10 @@ def load_grid(path) -> ScoreGrid:
                 visual_ids=tuple(payload.get("visual_ids", ())),
             )
     with open(path, "rb") as fh:
-        if _read_exact(fh, 8, "magic") != GRID_MAGIC:
-            raise InputError(f"{path} is not a grid file (bad magic)")
-        version, n, d = struct.unpack("<IQQ", _read_exact(fh, 20, "header"))
-        if version != FORMAT_VERSION:
-            raise InputError(f"unsupported grid format version {version}")
-        if n < 1 or d < 1:
-            raise InputError(f"grid header claims n={n}, d={d}; both must be >= 1")
+        n, d = _read_header(fh, path, GRID_MAGIC, "<IQQ", "grid")
         raw = _read_exact(fh, 8 * n * n * d, "values")
         values = np.frombuffer(raw, dtype="<f8").reshape(n, n, d).astype(np.float64)
+        _expect_end(fh, path)
     return ScoreGrid(values=values)
 
 
@@ -185,14 +198,11 @@ def load_decomposition(path) -> AdditiveDecomposition:
                 mu=np.asarray(payload["mu"], dtype=np.float64),
             )
     with open(path, "rb") as fh:
-        if _read_exact(fh, 8, "magic") != DECOMP_MAGIC:
-            raise InputError(f"{path} is not a decomposition file (bad magic)")
-        version, n, d = struct.unpack("<IQQ", _read_exact(fh, 20, "header"))
-        if version != FORMAT_VERSION:
-            raise InputError(f"unsupported decomposition format version {version}")
+        n, d = _read_header(fh, path, DECOMP_MAGIC, "<IQQ", "decomposition")
         tau = np.frombuffer(_read_exact(fh, 8 * n * d, "tau"), dtype="<f8").reshape(n, d)
         phi = np.frombuffer(_read_exact(fh, 8 * n * d, "phi"), dtype="<f8").reshape(n, d)
         mu = np.frombuffer(_read_exact(fh, 8 * d, "mu"), dtype="<f8")
+        _expect_end(fh, path)
     return AdditiveDecomposition(tau=tau.copy(), phi=phi.copy(), mu=mu.copy())
 
 
@@ -254,21 +264,18 @@ def load_dataset(path) -> PairedDataset:
                 meta=dict(payload.get("config", {})),
             )
     with open(path, "rb") as fh:
-        if _read_exact(fh, 8, "magic") != DATA_MAGIC:
-            raise InputError(f"{path} is not a dataset file (bad magic)")
-        version, n, d1, d2, num_classes = struct.unpack(
-            "<IQQQQ", _read_exact(fh, 36, "header")
-        )
-        if version != FORMAT_VERSION:
-            raise InputError(f"unsupported dataset format version {version}")
+        n, d1, d2, num_classes = _read_header(fh, path, DATA_MAGIC, "<IQQQQ", "dataset")
         split = np.frombuffer(_read_exact(fh, n, "split"), dtype=np.uint8).astype(np.int8)
         labels = np.frombuffer(_read_exact(fh, 4 * n, "labels"), dtype="<u4").astype(np.int64)
         text = np.frombuffer(_read_exact(fh, 8 * n * d1, "text"), dtype="<f8").reshape(n, d1)
         visual = np.frombuffer(_read_exact(fh, 8 * n * d2, "visual"), dtype="<f8").reshape(n, d2)
         (config_len,) = struct.unpack("<Q", _read_exact(fh, 8, "config length"))
         config = _read_exact(fh, config_len, "config")
+        _expect_end(fh, path)
     with _malformed(path, "dataset"):
         meta = json.loads(config.decode("utf-8"))
+    if not isinstance(meta, dict):
+        raise InputError(f"{path}: dataset config is not a JSON object")
     return PairedDataset(
         text=text.copy(),
         visual=visual.copy(),

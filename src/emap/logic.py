@@ -9,24 +9,23 @@ tables whose rows form a chain under elementwise <=; that combinatorial
 check is the fast path here, and an exact linear-feasibility solve is the
 independent oracle.
 
-The additive-fit experiment measures how well three additive surrogates
-rank the cells of random tables: the least-squares additive projection of
-the table itself, unimodal-restricted AdaBoost, and (as the interactive
-reference) unrestricted AdaBoost.
+The additive-fit experiment measures how well three surrogates rank the
+cells of random tables: the least-squares additive projection of the table
+itself, unimodal-restricted AdaBoost, and (as the interactive reference)
+unrestricted AdaBoost.  The boosting runs on the table itself: with a depth
+budget that covers the bits a weak learner reads, each round's weak learner
+is a per-row, per-column or per-cell weighted majority, so no tree is built.
+Shorter budgets fall back to ``boosting.train_adaboost`` on the cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boosting import (
-    AdaBoostConfig,
-    full_boost_round,
-    init_boost_state,
-    unimodal_restricted_boost_round,
-)
+from .boosting import AdaBoostConfig, class_sums, stage_update, train_adaboost, weighted_error
+from .data import PairedDataset
 from .exceptions import (
     CapabilityError,
     GenerationError,
@@ -370,23 +369,49 @@ def sample_table(
 # ---------------------------------------------------------------------------
 
 
-def _cell_dataset(table: BooleanTable):
-    patterns = bit_patterns(table.n)
-    size = patterns.shape[0]
-    rows = np.repeat(np.arange(size), size)
-    cols = np.tile(np.arange(size), size)
-    return patterns[rows], patterns[cols], table.table.ravel().astype(np.int64)
+def _table_boost_scores(table: BooleanTable, restriction: str, n_stages: int) -> np.ndarray:
+    """``train_adaboost``'s scores of every cell, row-major, with no tree built.
+
+    Each row of a table is one text pattern and each column one visual
+    pattern, so a tree deep enough for a side's bits fits the per-row (text)
+    or per-column (visual) weighted majority, and a full one every cell.
+    """
+    size = 2**table.n
+    y = table.table.ravel()
+    y_sign = np.where(y == 1, 1.0, -1.0)
+    cells = np.arange(y.size)
+    sides = [cells] if restriction == "full" else [cells // size, cells % size]
+    weights = np.full(y.size, 1.0 / y.size)
+    scores = np.zeros(y.size)
+    for _ in range(n_stages):
+        candidates = []
+        for groups in sides:
+            wp, wn = class_sums(groups, y, weights)
+            candidates.append(np.where(wp > wn, 1.0, -1.0)[groups])  # ties to -1, as leaves
+        errors = [weighted_error(weights, y_sign, h) for h in candidates]
+        best = errors.index(min(errors))  # the first minimum: ties go to the text side
+        stage = stage_update(weights, y_sign, candidates[best], errors[best])
+        if stage is None:
+            break
+        alpha, weights = stage
+        scores = scores + alpha * candidates[best]
+        if not np.any(np.sign(scores) != y_sign):
+            break
+    return scores
 
 
 def _boost_train_auc(table: BooleanTable, restriction: str, cfg: AdaBoostConfig) -> float:
-    X_t, X_v, y = _cell_dataset(table)
-    state = init_boost_state(X_t, X_v, y, cfg.max_depth)
-    step = full_boost_round if restriction == "full" else unimodal_restricted_boost_round
-    for _ in range(cfg.n_stages):
-        step(state)
-        if state.stop_reason is not None:
-            break
-    return auc_binary(state.scores, y)
+    bits_read = table.n if restriction == "unimodal" else 2 * table.n
+    if cfg.max_depth >= bits_read:
+        scores = _table_boost_scores(table, restriction, cfg.n_stages)
+    else:
+        # a shallow tree is not a per-group majority: boost greedy trees on the cells
+        patterns = bit_patterns(table.n)
+        text, visual = np.repeat(patterns, len(patterns), axis=0), np.tile(patterns, (len(patterns), 1))
+        cells = PairedDataset(text, visual, table.table.ravel(), np.zeros(len(text)), num_classes=2)
+        model = train_adaboost(cells, replace(cfg, restriction=restriction))
+        scores = model.decision_scores(text, visual)
+    return auc_binary(scores, table.table.ravel())
 
 
 def additive_fit_auc(table: BooleanTable, method: str, cfg: AdaBoostConfig | None = None) -> float:

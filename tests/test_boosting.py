@@ -7,7 +7,6 @@ from emap.boosting import (
     AdaBoostConfig,
     AdaBoostModel,
     DecisionTree,
-    _fit_binary_complete,
     fit_tree,
     full_boost_round,
     init_boost_state,
@@ -16,6 +15,8 @@ from emap.boosting import (
 )
 from emap.data import PairedDataset
 from emap.exceptions import InputError
+from emap.logic import additive_fit_auc, sample_table
+from emap.metrics import auc_binary
 
 
 def cells_of(table: np.ndarray):
@@ -26,6 +27,18 @@ def cells_of(table: np.ndarray):
     rows = np.repeat(np.arange(size), size)
     cols = np.tile(np.arange(size), size)
     return patterns[rows], patterns[cols], table.ravel().astype(np.int64)
+
+
+def cell_dataset(table: np.ndarray) -> PairedDataset:
+    """A truth table's cells as a binary paired dataset."""
+    X_t, X_v, y = cells_of(table)
+    return PairedDataset(
+        text=X_t,
+        visual=X_v,
+        labels=y,
+        split=np.zeros(len(y), dtype=np.int8),
+        num_classes=2,
+    )
 
 
 class TestTree:
@@ -64,19 +77,16 @@ class TestTree:
         np.testing.assert_array_equal(tree.predict(X), 1.0)
 
     def test_complete_tree_fast_path_matches_greedy(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            n_feat = int(rng.integers(1, 5))
-            m = int(rng.integers(2, 40))
-            X = rng.integers(0, 2, size=(m, n_feat)).astype(np.float64)
-            y = rng.integers(0, 2, size=m)
-            if len(np.unique(y)) < 2:
-                continue
-            w = rng.uniform(0.1, 1.0, size=m)
-            greedy = fit_tree(X, y, w, 15)
-            fast_tree, fast_h = _fit_binary_complete(X, y, w)
-            np.testing.assert_array_equal(greedy.predict(X), fast_h)
-            np.testing.assert_array_equal(fast_tree.predict(X), fast_h)
+        """The lab's tree-free table boosting gives the greedy trees' AUC, bit for bit."""
+        for n, samples in ((1, 60), (2, 12), (3, 3)):
+            for i in range(samples):
+                table = sample_table(n, np.random.SeedSequence([2, n, i]), require_nonconstant=True)
+                ds = cell_dataset(table.table)
+                for restriction in ("full", "unimodal"):
+                    model = train_adaboost(ds, AdaBoostConfig(restriction=restriction))
+                    greedy = auc_binary(model.decision_scores(ds.text, ds.visual), ds.labels)
+                    got = additive_fit_auc(table, f"adaboost_{restriction}")
+                    assert got == greedy, (n, i, restriction)
 
     def test_roundtrip(self):
         X = np.random.default_rng(3).standard_normal((30, 3))
@@ -121,23 +131,13 @@ class TestBoostRounds:
 
 
 class TestTrainAdaboost:
-    def make_dataset(self, table):
-        X_t, X_v, y = cells_of(table)
-        return PairedDataset(
-            text=X_t,
-            visual=X_v,
-            labels=y,
-            split=np.zeros(len(y), dtype=np.int8),
-            num_classes=2,
-        )
-
     def test_full_fit_is_perfect_on_random_tables(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             table = rng.integers(0, 2, size=(8, 8))
             if len(np.unique(table)) < 2:
                 continue
-            ds = self.make_dataset(table)
+            ds = cell_dataset(table)
             model = train_adaboost(ds, AdaBoostConfig(restriction="full"))
             assert model.stop_reason == "perfect_fit"
             scores = model.decision_scores(ds.text, ds.visual)
@@ -157,7 +157,7 @@ class TestTrainAdaboost:
     def test_per_class_logits_match_decision_scores(self):
         rng = np.random.default_rng(6)
         table = rng.integers(0, 2, size=(4, 4))
-        ds = self.make_dataset(table)
+        ds = cell_dataset(table)
         model = train_adaboost(ds, AdaBoostConfig(restriction="unimodal", n_stages=20))
         logits = model.logits_many(ds.text, ds.visual)
         scores = model.decision_scores(ds.text, ds.visual)
@@ -166,7 +166,7 @@ class TestTrainAdaboost:
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(7)
         table = rng.integers(0, 2, size=(4, 4))
-        ds = self.make_dataset(table)
+        ds = cell_dataset(table)
         model = train_adaboost(ds, AdaBoostConfig(restriction="unimodal", n_stages=15))
         clone = AdaBoostModel.from_json_dict(model.to_json_dict())
         np.testing.assert_array_equal(

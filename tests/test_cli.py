@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, manifests, determinism."""
 
+import hashlib
 import json
 import os
 import struct
@@ -173,6 +174,24 @@ class TestLogic:
                 "--seed", "9", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ((), "3c9f5b8a04921d5d5bf3d2c780f6ccf6fb4f50f0256e39fdeafd668378c047e9"),
+            # a depth budget below n bits takes the greedy-tree path
+            (("--n-range", "1..2", "--max-depth", "1"),
+             "2a9ada6db1e1cabd53ccb0b42d423b205890e1a5169a4c2d9bcc357c4af82f42"),
+        ],
+    )
+    def test_sweep_golden_digest(self, capsys, tmp_path, extra, digest):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            capsys, "logic", "sweep", "--n-range", "1..3", "--samples", "20", "--seed", "5",
+            "--out", str(out), *extra,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 MALFORMED_GRIDS = {
     "missing_values.json": '{"n": 1, "d": 1}',
@@ -208,6 +227,48 @@ class TestInputContract:
         )
         assert code == 1
         assert len(err.splitlines()) == 1 and "'split'" in err
+
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("stages", 0, "tree", "feature", 0), 9),
+            (("stages", 0, "side"), "audio"),
+            (("stages", 0, "tree", "left", 0), 0),
+            (("stages", 0, "tree", "value", 1), 0.5),
+            (("stages", 0, "tree", "threshold"), [0.5]),
+            (("stages", 0, "alpha"), float("inf")),
+        ],
+    )
+    def test_malformed_adaboost_model(self, capsys, tmp_path, path, value):
+        data = tmp_path / "data.json"
+        run(capsys, "synth", "--out", str(data), "--n", "40", "--text-dim", "2", "--visual-dim", "2")
+        stage = {
+            "tree": {
+                "feature": [2, -1, -1],
+                "threshold": [0.5, 0.0, 0.0],
+                "left": [1, -1, -1],
+                "right": [2, -1, -1],
+                "value": [0.0, -1.0, 1.0],
+            },
+            "alpha": 1.0,
+            "side": "full",
+        }
+        model = {"kind": "adaboost", "restriction": "full", "d1": 2, "d2": 2, "stages": [stage]}
+        model_path = tmp_path / "boost.json"
+        argv = ("eval", "--data", str(data), "--model", str(model_path), "--report", str(tmp_path / "r.json"))
+        model_path.write_text(json.dumps(model))
+        assert run(capsys, *argv)[0] == 0
+
+        *parents, key = path
+        node = model
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        model_path.write_text(json.dumps(model))
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestImportCost:

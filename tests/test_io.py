@@ -18,6 +18,20 @@ from emap.models import LinearConfig, train_linear
 from emap.synth import SynthParams, generate
 
 
+def fuzz_load(load, content: bytes):
+    """Load ``content`` from a binary file; None when the loader raises InputError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.bin"
+        path.write_bytes(content)
+        try:
+            return load(path)
+        except InputError:
+            return None
+
+
+HUGE = st.integers(0, 2**64 - 1)
+
+
 @pytest.fixture
 def grid():
     rng = np.random.default_rng(0)
@@ -62,17 +76,12 @@ class TestGridFiles:
             emap_io.load_grid(path)
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(0, 2**64 - 1), d=st.integers(0, 2**64 - 1), payload=st.binary(max_size=80))
+    @given(n=HUGE, d=HUGE, payload=st.binary(max_size=80))
     def test_any_binary_header_loads_or_is_input_error(self, n, d, payload):
         """The header is checked against the file size before anything is read."""
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "fuzz.bin"
-            path.write_bytes(b"EMAPGRID" + struct.pack("<IQQ", 1, n, d) + payload)
-            try:
-                loaded = emap_io.load_grid(path)
-            except InputError:
-                return
-        assert loaded.values.nbytes <= len(payload)
+        loaded = fuzz_load(emap_io.load_grid, b"EMAPGRID" + struct.pack("<IQQ", 1, n, d) + payload)
+        if loaded is not None:
+            assert loaded.values.nbytes == len(payload)
 
     @pytest.mark.parametrize(
         "text", ['{"n": 1, "d": 1}', '{"n": 1, "d": 1, "values": [[["x"]]]}', "{", "[1, 2]", '"grid"']
@@ -81,6 +90,13 @@ class TestGridFiles:
         path = tmp_path / "grid.json"
         path.write_text(text)
         with pytest.raises(InputError):
+            emap_io.load_grid(path)
+
+    def test_trailing_bytes(self, grid, tmp_path):
+        path = tmp_path / "grid.bin"
+        emap_io.save_grid(ScoreGrid(values=np.zeros((2, 2, 1))), path)
+        path.write_bytes(path.read_bytes() + bytes(24))
+        with pytest.raises(InputError, match="24 unexpected bytes"):
             emap_io.load_grid(path)
 
     def test_write_is_deterministic(self, grid, tmp_path):
@@ -101,6 +117,28 @@ class TestDecompositionFiles:
         np.testing.assert_array_equal(loaded.phi, dec.phi)
         np.testing.assert_array_equal(loaded.mu, dec.mu)
 
+    def test_trailing_bytes(self, grid, tmp_path):
+        path = tmp_path / "dec.bin"
+        emap_io.save_decomposition(emap_decompose(grid), path)
+        path.write_bytes(path.read_bytes() + b"x")
+        with pytest.raises(InputError, match="1 unexpected bytes"):
+            emap_io.load_decomposition(path)
+
+    def test_empty_header_rejected(self, tmp_path):
+        path = tmp_path / "dec.bin"
+        path.write_bytes(b"EMAPDCMP" + struct.pack("<IQQ", 1, 0, 0))
+        with pytest.raises(InputError, match=">= 1"):
+            emap_io.load_decomposition(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=HUGE, d=HUGE, payload=st.binary(max_size=80))
+    def test_any_binary_header_loads_or_is_input_error(self, n, d, payload):
+        loaded = fuzz_load(
+            emap_io.load_decomposition, b"EMAPDCMP" + struct.pack("<IQQ", 1, n, d) + payload
+        )
+        if loaded is not None:
+            assert loaded.tau.nbytes + loaded.phi.nbytes + loaded.mu.nbytes == len(payload) > 0
+
 
 class TestDatasetFiles:
     @pytest.mark.parametrize("name", ["data.json", "data.bin"])
@@ -114,6 +152,20 @@ class TestDatasetFiles:
         np.testing.assert_array_equal(loaded.split, dataset.split)
         assert loaded.num_classes == dataset.num_classes
         assert loaded.meta == dataset.meta
+
+    def test_trailing_bytes(self, dataset, tmp_path):
+        path = tmp_path / "data.bin"
+        emap_io.save_dataset(dataset, path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(InputError, match="8 unexpected bytes"):
+            emap_io.load_dataset(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.tuples(HUGE, HUGE, HUGE, HUGE), payload=st.binary(max_size=80))
+    def test_any_binary_header_loads_or_is_input_error(self, header, payload):
+        loaded = fuzz_load(emap_io.load_dataset, b"EMAPDATA" + struct.pack("<IQQQQ", 1, *header) + payload)
+        if loaded is not None:
+            assert loaded.n == header[0] >= 1
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "data.bin"
