@@ -13,6 +13,11 @@ text features or only visual features.  Identical feature rows are
 aggregated into weighted pseudo-samples before each fit, which leaves every
 split statistic unchanged.  ``weighted_error`` and ``stage_update`` hold the
 stage arithmetic; the boolean lab's table learner (``logic.py``) shares it.
+
+A trained model scores all text x visual cross-pairings with
+``logits_grid``: a text or visual stage predicts each item once and is
+broadcast, and only a full stage is evaluated per cell, one text row at a
+time.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 
 from .data import PairedDataset
 from .exceptions import InputError
+from .models import check_widths
 
 __all__ = [
     "AdaBoostConfig",
@@ -324,12 +330,7 @@ class AdaBoostModel:
 
     def _side_inputs(self, T: np.ndarray, V: np.ndarray) -> dict:
         """The features each stage side reads, after checking their widths."""
-        T, V = np.atleast_2d(T), np.atleast_2d(V)
-        if T.shape[1] != self.d1 or V.shape[1] != self.d2:
-            raise InputError(
-                f"feature dims ({T.shape[1]}, {V.shape[1]}) do not match model "
-                f"({self.d1}, {self.d2})"
-            )
+        T, V = check_widths(T, V, self.d1, self.d2)
         return {"full": np.hstack([T, V]), "text": T, "visual": V}
 
     def decision_scores(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -343,14 +344,30 @@ class AdaBoostModel:
     def logits(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
 
+    def _per_class(self, shape: tuple, predict) -> np.ndarray:
+        """Per-class stage-weight sums, stage by stage; ``predict(tree, side)`` gives h."""
+        per_class = np.zeros((*shape, 2))
+        for tree, alpha, side in self.stages:
+            h = predict(tree, side)
+            per_class[..., 1] += alpha * (h > 0)
+            per_class[..., 0] += alpha * (h < 0)
+        return per_class
+
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
         inputs = self._side_inputs(T, V)
-        per_class = np.zeros((inputs["text"].shape[0], 2))
-        for tree, alpha, side in self.stages:
-            h = tree.predict(inputs[side])
-            per_class[:, 1] += alpha * (h > 0)
-            per_class[:, 0] += alpha * (h < 0)
-        return per_class
+        return self._per_class(inputs["text"].shape[:1], lambda tree, side: tree.predict(inputs[side]))
+
+    def logits_grid(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
+        T, V = check_widths(T, V, self.d1, self.d2)
+
+        def predict(tree, side):
+            if side == "text":
+                return tree.predict(T)[:, np.newaxis]
+            if side == "visual":
+                return tree.predict(V)[np.newaxis, :]
+            return np.stack([tree.predict(np.hstack([np.broadcast_to(t, (len(V), len(t))), V])) for t in T])
+
+        return self._per_class((len(T), len(V)), predict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -370,6 +387,8 @@ class AdaBoostModel:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "AdaBoostModel":
         d1, d2 = int(payload["d1"]), int(payload["d2"])
+        if not (1 <= d1 < 2**31 and 1 <= d2 < 2**31):
+            raise InputError(f"adaboost feature widths must lie in [1, 2^31), got d1={d1}, d2={d2}")
         widths = {"full": d1 + d2, "text": d1, "visual": d2}
         stages = []
         for s in payload["stages"]:

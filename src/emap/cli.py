@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -25,6 +24,7 @@ from .data import SPLIT_NAMES
 from .exceptions import EmapError, InputError, NumericError
 from .grid import build_grid, emap_decompose, emap_predictions
 from .logic import (
+    MAX_TABLE_N,
     SWEEP_METHODS,
     BooleanTable,
     additive_fit_auc,
@@ -101,13 +101,6 @@ def _emit_manifest(manifest: dict, artifact_path=None) -> None:
         emap_io.dump_json(manifest, str(artifact_path) + ".manifest.json")
     else:
         print(json.dumps(manifest), file=sys.stderr)
-
-
-def _threads(args) -> int | None:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("EMAP_THREADS")
-    return int(env) if env else None
 
 
 # -- subcommands -------------------------------------------------------------
@@ -233,7 +226,7 @@ def _cmd_eval(args) -> int:
         metrics=_split_metrics(logits, part.labels),
     )
     if args.with_emap:
-        grid = build_grid(model, part.text, part.visual, threads=_threads(args))
+        grid = build_grid(model, part.text, part.visual)
         proj = emap_predictions(emap_decompose(grid))
         report.emap_metrics = _split_metrics(proj, part.labels)
         report.agreement_rate = agreement(logits, proj)
@@ -245,7 +238,7 @@ def _cmd_eval(args) -> int:
         except ValueError:
             raise InputError("--subsample expects 'k,m' with two integers") from None
         report.subsample = subsampled_emap_metric(
-            model, part, k, m, args.metric, seed=args.seed, threads=_threads(args)
+            model, part, k, m, args.metric, seed=args.seed
         )
     if args.report.endswith(".csv"):
         Path(args.report).write_text(
@@ -314,6 +307,8 @@ def _cmd_logic_sweep(args) -> int:
         lo, hi = (int(x) for x in args.n_range.split(".."))
     except ValueError:
         raise InputError("--n-range expects 'A..B'") from None
+    if lo > hi:
+        raise InputError(f"--n-range {args.n_range} is empty; it needs A <= B")
     cfg = AdaBoostConfig(max_depth=args.max_depth, n_stages=args.stages)
     rows = run_size_sweep(
         range(lo, hi + 1),
@@ -384,7 +379,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--subsample", default=None, help="k,m")
     p.add_argument("--metric", default="accuracy", choices=["accuracy", "auc", "weighted_f1"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted; grid evaluation runs single-threaded")
     p.set_defaults(func=_cmd_eval)
 
     logic = sub.add_parser("logic", help="boolean representability experiments")
@@ -398,11 +393,11 @@ def _build_parser() -> _Parser:
 
     p = logic_sub.add_parser("check", help="check one formula for representability")
     p.add_argument("--formula", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"bits per side, 1..{MAX_TABLE_N}")
     p.set_defaults(func=_cmd_logic_check)
 
     p = logic_sub.add_parser("sweep", help="additive-fit AUC vs problem size, to CSV")
-    p.add_argument("--n-range", required=True, help="A..B inclusive")
+    p.add_argument("--n-range", required=True, help=f"A..B inclusive, 1 <= A <= B <= {MAX_TABLE_N}")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

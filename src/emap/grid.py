@@ -9,14 +9,16 @@ minimizer of the summed squared error over all cells (uniqueness is up to a
 constant that can be shifted between the two unimodal parts; see
 :mod:`emap.oracle` for an independent check).
 
-All arithmetic is 64-bit.  Means are computed with numpy's pairwise
-summation in canonical index order, so identical grid bytes always produce
-identical decomposition bytes, regardless of how the grid was built.
+``build_grid`` fills a grid with one ``scorer.logits_grid(T, V)`` call, or
+with one call per cell for a plain ``(t, v) -> logits`` callable.
+
+All arithmetic is 64-bit.  Grids are stored in C order, on which numpy sums
+every mean in index order, so identical grid bytes always produce identical
+decomposition bytes, regardless of how the grid was built.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -49,7 +51,8 @@ class ScoreGrid:
     visual_ids: tuple = field(default=())
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        # C order fixes the summation order of the means (see the module docstring)
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.ndim == 2:
             values = values[:, :, np.newaxis]
         if values.ndim != 3:
@@ -163,36 +166,24 @@ def _as_feature_matrix(items: Sequence, name: str) -> np.ndarray:
     return mat
 
 
-def _score_row(scorer, t_row: np.ndarray, visuals: np.ndarray) -> np.ndarray:
-    """Scores of one text item against every visual item, shape (N_v, d)."""
-    batched = getattr(scorer, "logits_many", None)
-    if batched is not None:
-        tiled = np.broadcast_to(t_row, (visuals.shape[0], t_row.shape[0]))
-        out = np.asarray(batched(tiled, visuals), dtype=np.float64)
-        if out.ndim == 1:
-            out = out[:, np.newaxis]
-        return out
-    rows = []
-    for v in visuals:
-        out = np.atleast_1d(np.asarray(scorer(t_row, v), dtype=np.float64))
-        rows.append(out)
-    return np.stack(rows, axis=0)
+def _per_cell_grid(scorer: Scorer, T: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Grid of a plain ``(t, v) -> logits`` callable, one call per cell."""
+    cells = [[np.atleast_1d(np.asarray(scorer(t, v), dtype=np.float64)) for v in V] for t in T]
+    d = cells[0][0].shape
+    for i, row in enumerate(cells):
+        for j, out in enumerate(row):
+            if out.shape != d:
+                raise InputError(f"scorer output shape changed from {d} to {out.shape} at (i={i}, j={j})")
+    return np.array(cells)
 
 
-def build_grid(
-    scorer: Scorer,
-    texts: Sequence,
-    visuals: Sequence,
-    threads: int | None = None,
-) -> ScoreGrid:
+def build_grid(scorer: Scorer, texts: Sequence, visuals: Sequence) -> ScoreGrid:
     """Evaluate ``scorer`` on all N^2 text x visual cross-pairings.
 
-    The scorer must be pure (identical inputs give identical outputs), so the
-    evaluation order is unobservable; rows may be computed in parallel when
-    ``threads`` > 1 without changing a single bit of the result.  Scorers may
-    expose a vectorized ``logits_many(T, V)`` method (row-paired batches),
-    which is used when present; otherwise the plain callable is invoked once
-    per cell.
+    The grid comes from one ``scorer.logits_grid(T, V)`` call, which every
+    bundled model provides; any other pure ``(t, v) -> logits`` callable is
+    invoked once per cell.  Evaluation is single-threaded, so the grid bytes
+    depend only on the scorer and the inputs.
     """
     t_mat = _as_feature_matrix(texts, "text")
     v_mat = _as_feature_matrix(visuals, "visual")
@@ -200,41 +191,12 @@ def build_grid(
         raise InputError(
             f"texts and visuals must have equal length, got {t_mat.shape[0]} and {v_mat.shape[0]}"
         )
-    n = t_mat.shape[0]
-    if n < 1:
+    if t_mat.shape[0] < 1:
         raise InputError("at least one paired item is required")
-
-    grid_fn = getattr(scorer, "logits_grid", None)
-    if grid_fn is not None:
-        values = np.asarray(grid_fn(t_mat, v_mat), dtype=np.float64)
-        if values.ndim == 2:
-            values = values[:, :, np.newaxis]
-    else:
-        first = _score_row(scorer, t_mat[0], v_mat)
-        d = first.shape[1]
-        values = np.empty((n, n, d), dtype=np.float64)
-        values[0] = first
-
-        def fill(i: int) -> None:
-            row = _score_row(scorer, t_mat[i], v_mat)
-            if row.shape[1] != d:
-                raise InputError(
-                    f"scorer output length changed from {d} to {row.shape[1]} at row {i}"
-                )
-            values[i] = row
-
-        if threads is not None and threads > 1 and n > 2:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(fill, range(1, n)))
-        else:
-            for i in range(1, n):
-                fill(i)
-
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        i, j = int(bad[0][0]), int(bad[0][1])
-        raise NumericError(f"scorer returned a non-finite value for pair (i={i}, j={j})")
-    return ScoreGrid(values=values)
+    logits_grid = getattr(scorer, "logits_grid", None)
+    if logits_grid is None:
+        return ScoreGrid(values=_per_cell_grid(scorer, t_mat, v_mat))
+    return ScoreGrid(values=logits_grid(t_mat, v_mat))
 
 
 def emap_decompose(grid: ScoreGrid) -> AdditiveDecomposition:

@@ -77,7 +77,7 @@ def _malformed(path, what: str):
         raise
     except KeyError as exc:
         raise InputError(f"{path}: {what} file has no field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed {what} file ({exc})") from None
 
 

@@ -37,6 +37,8 @@ from .grid import ScoreGrid, emap_decompose
 from .metrics import auc_binary
 
 __all__ = [
+    "MAX_TABLE_N",
+    "table_side",
     "BooleanTable",
     "Var",
     "Not",
@@ -56,6 +58,14 @@ __all__ = [
 
 ORACLE_SIDE_LIMIT = 16
 SWEEP_METHODS = ("emap", "adaboost_unimodal", "adaboost_full")
+MAX_TABLE_N = 10  # a 1024 x 1024 table: about a million cells
+
+
+def table_side(n: int) -> int:
+    """Rows (and columns) of a table with n bits per side, refusing n outside [1, MAX_TABLE_N]."""
+    if not 1 <= n <= MAX_TABLE_N:
+        raise InputError(f"n must lie in [1, {MAX_TABLE_N}] (a 2^n x 2^n truth table), got n={n}")
+    return 2**n
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +76,8 @@ class BooleanTable:
     table: np.ndarray
 
     def __post_init__(self):
+        size = table_side(self.n)
         table = np.asarray(self.table, dtype=np.uint8)
-        size = 2**self.n
-        if self.n < 1:
-            raise InputError("n must be >= 1")
         if table.shape != (size, size):
             raise InputError(f"table must be {size} x {size} for n={self.n}, got {table.shape}")
         if not np.isin(table, (0, 1)).all():
@@ -235,7 +243,7 @@ def table_from_formula(ast, n: int) -> BooleanTable:
     needed = formula_max_index(ast)
     if needed > n:
         raise InputError(f"formula uses variable index {needed} but n={n}")
-    size = 2**n
+    size = table_side(n)
     patterns = bit_patterns(n).astype(np.int64)
     t_bits = patterns[:, np.newaxis, :]  # (size, 1, n)
     v_bits = patterns[np.newaxis, :, :]  # (1, size, n)
@@ -348,10 +356,8 @@ def sample_table(
     measure for the collapse experiments); ``sampler="circuit"`` evaluates a
     random bounded-depth gate tree instead, for sensitivity analysis.
     """
-    if n < 1:
-        raise InputError("n must be >= 1")
+    size = table_side(n)
     rng = np.random.default_rng(seed)
-    size = 2**n
     for _ in range(1000):
         if sampler == "uniform":
             table = BooleanTable(n, rng.integers(0, 2, size=(size, size), dtype=np.uint8))
@@ -458,6 +464,9 @@ def run_size_sweep(
     """
     if samples_per_n < 1:
         raise InputError("samples_per_n must be >= 1")
+    n_values = list(n_values)
+    for n in n_values:
+        table_side(n)  # refuse an out-of-reach size before any sample runs
     rows = []
     for n in n_values:
         scores = {m: np.empty(samples_per_n) for m in methods}

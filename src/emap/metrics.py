@@ -191,7 +191,6 @@ def subsampled_emap_metric(
     m: int,
     metric: str,
     seed: int = 0,
-    threads: int | None = None,
 ) -> SubsampleResult:
     """Projection quality on k random size-m subsamples of a dataset.
 
@@ -213,7 +212,7 @@ def subsampled_emap_metric(
         rng = np.random.default_rng(children[rep])
         idx = np.sort(rng.choice(dataset.n, size=m, replace=False))
         sub = dataset.take(idx)
-        grid = build_grid(scorer, sub.text, sub.visual, threads=threads)
+        grid = build_grid(scorer, sub.text, sub.visual)
         diag = grid.values[np.arange(m), np.arange(m), :]
         proj = emap_predictions(emap_decompose(grid))
         direct_vals[rep] = metric_from_logits(metric, diag, sub.labels)

@@ -7,7 +7,11 @@ can represent multiplicative cross-modal structure: an explicit degree-2
 cross-term expansion with logistic loss, and a feed-forward network over
 projected features ``[t'; v'; v' - t'; v' * t']``.
 
-All training is full-batch and deterministic given the config seed.
+All training is full-batch and deterministic given the config seed.  Each
+model scores paired rows with ``logits_many(T, V)`` and all text x visual
+cross-pairings with ``logits_grid(T, V)``, the one batch protocol
+``grid.build_grid`` calls.  ``from_json_dict`` checks every weight's shape
+and finiteness, so a malformed model file fails at load with ``InputError``.
 """
 
 from __future__ import annotations
@@ -72,6 +76,29 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     picked = probs[np.arange(labels.shape[0]), labels]
     return -float(np.mean(np.log(np.maximum(picked, 1e-300))))
+
+
+def _weights(value, name: str, *shape) -> np.ndarray:
+    """A finite float64 array of ``shape`` read from a model file; None matches any size >= 1."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim != len(shape) or any(
+        size < 1 or want not in (None, size) for size, want in zip(arr.shape, shape)
+    ):
+        expected = tuple("any" if want is None else want for want in shape)
+        raise InputError(f"model weights {name!r} have shape {arr.shape}, expected {expected}")
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"model weights {name!r} are not all finite")
+    return arr
+
+
+def check_widths(T: np.ndarray, V: np.ndarray, d1: int, d2: int):
+    """``T`` and ``V`` as 2-D arrays, refused unless their widths are ``d1`` and ``d2``."""
+    T, V = np.atleast_2d(T), np.atleast_2d(V)
+    if T.shape[1] != d1 or V.shape[1] != d2:
+        raise InputError(
+            f"feature dims ({T.shape[1]}, {V.shape[1]}) do not match model ({d1}, {d2})"
+        )
+    return T, V
 
 
 def _fit_softmax_descent(
@@ -142,18 +169,14 @@ class LinearModel:
         return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
 
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-        T, V = np.atleast_2d(T), np.atleast_2d(V)
-        if T.shape[1] != self.w_t.shape[0] or V.shape[1] != self.w_v.shape[0]:
-            raise InputError(
-                f"feature dims ({T.shape[1]}, {V.shape[1]}) do not match model "
-                f"({self.w_t.shape[0]}, {self.w_v.shape[0]})"
-            )
+        T, V = check_widths(T, V, self.w_t.shape[0], self.w_v.shape[0])
         return T @ self.w_t + V @ self.w_v + self.b
 
     def logits_grid(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
         # additive structure: the grid is an outer sum of unimodal scores
-        t_part = np.atleast_2d(T) @ self.w_t
-        v_part = np.atleast_2d(V) @ self.w_v + self.b
+        T, V = check_widths(T, V, self.w_t.shape[0], self.w_v.shape[0])
+        t_part = T @ self.w_t
+        v_part = V @ self.w_v + self.b
         return t_part[:, np.newaxis, :] + v_part[np.newaxis, :, :]
 
     def to_json_dict(self) -> dict:
@@ -167,10 +190,12 @@ class LinearModel:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "LinearModel":
+        w_t = _weights(payload["w_t"], "w_t", None, None)
+        classes = w_t.shape[1]
         return cls(
-            w_t=np.asarray(payload["w_t"], dtype=np.float64),
-            w_v=np.asarray(payload["w_v"], dtype=np.float64),
-            b=np.asarray(payload["b"], dtype=np.float64),
+            w_t=w_t,
+            w_v=_weights(payload["w_v"], "w_v", None, classes),
+            b=_weights(payload["b"], "b", classes),
             config=dict(payload.get("config", {})),
         )
 
@@ -225,18 +250,13 @@ class Poly2Model:
         return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
 
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-        T, V = np.atleast_2d(T), np.atleast_2d(V)
-        if T.shape[1] != self.d1 or V.shape[1] != self.d2:
-            raise InputError(
-                f"feature dims ({T.shape[1]}, {V.shape[1]}) do not match model "
-                f"({self.d1}, {self.d2})"
-            )
+        T, V = check_widths(T, V, self.d1, self.d2)
         w_t, w_v, w_x = self._split_weights()
         bilinear = np.einsum("na,abc,nb->nc", T, w_x, V)
         return T @ w_t + V @ w_v + bilinear + self.b
 
     def logits_grid(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-        T, V = np.atleast_2d(T), np.atleast_2d(V)
+        T, V = check_widths(T, V, self.d1, self.d2)
         w_t, w_v, w_x = self._split_weights()
         t_part = T @ w_t
         v_part = V @ w_v + self.b
@@ -255,11 +275,15 @@ class Poly2Model:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Poly2Model":
+        d1, d2 = int(payload["d1"]), int(payload["d2"])
+        if d1 < 1 or d2 < 1:
+            raise InputError(f"poly2 feature widths must be >= 1, got d1={d1}, d2={d2}")
+        w = _weights(payload["w"], "w", d1 + d2 + d1 * d2, None)
         return cls(
-            w=np.asarray(payload["w"], dtype=np.float64),
-            b=np.asarray(payload["b"], dtype=np.float64),
-            d1=int(payload["d1"]),
-            d2=int(payload["d2"]),
+            w=w,
+            b=_weights(payload["b"], "b", w.shape[1]),
+            d1=d1,
+            d2=d2,
             config=dict(payload.get("config", {})),
         )
 
@@ -320,27 +344,32 @@ class FeedForwardModel:
     def num_classes(self) -> int:
         return self.layers[-1][1].shape[0]
 
-    def _comparison_features(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-        tp = T @ self.proj_t + self.proj_t_b
-        vp = V @ self.proj_v + self.proj_v_b
-        return np.hstack([tp, vp, vp - tp, vp * tp])
+    def _project(self, T: np.ndarray, V: np.ndarray):
+        T, V = check_widths(T, V, self.proj_t.shape[0], self.proj_v.shape[0])
+        return T @ self.proj_t + self.proj_t_b, V @ self.proj_v + self.proj_v_b
+
+    def _head(self, tp: np.ndarray, vp: np.ndarray) -> np.ndarray:
+        """Logits of row-paired projected features ``tp`` and ``vp``."""
+        act, _ = _activation(self.activation)
+        h = np.hstack([tp, vp, vp - tp, vp * tp])
+        for w, b in self.layers[:-1]:
+            h = act(h @ w + b)
+        w, b = self.layers[-1]
+        return h @ w + b
 
     def logits(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
 
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-        T, V = np.atleast_2d(T), np.atleast_2d(V)
-        if T.shape[1] != self.proj_t.shape[0] or V.shape[1] != self.proj_v.shape[0]:
-            raise InputError(
-                f"feature dims ({T.shape[1]}, {V.shape[1]}) do not match model "
-                f"({self.proj_t.shape[0]}, {self.proj_v.shape[0]})"
-            )
-        act, _ = _activation(self.activation)
-        h = self._comparison_features(T, V)
-        for w, b in self.layers[:-1]:
-            h = act(h @ w + b)
-        w, b = self.layers[-1]
-        return h @ w + b
+        return self._head(*self._project(T, V))
+
+    def logits_grid(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Both sides projected once; the head runs one text row against all of V at a time."""
+        tp, vp = self._project(T, V)
+        out = np.empty((tp.shape[0], vp.shape[0], self.num_classes))
+        for i, row in enumerate(tp):
+            out[i] = self._head(np.broadcast_to(row, vp.shape), vp)
+        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -356,17 +385,24 @@ class FeedForwardModel:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "FeedForwardModel":
-        layers = tuple(
-            (np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
-            for w, b in payload["layers"]
-        )
+        proj_t = _weights(payload["proj_t"], "proj_t", None, None)
+        width = proj_t.shape[1]
+        if not payload["layers"]:
+            raise InputError("a feed-forward model needs at least one layer")
+        layers, fan_in = [], 4 * width  # the comparison features [t'; v'; v' - t'; v' * t']
+        for k, (w, b) in enumerate(payload["layers"]):
+            w = _weights(w, f"layers[{k}] weight", fan_in, None)
+            fan_in = w.shape[1]
+            layers.append((w, _weights(b, f"layers[{k}] bias", fan_in)))
+        activation = payload.get("activation", "relu")
+        _activation(activation)
         return cls(
-            proj_t=np.asarray(payload["proj_t"], dtype=np.float64),
-            proj_t_b=np.asarray(payload["proj_t_b"], dtype=np.float64),
-            proj_v=np.asarray(payload["proj_v"], dtype=np.float64),
-            proj_v_b=np.asarray(payload["proj_v_b"], dtype=np.float64),
-            layers=layers,
-            activation=payload.get("activation", "relu"),
+            proj_t=proj_t,
+            proj_t_b=_weights(payload["proj_t_b"], "proj_t_b", width),
+            proj_v=_weights(payload["proj_v"], "proj_v", None, width),
+            proj_v_b=_weights(payload["proj_v_b"], "proj_v_b", width),
+            layers=tuple(layers),
+            activation=activation,
             config=dict(payload.get("config", {})),
         )
 

@@ -201,6 +201,18 @@ MALFORMED_GRIDS = {
 }
 
 
+def assert_edit_refused_by_eval(capsys, tmp_path, data, model_path, edit):
+    """``eval`` accepts the model file as written, and refuses it in one stderr line after ``edit``."""
+    argv = ("eval", "--data", str(data), "--model", str(model_path), "--report", str(tmp_path / "r.json"))
+    assert run(capsys, *argv)[0] == 0
+    model = json.loads(model_path.read_text())
+    edit(model)
+    model_path.write_text(json.dumps(model))
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestInputContract:
     """Malformed inputs end in exit 1 with one stderr line, never a traceback."""
 
@@ -256,19 +268,56 @@ class TestInputContract:
         }
         model = {"kind": "adaboost", "restriction": "full", "d1": 2, "d2": 2, "stages": [stage]}
         model_path = tmp_path / "boost.json"
-        argv = ("eval", "--data", str(data), "--model", str(model_path), "--report", str(tmp_path / "r.json"))
         model_path.write_text(json.dumps(model))
-        assert run(capsys, *argv)[0] == 0
 
-        *parents, key = path
-        node = model
-        for step in parents:
-            node = node[step]
-        node[key] = value
-        model_path.write_text(json.dumps(model))
-        code, _, err = run(capsys, *argv)
+        def edit(model):
+            *parents, key = path
+            node = model
+            for step in parents:
+                node = node[step]
+            node[key] = value
+
+        assert_edit_refused_by_eval(capsys, tmp_path, data, model_path, edit)
+
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [
+            ("linear", lambda m: m["b"].append(0.0)),
+            ("linear", lambda m: m["w_t"][0].__setitem__(0, float("nan"))),
+            ("poly2", lambda m: m.__setitem__("w", m["w"][:-5])),
+            ("mlp", lambda m: m["layers"].pop(0)),
+            ("mlp", lambda m: m.__setitem__("layers", [])),
+        ],
+        ids=["linear-extra-bias", "linear-nan-weight", "poly2-short-w", "mlp-no-first-layer", "mlp-no-layers"],
+    )
+    def test_malformed_model(self, capsys, tmp_path, kind, edit):
+        data = tmp_path / "data.json"
+        run(capsys, "synth", "--out", str(data), "--n", "40", "--text-dim", "3", "--visual-dim", "2")
+        model_path = tmp_path / "model.json"
+        run(
+            capsys, "train", "--data", str(data), "--model", kind, "--out", str(model_path),
+            "--epochs", "2", "--hidden", "4,3", "--proj-width", "2",
+        )
+        assert_edit_refused_by_eval(capsys, tmp_path, data, model_path, edit)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--n-range", "3..1"),
+            ("sweep", "--n-range", "0..2"),
+            ("sweep", "--n-range", "20..20"),
+            ("check", "--formula", "t1 & v1", "--n", "20"),
+            ("check", "--formula", "t1 & v1", "--n", "11"),
+        ],
+        ids=["empty-range", "zero-n", "huge-range", "huge-check", "just-over-limit"],
+    )
+    def test_logic_size_out_of_range(self, capsys, tmp_path, argv):
+        out = tmp_path / "sweep.csv"
+        extra = ("--out", str(out)) if argv[0] == "sweep" else ()
+        code, _, err = run(capsys, "logic", *argv, *extra)
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestImportCost:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emap.boosting import AdaBoostConfig, train_adaboost
 from emap.exceptions import InputError, NumericError
 from emap.grid import (
     AdditiveDecomposition,
@@ -14,6 +15,8 @@ from emap.grid import (
     emap_predictions,
     projection_loss,
 )
+from emap.models import FeedForwardConfig, Poly2Config, train_interactive, train_linear
+from emap.synth import SynthParams, generate
 
 # 3x3 single-logit worked example with hand-checkable means
 GOLDEN = np.array([[-1.3, 0.3, -0.2], [0.8, 3.0, 1.1], [1.1, -0.1, 0.7]])
@@ -30,6 +33,29 @@ def random_grid(rng, n_t=None, n_v=None, d=None) -> ScoreGrid:
     return ScoreGrid(values=rng.standard_normal((n_t, n_v, d)) * 3.0)
 
 
+@pytest.fixture(scope="module")
+def bundled_models():
+    """One small seeded model of each bundled kind; AdaBoost both full and unimodal."""
+    ds = generate(SynthParams(n=120, d=4, d1=6, d2=5, seed=1))
+    return {
+        "linear": train_linear(ds),
+        "poly2": train_interactive(ds, "poly2", Poly2Config(epochs=30)),
+        "feedforward": train_interactive(
+            ds, "feedforward", FeedForwardConfig(proj_width=8, hidden=(16, 12), epochs=20)
+        ),
+        "adaboost_full": train_adaboost(ds, AdaBoostConfig(max_depth=3, n_stages=12)),
+        "adaboost_unimodal": train_adaboost(
+            ds, AdaBoostConfig(max_depth=2, n_stages=12, restriction="unimodal")
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def items():
+    ds = generate(SynthParams(n=30, d=4, d1=6, d2=5, seed=2))
+    return ds.text, ds.visual
+
+
 class TestBuildGrid:
     def test_constant_scorer(self):
         grid = build_grid(lambda t, v: np.array([1.0]), [[0.0], [1.0]], [[2.0], [3.0]])
@@ -40,41 +66,40 @@ class TestBuildGrid:
         grid = build_grid(lambda t, v: np.array([t @ v]), [[1.0], [2.0]], [[3.0], [4.0]])
         np.testing.assert_allclose(grid.values[:, :, 0], [[3.0, 4.0], [6.0, 8.0]])
 
-    def test_batched_scorer_matches_per_cell_loop(self):
-        """The vectorized row path must agree with direct per-cell evaluation."""
-        rng = np.random.default_rng(0)
-        w_t, w_v = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
+    def test_batched_scorer_matches_per_cell_loop(self, bundled_models, items):
+        """Each bundled model's one ``logits_grid`` call agrees with per-cell evaluation."""
+        texts, visuals = items
+        n = len(texts)
+        for name, model in bundled_models.items():
+            grid = build_grid(model, texts, visuals)
+            per_cell = np.array([[model.logits(t, v) for v in visuals] for t in texts])
+            np.testing.assert_allclose(grid.values, per_cell, rtol=0, atol=1e-12, err_msg=name)
+            # row means are the empirical text-side partial dependence
+            manual = np.stack([per_cell[i].mean(axis=0) for i in range(n)])
+            np.testing.assert_allclose(grid.values.mean(axis=1), manual, rtol=0, atol=1e-12, err_msg=name)
 
-        class Scorer:
-            def __call__(self, t, v):
-                return t @ w_t + v @ w_v
+    def test_grid_rows_equal_the_old_row_path(self, bundled_models, items):
+        """FFN and AdaBoost grid rows are bit-equal to tiling one text row through logits_many."""
+        texts, visuals = items
+        assert {side for *_, side in bundled_models["adaboost_unimodal"].stages} == {"text", "visual"}
+        for name in ("feedforward", "adaboost_full", "adaboost_unimodal"):
+            model = bundled_models[name]
+            grid = model.logits_grid(texts, visuals)
+            for i, t in enumerate(texts):
+                row = model.logits_many(np.broadcast_to(t, texts.shape), visuals)
+                assert grid[i].tobytes() == row.tobytes(), (name, i)
 
-            def logits_many(self, T, V):
-                return T @ w_t + V @ w_v
+    def test_changing_output_length_rejected(self):
+        with pytest.raises(InputError, match=r"i=1, j=0"):
+            build_grid(lambda t, v: np.zeros(1 + int(t[0])), [[0.0], [1.0]], [[2.0], [3.0]])
 
-        texts = rng.standard_normal((6, 4))
-        visuals = rng.standard_normal((6, 3))
-        scorer = Scorer()
-        grid = build_grid(scorer, texts, visuals)
-        for i in range(6):
-            for j in range(6):
-                np.testing.assert_allclose(
-                    grid.values[i, j], scorer(texts[i], visuals[j]), atol=1e-12
-                )
-        # row means are the empirical text-side partial dependence
-        manual = np.stack(
-            [np.mean([scorer(texts[i], v) for v in visuals], axis=0) for i in range(6)]
-        )
-        np.testing.assert_allclose(grid.values.mean(axis=1), manual, atol=1e-12)
-
-    def test_thread_count_does_not_change_bytes(self):
-        rng = np.random.default_rng(1)
-        texts = rng.standard_normal((12, 3))
-        visuals = rng.standard_normal((12, 3))
-        scorer = lambda t, v: np.array([np.sin(t @ v), np.cos(t[0])])
-        one = build_grid(scorer, texts, visuals, threads=1)
-        four = build_grid(scorer, texts, visuals, threads=4)
-        assert one.values.tobytes() == four.values.tobytes()
+    def test_grid_is_stored_in_c_order(self):
+        """A transposed-layout grid decomposes to the same bytes as its C-order copy."""
+        values = np.random.default_rng(2).standard_normal((2, 7, 6)).transpose(1, 2, 0)
+        grid = ScoreGrid(values=values)
+        assert grid.values.flags.c_contiguous
+        again = emap_decompose(ScoreGrid(values=values.copy(order="C")))
+        assert emap_decompose(grid).tau.tobytes() == again.tau.tobytes()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):

@@ -1,5 +1,6 @@
 """Round-trips and error handling for the on-disk formats."""
 
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -10,11 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emap import io as emap_io
-from emap.boosting import AdaBoostConfig, train_adaboost
+from emap.boosting import AdaBoostConfig, AdaBoostModel, DecisionTree, train_adaboost
 from emap.data import PairedDataset
 from emap.exceptions import InputError
 from emap.grid import ScoreGrid, emap_decompose
-from emap.models import LinearConfig, train_linear
+from emap.models import (
+    FeedForwardModel,
+    LinearConfig,
+    LinearModel,
+    Poly2Model,
+    train_linear,
+)
 from emap.synth import SynthParams, generate
 
 
@@ -30,6 +37,44 @@ def fuzz_load(load, content: bytes):
 
 
 HUGE = st.integers(0, 2**64 - 1)
+
+
+def model_payload(kind: str) -> dict:
+    """A small valid model file of each kind, with text width 3 and visual width 2."""
+    rng = np.random.default_rng(0)
+    if kind == "linear":
+        model = LinearModel(w_t=rng.standard_normal((3, 2)), w_v=rng.standard_normal((2, 2)), b=np.zeros(2))
+    elif kind == "poly2":
+        model = Poly2Model(w=rng.standard_normal((3 + 2 + 6, 2)), b=np.zeros(2), d1=3, d2=2)
+    elif kind == "feedforward":
+        model = FeedForwardModel(
+            proj_t=rng.standard_normal((3, 2)),
+            proj_t_b=np.zeros(2),
+            proj_v=rng.standard_normal((2, 2)),
+            proj_v_b=np.zeros(2),
+            layers=((rng.standard_normal((8, 3)), np.zeros(3)), (rng.standard_normal((3, 2)), np.zeros(2))),
+        )
+    else:
+        tree = DecisionTree(
+            feature=np.array([1, -1, -1]),
+            threshold=np.array([0.5, 0.0, 0.0]),
+            left=np.array([1, -1, -1]),
+            right=np.array([2, -1, -1]),
+            value=np.array([0.0, -1.0, 1.0]),
+        )
+        model = AdaBoostModel(stages=((tree, 0.7, "text"), (tree, 0.3, "visual")), restriction="unimodal", d1=3, d2=2)
+    return json.loads(json.dumps(model.to_json_dict()))
+
+
+def json_paths(node, prefix=()):
+    """Every path to a value inside a JSON object, the root excluded."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+MUTATIONS = ["delete", "duplicate", float("nan"), float("inf"), -1, 0, 10**6, 1e300, "x", [], None, True]
 
 
 @pytest.fixture
@@ -202,6 +247,37 @@ class TestModelFiles:
             loaded.decision_scores(ds.text, ds.visual),
             model.decision_scores(ds.text, ds.visual),
         )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["linear", "poly2", "feedforward", "adaboost"]),
+        edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(MUTATIONS)), max_size=2),
+    )
+    def test_any_edited_model_loads_and_scores_or_is_input_error(self, kind, edits):
+        payload = model_payload(kind)
+        for index, mutation in edits:
+            paths = list(json_paths(payload))
+            *parents, key = paths[index % len(paths)]
+            node = payload
+            for step in parents:
+                node = node[step]
+            if mutation == "delete":
+                del node[key]
+            elif mutation == "duplicate" and isinstance(node, list):
+                node.insert(key, node[key])
+            elif mutation != "duplicate":
+                node[key] = mutation
+        model = fuzz_load(emap_io.load_model, json.dumps(payload).encode())
+        if model is None:
+            return
+        d1, d2 = (model.w_t.shape[0], model.w_v.shape[0]) if kind == "linear" else (
+            (model.proj_t.shape[0], model.proj_v.shape[0]) if kind == "feedforward" else (model.d1, model.d2)
+        )
+        rng = np.random.default_rng(1)
+        T, V = rng.standard_normal((3, d1)), rng.standard_normal((3, d2))
+        with np.errstate(all="ignore"):
+            assert model.logits_many(T, V).shape == (3, model.num_classes)
+            assert model.logits_grid(T, V).shape == (3, 3, model.num_classes)
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "model.json"
