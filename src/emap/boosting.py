@@ -56,6 +56,12 @@ class AdaBoostConfig:
     restriction: str = "full"  # "full" or "unimodal"
     seed: int = 0  # recorded for provenance; the fit itself is deterministic
 
+    def __post_init__(self):
+        if self.n_stages < 1:
+            raise InputError(f"n_stages must be >= 1, got {self.n_stages}")
+        if self.max_depth < 0:
+            raise InputError(f"max_depth must be >= 0, got {self.max_depth}")
+
 
 @dataclass(frozen=True, eq=False)
 class DecisionTree:

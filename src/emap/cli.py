@@ -25,6 +25,7 @@ from .exceptions import EmapError, InputError, NumericError
 from .grid import build_grid, emap_decompose, emap_predictions
 from .logic import (
     MAX_TABLE_N,
+    ORACLE_SIDE_LIMIT,
     SWEEP_METHODS,
     BooleanTable,
     additive_fit_auc,
@@ -33,6 +34,7 @@ from .logic import (
     representable_oracle,
     run_size_sweep,
     table_from_formula,
+    table_side,
     write_sweep_csv,
 )
 from .metrics import (
@@ -252,7 +254,7 @@ def _cmd_eval(args) -> int:
 
 
 def _all_tables(n: int):
-    size = 2**n
+    size = table_side(n)
     cells = size * size
     if cells > 16:
         raise InputError(f"census enumerates 2^(2^(2n)) tables; n={n} is out of reach")
@@ -286,7 +288,7 @@ def _cmd_logic_check(args) -> int:
     ast = parse_formula(args.formula)
     table = table_from_formula(ast, args.n)
     fast = is_representable(table)
-    oracle = representable_oracle(table) if table.table.shape[0] <= 16 else None
+    oracle = representable_oracle(table) if table.table.shape[0] <= ORACLE_SIDE_LIMIT else None
     payload = {
         "formula": args.formula,
         "n": args.n,
@@ -387,7 +389,6 @@ def _build_parser() -> _Parser:
 
     p = logic_sub.add_parser("census", help="count representable tables at size n")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--cross-check", action="store_true", default=True)
     p.add_argument("--no-cross-check", dest="cross_check", action="store_false")
     p.set_defaults(func=_cmd_logic_census)
 

@@ -6,8 +6,9 @@ table.  It is *additively representable* when some per-row reals tau, per
 ``table[i, j] = 1  iff  tau[i] + phi[j] > theta``.  Such threshold matrices
 are exactly the tables with no 2x2 exclusive-or submatrix, equivalently the
 tables whose rows form a chain under elementwise <=; that combinatorial
-check is the fast path here, and an exact linear-feasibility solve is the
-independent oracle.
+check is the fast path here.  The independent oracle decides the threshold
+system itself, exactly, as integer difference constraints (a negative-cycle
+search), so the module needs nothing beyond numpy.
 
 The additive-fit experiment measures how well three surrogates rank the
 cells of random tables: the least-squares additive projection of the table
@@ -30,7 +31,6 @@ from .exceptions import (
     CapabilityError,
     GenerationError,
     InputError,
-    NumericError,
     UndefinedMetricError,
 )
 from .grid import ScoreGrid, emap_decompose
@@ -281,51 +281,50 @@ def is_representable(table) -> bool:
     return not bool(np.any(smaller & ~larger))
 
 
+def _threshold_potentials(arr: np.ndarray) -> np.ndarray | None:
+    """Shortest-path potentials of the threshold system, or None when it is infeasible.
+
+    With ``psi_j = theta - phi_j`` a 1-cell reads ``psi_j - tau_i <= -1`` and
+    a 0-cell ``tau_i - psi_j <= 0``: difference constraints, feasible iff
+    their graph (an edge ``tau_i -> psi_j`` of weight -1 per 1-cell and
+    ``psi_j -> tau_i`` of weight 0 per 0-cell) has no negative cycle.
+    Bellman-Ford from a virtual source starts every distance at 0; with no
+    negative cycle it settles within one pass per node.  The result holds
+    the row distances then the column distances, and ``tau = d[rows]``,
+    ``phi = -d[cols]``, ``theta = 0`` reproduce the table.
+    """
+    ones = arr.astype(bool)
+    n_rows, n_cols = arr.shape
+    d_rows = np.zeros(n_rows, dtype=np.int64)
+    d_cols = np.zeros(n_cols, dtype=np.int64)
+    for _ in range(n_rows + n_cols):
+        # distances never rise above 0, so 0 is a neutral ceiling for a node with no edge in
+        new_cols = np.minimum(d_cols, np.where(ones, d_rows[:, None] - 1, 0).min(axis=0, initial=0))
+        new_rows = np.minimum(d_rows, np.where(ones, 0, d_cols[None, :]).min(axis=1, initial=0))
+        if np.array_equal(new_cols, d_cols) and np.array_equal(new_rows, d_rows):
+            return np.concatenate([d_rows, d_cols])
+        d_rows, d_cols = new_rows, new_cols
+    return None
+
+
 def representable_oracle(table) -> bool:
-    """Exact feasibility solve for the threshold system (independent oracle).
+    """Exact decision of the threshold system (independent oracle).
 
     Searches for tau, phi, theta with ``tau_i + phi_j >= theta + 1`` on
     1-cells and ``tau_i + phi_j <= theta`` on 0-cells; the system is
-    scale-free, so the unit margin loses no generality.  Limited to tables
-    with at most 16 rows/columns per side.
+    scale-free, so the unit margin loses no generality.  It is decided in
+    integer arithmetic as a system of difference constraints
+    (``_threshold_potentials``), with no tolerance and no use of the row
+    chain that ``is_representable`` tests.  Limited to tables with at most
+    ``ORACLE_SIDE_LIMIT`` (16) rows/columns per side.
     """
-    from scipy.optimize import linprog  # deferred: costs ~1 s of import, used only here
-
     arr = _coerce_table(table)
     n_rows, n_cols = arr.shape
     if n_rows > ORACLE_SIDE_LIMIT or n_cols > ORACLE_SIDE_LIMIT:
         raise CapabilityError(
             f"oracle limited to {ORACLE_SIDE_LIMIT} rows/columns per side, got {arr.shape}"
         )
-    n_vars = n_rows + n_cols + 1  # tau, phi, theta
-    rows_a = []
-    rhs = []
-    for i in range(n_rows):
-        for j in range(n_cols):
-            coef = np.zeros(n_vars)
-            if arr[i, j]:
-                coef[i] = -1.0
-                coef[n_rows + j] = -1.0
-                coef[-1] = 1.0
-                rhs.append(-1.0)
-            else:
-                coef[i] = 1.0
-                coef[n_rows + j] = 1.0
-                coef[-1] = -1.0
-                rhs.append(0.0)
-            rows_a.append(coef)
-    result = linprog(
-        c=np.zeros(n_vars),
-        A_ub=np.asarray(rows_a),
-        b_ub=np.asarray(rhs),
-        bounds=[(None, None)] * n_vars,
-        method="highs",
-    )
-    if result.status == 0:
-        return True
-    if result.status == 2:
-        return False
-    raise NumericError(f"feasibility solve failed with status {result.status}: {result.message}")
+    return _threshold_potentials(arr) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,12 @@ class TestBoostRounds:
 
 
 class TestTrainAdaboost:
+    def test_config_refuses_an_empty_ensemble(self):
+        assert AdaBoostConfig(n_stages=1, max_depth=0).max_depth == 0
+        for bad in ({"n_stages": 0}, {"n_stages": -3}, {"max_depth": -1}):
+            with pytest.raises(InputError):
+                AdaBoostConfig(**bad)
+
     def test_full_fit_is_perfect_on_random_tables(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

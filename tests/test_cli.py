@@ -139,6 +139,11 @@ class TestLogic:
         assert code == 0
         assert out.strip() == "14/16 representable"
 
+    def test_census_without_cross_check(self, capsys):
+        code, out, _ = run(capsys, "logic", "census", "--n", "1", "--no-cross-check")
+        assert code == 0
+        assert out.strip() == "14/16 representable"
+
     def test_check_formula(self, capsys):
         code, out, _ = run(
             capsys, "logic", "check",
@@ -303,13 +308,38 @@ class TestInputContract:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("train", "--model", "adaboost", "--stages", "0"),
+            ("train", "--model", "adaboost", "--stages", "-3"),
+            ("train", "--model", "adaboost", "--max-depth", "-2"),
+            ("logic", "sweep", "--n-range", "1..2", "--samples", "2", "--stages", "0"),
+            ("logic", "sweep", "--n-range", "1..2", "--samples", "2", "--stages", "-5"),
+            ("logic", "sweep", "--n-range", "1..2", "--samples", "2", "--max-depth", "-1"),
+        ],
+        ids=["train-zero-stages", "train-negative-stages", "train-negative-depth",
+             "sweep-zero-stages", "sweep-negative-stages", "sweep-negative-depth"],
+    )
+    def test_empty_boosting_config_refused(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        if argv[0] == "train":
+            data = tmp_path / "data.json"
+            run(capsys, "synth", "--out", str(data), "--n", "40")
+            argv = (*argv, "--data", str(data))
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("sweep", "--n-range", "3..1"),
             ("sweep", "--n-range", "0..2"),
             ("sweep", "--n-range", "20..20"),
             ("check", "--formula", "t1 & v1", "--n", "20"),
             ("check", "--formula", "t1 & v1", "--n", "11"),
+            ("census", "--n", "-1"),
         ],
-        ids=["empty-range", "zero-n", "huge-range", "huge-check", "just-over-limit"],
+        ids=["empty-range", "zero-n", "huge-range", "huge-check", "just-over-limit", "negative-census"],
     )
     def test_logic_size_out_of_range(self, capsys, tmp_path, argv):
         out = tmp_path / "sweep.csv"
@@ -320,25 +350,39 @@ class TestInputContract:
         assert not out.exists()
 
 
+def assert_runs_without_scipy(*argvs):
+    """Run ``emap.cli.main`` on each argv in a fresh interpreter; no ``scipy`` module may load."""
+    script = (
+        "import sys\n"
+        "import emap.cli\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')], 'import'\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    code = emap.cli.main(argv)\n"
+        "    assert code == 0, (argv, code)\n"
+        "    assert not [m for m in sys.modules if m.startswith('scipy')], argv\n"
+    )
+    src = str(Path(emap.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+
+
 class TestImportCost:
+    """scipy is loaded only by gelu models, never at start-up or by the oracles."""
+
     def test_verify_never_imports_scipy(self):
-        """scipy is loaded only by the LP oracle and gelu models, not at start-up."""
-        script = (
-            "import sys\n"
-            "import emap.cli\n"
-            "assert not [m for m in sys.modules if m.startswith('scipy')], 'import'\n"
-            "code = emap.cli.main(['verify', '--grid', 'fixture:worked_example_grid.json'])\n"
-            "assert code == 0, code\n"
-            "assert not [m for m in sys.modules if m.startswith('scipy')], 'verify'\n"
+        assert_runs_without_scipy(["verify", "--grid", "fixture:worked_example_grid.json"])
+
+    def test_logic_census_and_check_never_import_scipy(self):
+        formula = (Path(emap.__file__).parent / "fixtures" / "surprising_formula.txt").read_text().strip()
+        assert_runs_without_scipy(
+            ["logic", "census", "--n", "1"],
+            ["logic", "check", "--formula", formula, "--n", "2"],
         )
-        src = str(Path(emap.__file__).resolve().parent.parent)
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert result.returncode == 0, result.stderr
 
 
 class TestUsageErrors:

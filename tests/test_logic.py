@@ -5,6 +5,7 @@ import pytest
 
 from emap.exceptions import CapabilityError, InputError, UndefinedMetricError
 from emap.logic import (
+    ORACLE_SIDE_LIMIT,
     And,
     BooleanTable,
     Not,
@@ -19,6 +20,7 @@ from emap.logic import (
     table_from_formula,
     write_sweep_csv,
 )
+from emap.logic import _threshold_potentials
 
 SURPRISING_N2 = "(t2 & !v2) | (t1 & t2 & v1) | (!t1 & !v1 & !v2)"
 
@@ -150,6 +152,77 @@ class TestRepresentability:
             rep = is_representable(table)
             assert is_representable(table.transpose()) == rep
             assert is_representable(table.complement()) == rep
+
+
+def linprog_oracle(table: BooleanTable) -> bool:
+    """The threshold system as a linear feasibility problem, solved by scipy (reference only)."""
+    from scipy.optimize import linprog
+
+    arr = table.table
+    n_rows, n_cols = arr.shape
+    rows_a, rhs = [], []
+    for i in range(n_rows):
+        for j in range(n_cols):
+            coef = np.zeros(n_rows + n_cols + 1)  # tau, phi, theta
+            sign = -1.0 if arr[i, j] else 1.0
+            coef[i], coef[n_rows + j], coef[-1] = sign, sign, -sign
+            rows_a.append(coef)
+            rhs.append(-1.0 if arr[i, j] else 0.0)
+    result = linprog(
+        c=np.zeros(n_rows + n_cols + 1),
+        A_ub=np.asarray(rows_a),
+        b_ub=np.asarray(rhs),
+        bounds=[(None, None)] * (n_rows + n_cols + 1),
+        method="highs",
+    )
+    assert result.status in (0, 2), result.message
+    return result.status == 0
+
+
+def seeded_tables(n: int, count: int, seed: int):
+    """Alternately a uniform table and a threshold table from random integer tau, phi, theta."""
+    size = 2**n
+    for i in range(count):
+        rng = np.random.default_rng([seed, n, i])
+        if i % 2 == 0:
+            yield sample_table(n, rng)
+        else:
+            tau, phi = rng.integers(-3, 4, size), rng.integers(-3, 4, size)
+            theta = rng.integers(-3, 4)
+            yield BooleanTable(n, (tau[:, None] + phi[None, :] > theta).astype(np.uint8))
+
+
+class TestExactOracle:
+    def test_matches_linprog_reference(self):
+        tables = [t for _, t in all_n1_tables()]
+        tables += list(seeded_tables(2, 100, 17)) + list(seeded_tables(3, 100, 17))
+        verdicts = [representable_oracle(t) for t in tables]
+        assert verdicts == [linprog_oracle(t) for t in tables]
+        assert 0 < sum(verdicts[16:]) < 200  # both verdicts occur beyond n = 1
+
+    def test_potentials_are_a_witness(self):
+        tables = [t for _, t in all_n1_tables()] + list(seeded_tables(2, 300, 23))
+        witnessed = 0
+        for table in tables:
+            d = _threshold_potentials(table.table)
+            assert (d is not None) == is_representable(table)
+            if d is None:
+                continue
+            size = table.table.shape[0]
+            tau, phi = d[:size], -d[size:]
+            assert d.dtype == np.int64
+            np.testing.assert_array_equal(
+                (tau[:, None] + phi[None, :] > 0).astype(np.uint8), table.table
+            )
+            witnessed += 1
+        assert witnessed > 150
+
+    def test_decides_at_the_side_limit(self):
+        n = ORACLE_SIDE_LIMIT.bit_length() - 1
+        table = sample_table(n, 3)
+        assert representable_oracle(table) == is_representable(table)
+        staircase = BooleanTable(n, np.tri(2**n, dtype=np.uint8))
+        assert representable_oracle(staircase)
 
 
 class TestSampling:
