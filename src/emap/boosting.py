@@ -7,12 +7,14 @@ Tie-breaking is fully deterministic -- lowest feature index first, then
 lowest threshold, with thresholds at midpoints between consecutive distinct
 values.
 
-The unimodal-restricted variant fits one candidate tree per modality each
-round and keeps the one with lower weighted error, so every stage reads only
-text features or only visual features.  Identical feature rows are
-aggregated into weighted pseudo-samples before each fit, which leaves every
-split statistic unchanged.  ``weighted_error`` and ``stage_update`` hold the
-stage arithmetic; the boolean lab's table learner (``logic.py``) shares it.
+``boost`` is the one AdaBoost stage loop.  Full and unimodal-restricted
+boosting differ only in the weak learners that compete in a round: a full
+round fits one tree on both modalities concatenated, and a restricted round
+one tree per modality, keeping the one with lower weighted error, so every
+stage reads only text features or only visual features.  Identical feature
+rows are aggregated into weighted pseudo-samples before each fit, which
+leaves every split statistic unchanged.  The boolean lab (``logic.py``)
+boosts through the same loop.
 
 A trained model scores all text x visual cross-pairings with
 ``logits_grid``: a text or visual stage predicts each item once and is
@@ -35,8 +37,7 @@ __all__ = [
     "DecisionTree",
     "fit_tree",
     "AdaBoostModel",
-    "BoostState",
-    "init_boost_state",
+    "boost",
     "unimodal_restricted_boost_round",
     "full_boost_round",
     "train_adaboost",
@@ -201,21 +202,21 @@ def fit_tree(X: np.ndarray, y: np.ndarray, w: np.ndarray, max_depth: int) -> Dec
     )
 
 
-def _fit_deduplicated(X: np.ndarray, y: np.ndarray, w: np.ndarray, max_depth: int):
-    """Fit a tree after aggregating identical feature rows.
+def _tree_candidate(X: np.ndarray, side: str, y: np.ndarray, w: np.ndarray, max_depth: int):
+    """Fit a tree after aggregating identical feature rows: ``(h, (tree, side))``.
 
     Rows with equal features are merged into one pseudo-sample per class
     with summed weights; every node's weighted class sums -- hence every
-    split decision -- are unchanged.  Returns the tree and its predictions
-    on the original rows.
+    split decision -- are unchanged.  ``h`` is the tree's prediction on the
+    original rows.
     """
     uniq, inverse = np.unique(X, axis=0, return_inverse=True)
     if uniq.shape[0] == X.shape[0]:
         tree = fit_tree(X, y, w, max_depth)
-        return tree, tree.predict(X)
+        return tree.predict(X), (tree, side)
     pseudo_y = np.repeat(np.array([1, 0], dtype=np.int64), uniq.shape[0])
     tree = fit_tree(np.vstack([uniq, uniq]), pseudo_y, np.concatenate(class_sums(inverse, y, w)), max_depth)
-    return tree, tree.predict(uniq)[inverse]
+    return tree.predict(uniq)[inverse], (tree, side)
 
 
 def class_sums(groups: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -223,40 +224,6 @@ def class_sums(groups: np.ndarray, y: np.ndarray, w: np.ndarray):
     return (
         np.bincount(groups, weights=np.where(y == 1, w, 0.0)),
         np.bincount(groups, weights=np.where(y == 1, 0.0, w)),
-    )
-
-
-@dataclass
-class BoostState:
-    """Mutable training state threaded through boosting rounds."""
-
-    X_t: np.ndarray
-    X_v: np.ndarray
-    y_sign: np.ndarray  # labels mapped to {-1, +1}
-    weights: np.ndarray
-    max_depth: int
-    stages: list = field(default_factory=list)  # (tree, alpha, side)
-    scores: np.ndarray | None = None
-    stop_reason: str | None = None
-
-    def __post_init__(self):
-        if self.scores is None:
-            self.scores = np.zeros(self.y_sign.shape[0])
-
-
-def init_boost_state(X_t: np.ndarray, X_v: np.ndarray, y: np.ndarray, max_depth: int = 15) -> BoostState:
-    y = np.asarray(y)
-    if np.all(y == y[0]):
-        raise InputError("constant labels: boosting needs both classes present")
-    if set(np.unique(y)) - {0, 1}:
-        raise InputError("boosting labels must be binary 0/1")
-    n = y.shape[0]
-    return BoostState(
-        X_t=np.atleast_2d(np.asarray(X_t, dtype=np.float64)),
-        X_v=np.atleast_2d(np.asarray(X_v, dtype=np.float64)),
-        y_sign=np.where(y == 1, 1.0, -1.0),
-        weights=np.full(n, 1.0 / n),
-        max_depth=max_depth,
     )
 
 
@@ -278,44 +245,50 @@ def stage_update(weights: np.ndarray, y_sign: np.ndarray, h: np.ndarray, err: fl
     return alpha, weights / weights.sum()
 
 
-def _boost_round(state: BoostState, sides: dict) -> BoostState:
-    """Fit one tree per side, keep the lowest weighted error (the first on ties), apply it."""
-    y01 = (state.y_sign > 0).astype(np.int64)
-    fits = []
-    for side, X in sides.items():
-        tree, h = _fit_deduplicated(X, y01, state.weights, state.max_depth)
-        fits.append((weighted_error(state.weights, state.y_sign, h), tree, h, side))
-    err, tree, h, side = min(fits, key=lambda fit: fit[0])
-    stage = stage_update(state.weights, state.y_sign, h, err)
-    if stage is None:
-        state.stop_reason = "no_weak_learner"
-        return state
-    alpha, state.weights = stage
-    state.stages.append((tree, float(alpha), side))
-    state.scores = state.scores + alpha * h
-    if not np.any(np.sign(state.scores) != state.y_sign):
-        state.stop_reason = "perfect_fit"
-    return state
+def boost(y_sign: np.ndarray, candidates, n_stages: int):
+    """The AdaBoost stage loop, over whatever weak learners compete in a round.
 
-
-def full_boost_round(state: BoostState) -> BoostState:
-    """One unrestricted round: the tree sees both modalities concatenated."""
-    if state.stop_reason is not None:
-        return state
-    return _boost_round(state, {"full": np.hstack([state.X_t, state.X_v])})
-
-
-def unimodal_restricted_boost_round(state: BoostState) -> BoostState:
-    """One restricted round: per-modality candidate trees, keep the better.
-
-    Fits one tree on text features alone and one on visual features alone,
-    keeps whichever has lower weighted error (ties go to the text side) and
-    applies the usual stage-weight update.  When both candidates are at
-    chance, boosting terminates with ``stop_reason = "no_weak_learner"``.
+    ``candidates(weights)`` returns the round's ``(h, tag)`` pairs, ``h`` a
+    {-1, +1} prediction per sample.  The lowest weighted error wins (the
+    first on ties) and is applied with ``stage_update``.  Boosting stops when
+    the winner is at chance (``"no_weak_learner"``; that round still counts),
+    when the scores fit every sample (``"perfect_fit"``) or after
+    ``n_stages`` rounds (``"stage_budget"``).  Returns ``(stages, scores,
+    rounds_run, stop_reason)`` with ``stages`` a list of ``(tag, alpha)``.
     """
-    if state.stop_reason is not None:
-        return state
-    return _boost_round(state, {"text": state.X_t, "visual": state.X_v})
+    weights = np.full(y_sign.shape[0], 1.0 / y_sign.shape[0])
+    scores = np.zeros(y_sign.shape[0])
+    stages = []
+    for rounds_run in range(1, n_stages + 1):
+        fits = [(weighted_error(weights, y_sign, h), h, tag) for h, tag in candidates(weights)]
+        err, h, tag = min(fits, key=lambda fit: fit[0])
+        stage = stage_update(weights, y_sign, h, err)
+        if stage is None:
+            return stages, scores, rounds_run, "no_weak_learner"
+        alpha, weights = stage
+        stages.append((tag, float(alpha)))
+        scores = scores + alpha * h
+        if not np.any(np.sign(scores) != y_sign):
+            return stages, scores, rounds_run, "perfect_fit"
+    return stages, scores, n_stages, "stage_budget"
+
+
+def full_boost_round(weights, X_t, X_v, y, max_depth: int) -> list:
+    """One unrestricted round's candidate: a tree on both modalities concatenated."""
+    return [_tree_candidate(np.hstack([X_t, X_v]), "full", y, weights, max_depth)]
+
+
+def unimodal_restricted_boost_round(weights, X_t, X_v, y, max_depth: int) -> list:
+    """One restricted round's candidates: a tree on text features alone, then one on visual.
+
+    ``boost`` keeps whichever has lower weighted error (ties go to the text
+    side), so every stage reads a single modality.  When both are at chance,
+    boosting stops with ``"no_weak_learner"``.
+    """
+    return [
+        _tree_candidate(X_t, "text", y, weights, max_depth),
+        _tree_candidate(X_v, "visual", y, weights, max_depth),
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,20 +398,23 @@ def train_adaboost(data: PairedDataset, cfg: AdaBoostConfig | None = None) -> Ad
     if cfg.restriction not in ("full", "unimodal"):
         raise InputError(f"unknown restriction {cfg.restriction!r}")
     train = data.subset("train")
-    state = init_boost_state(train.text, train.visual, train.labels, cfg.max_depth)
+    y = train.labels
+    if np.all(y == y[0]):
+        raise InputError("constant labels: boosting needs both classes present")
+    if set(np.unique(y)) - {0, 1}:
+        raise InputError("boosting labels must be binary 0/1")
     step = full_boost_round if cfg.restriction == "full" else unimodal_restricted_boost_round
-    rounds = 0
-    for _ in range(cfg.n_stages):
-        step(state)
-        rounds += 1
-        if state.stop_reason is not None:
-            break
+    stages, _, rounds_run, stop_reason = boost(
+        np.where(y == 1, 1.0, -1.0),
+        lambda weights: step(weights, train.text, train.visual, y, cfg.max_depth),
+        cfg.n_stages,
+    )
     return AdaBoostModel(
-        stages=tuple(state.stages),
+        stages=tuple((tree, alpha, side) for (tree, side), alpha in stages),
         restriction=cfg.restriction,
         d1=train.d1,
         d2=train.d2,
-        rounds_run=rounds,
-        stop_reason=state.stop_reason or "stage_budget",
+        rounds_run=rounds_run,
+        stop_reason=stop_reason,
         config={**asdict(cfg), "kind": "adaboost"},
     )

@@ -133,9 +133,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_synth(args) -> int:
     started = time.monotonic()
-    fractions = tuple(float(x) for x in args.split.split(","))
-    if len(fractions) != 3:
-        raise InputError("--split expects three comma-separated fractions")
+    try:
+        fractions = tuple(float(x) for x in args.split.split(","))
+    except ValueError:
+        raise InputError(f"--split expects three comma-separated fractions, got {args.split!r}") from None
     params = SynthParams(
         d=args.latent_dim,
         d1=args.text_dim,
@@ -152,42 +153,28 @@ def _cmd_synth(args) -> int:
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x)
+    try:
+        return tuple(int(x) for x in text.split(",") if x)
+    except ValueError:
+        raise InputError(f"--hidden expects comma-separated integer widths, got {text!r}") from None
 
 
 def _cmd_train(args) -> int:
     started = time.monotonic()
     dataset = emap_io.load_dataset(args.data)
 
-    def given(value, default):
-        return default if value is None else value
-
+    # gradient settings given on the command line; the rest keep each config's defaults
+    descent = {k: getattr(args, k) for k in ("l2", "lr", "epochs") if getattr(args, k) is not None}
     if args.model == "linear":
-        base = LinearConfig()
-        cfg = LinearConfig(
-            l2=args.l2,
-            lr=given(args.lr, base.lr),
-            epochs=given(args.epochs, base.epochs),
-            seed=args.seed,
-        )
-        model = train_linear(dataset, cfg)
+        model = train_linear(dataset, LinearConfig(**descent, seed=args.seed))
     elif args.model == "poly2":
-        base = Poly2Config()
-        cfg = Poly2Config(
-            l2=args.l2,
-            lr=given(args.lr, base.lr),
-            epochs=given(args.epochs, base.epochs),
-            seed=args.seed,
-        )
-        model = train_interactive(dataset, "poly2", cfg)
+        model = train_interactive(dataset, "poly2", Poly2Config(**descent, seed=args.seed))
     elif args.model == "mlp":
-        base = FeedForwardConfig()
         cfg = FeedForwardConfig(
             hidden=_parse_hidden(args.hidden),
             proj_width=args.proj_width,
             activation=args.activation,
-            lr=given(args.lr, base.lr),
-            epochs=given(args.epochs, base.epochs),
+            **descent,
             seed=args.seed,
         )
         model = train_interactive(dataset, "feedforward", cfg)
@@ -361,7 +348,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True, choices=["linear", "poly2", "mlp", "adaboost"])
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--l2", type=float, default=1e-4)
+    p.add_argument("--l2", type=float, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--hidden", default="128,128")

@@ -13,20 +13,21 @@ search), so the module needs nothing beyond numpy.
 The additive-fit experiment measures how well three surrogates rank the
 cells of random tables: the least-squares additive projection of the table
 itself, unimodal-restricted AdaBoost, and (as the interactive reference)
-unrestricted AdaBoost.  The boosting runs on the table itself: with a depth
-budget that covers the bits a weak learner reads, each round's weak learner
-is a per-row, per-column or per-cell weighted majority, so no tree is built.
-Shorter budgets fall back to ``boosting.train_adaboost`` on the cells.
+unrestricted AdaBoost.  Both boost the table's cells through the one stage
+loop, ``boosting.boost``.  With a depth budget that covers the bits a weak
+learner reads, each round's candidates are per-row, per-column or per-cell
+weighted majorities, so no tree is built; a shorter budget boosts greedy
+trees on the cells' bits in the same loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import AdaBoostConfig, class_sums, stage_update, train_adaboost, weighted_error
-from .data import PairedDataset
+from .boosting import AdaBoostConfig, boost, class_sums
+from .boosting import full_boost_round, unimodal_restricted_boost_round
 from .exceptions import (
     CapabilityError,
     GenerationError,
@@ -374,49 +375,35 @@ def sample_table(
 # ---------------------------------------------------------------------------
 
 
-def _table_boost_scores(table: BooleanTable, restriction: str, n_stages: int) -> np.ndarray:
-    """``train_adaboost``'s scores of every cell, row-major, with no tree built.
+def _boost_train_auc(table: BooleanTable, restriction: str, cfg: AdaBoostConfig) -> float:
+    """Training AUC of ``boosting.boost`` on every cell of ``table``, row-major.
 
     Each row of a table is one text pattern and each column one visual
-    pattern, so a tree deep enough for a side's bits fits the per-row (text)
-    or per-column (visual) weighted majority, and a full one every cell.
+    pattern, so a tree deep enough for the bits a side reads fits the
+    per-row (text) or per-column (visual) weighted majority, and a full one
+    every cell: those majorities are the candidates, and no tree is built.
+    A shallower budget boosts greedy trees on the cells' bits instead.
     """
-    size = 2**table.n
     y = table.table.ravel()
-    y_sign = np.where(y == 1, 1.0, -1.0)
-    cells = np.arange(y.size)
-    sides = [cells] if restriction == "full" else [cells // size, cells % size]
-    weights = np.full(y.size, 1.0 / y.size)
-    scores = np.zeros(y.size)
-    for _ in range(n_stages):
-        candidates = []
-        for groups in sides:
-            wp, wn = class_sums(groups, y, weights)
-            candidates.append(np.where(wp > wn, 1.0, -1.0)[groups])  # ties to -1, as leaves
-        errors = [weighted_error(weights, y_sign, h) for h in candidates]
-        best = errors.index(min(errors))  # the first minimum: ties go to the text side
-        stage = stage_update(weights, y_sign, candidates[best], errors[best])
-        if stage is None:
-            break
-        alpha, weights = stage
-        scores = scores + alpha * candidates[best]
-        if not np.any(np.sign(scores) != y_sign):
-            break
-    return scores
-
-
-def _boost_train_auc(table: BooleanTable, restriction: str, cfg: AdaBoostConfig) -> float:
     bits_read = table.n if restriction == "unimodal" else 2 * table.n
     if cfg.max_depth >= bits_read:
-        scores = _table_boost_scores(table, restriction, cfg.n_stages)
+        size, cells = 2**table.n, np.arange(y.size)
+        sides = [cells] if restriction == "full" else [cells // size, cells % size]
+
+        def candidates(weights):
+            # ties go to -1, as a leaf's do
+            return [(np.where(np.greater(*class_sums(g, y, weights)), 1.0, -1.0)[g], None) for g in sides]
+
     else:
-        # a shallow tree is not a per-group majority: boost greedy trees on the cells
         patterns = bit_patterns(table.n)
         text, visual = np.repeat(patterns, len(patterns), axis=0), np.tile(patterns, (len(patterns), 1))
-        cells = PairedDataset(text, visual, table.table.ravel(), np.zeros(len(text)), num_classes=2)
-        model = train_adaboost(cells, replace(cfg, restriction=restriction))
-        scores = model.decision_scores(text, visual)
-    return auc_binary(scores, table.table.ravel())
+        step = full_boost_round if restriction == "full" else unimodal_restricted_boost_round
+
+        def candidates(weights):
+            return step(weights, text, visual, y, cfg.max_depth)
+
+    _, scores, _, _ = boost(np.where(y == 1, 1.0, -1.0), candidates, cfg.n_stages)
+    return auc_binary(scores, y)
 
 
 def additive_fit_auc(table: BooleanTable, method: str, cfg: AdaBoostConfig | None = None) -> float:

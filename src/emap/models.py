@@ -36,12 +36,25 @@ __all__ = [
 ]
 
 
+def _check_descent(cfg) -> None:
+    """Refuse a gradient-descent setting that could only fail or fit nothing."""
+    if not (np.isfinite(cfg.lr) and cfg.lr > 0):
+        raise InputError(f"lr must be finite and > 0, got {cfg.lr}")
+    if cfg.epochs < 1:
+        raise InputError(f"epochs must be >= 1, got {cfg.epochs}")
+    if not (np.isfinite(cfg.l2) and cfg.l2 >= 0):
+        raise InputError(f"l2 must be finite and >= 0, got {cfg.l2}")
+
+
 @dataclass(frozen=True)
 class LinearConfig:
     l2: float = 1e-4
     lr: float = 1.0
     epochs: int = 300
     seed: int = 0
+
+    def __post_init__(self):
+        _check_descent(self)
 
 
 @dataclass(frozen=True)
@@ -51,6 +64,9 @@ class Poly2Config:
     epochs: int = 400
     seed: int = 0
     max_features: int = 200_000
+
+    def __post_init__(self):
+        _check_descent(self)
 
 
 @dataclass(frozen=True)
@@ -65,6 +81,11 @@ class FeedForwardConfig:
     plateau_patience: int = 25
     plateau_rtol: float = 1e-4
     seed: int = 0
+
+    def __post_init__(self):
+        _check_descent(self)
+        if self.proj_width < 1 or any(width < 1 for width in self.hidden):
+            raise InputError(f"proj_width and hidden widths must be >= 1, got {self.proj_width}, {self.hidden}")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

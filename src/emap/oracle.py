@@ -90,15 +90,6 @@ def nullspace_direction(n: int) -> np.ndarray:
     return np.concatenate([np.ones(n), -np.ones(n)])
 
 
-def _canonical_from_system(tau_sys: np.ndarray, phi_sys: np.ndarray) -> AdditiveDecomposition:
-    """Turn raw system variables (no separate constant) into canonical gauge."""
-    t_mean = tau_sys.mean(axis=0)
-    p_mean = phi_sys.mean(axis=0)
-    return AdditiveDecomposition(
-        tau=tau_sys - t_mean, phi=phi_sys - p_mean, mu=t_mean + p_mean
-    )
-
-
 def solve_exact(grid: ScoreGrid, method: str = "auto") -> AdditiveDecomposition:
     """Solve the stationarity system for the optimal additive fit.
 
@@ -121,7 +112,7 @@ def solve_exact(grid: ScoreGrid, method: str = "auto") -> AdditiveDecomposition:
         mu_hat = values.mean(axis=(0, 1))
         tau_sys = values.mean(axis=1) - mu_hat / 2.0
         phi_sys = values.mean(axis=0) - mu_hat / 2.0
-        return _canonical_from_system(tau_sys, phi_sys)
+        return AdditiveDecomposition(tau_sys, phi_sys, np.zeros(d)).canonicalized()
 
     if method != "dense":
         raise InputError(f"unknown solve method {method!r}")
@@ -136,7 +127,7 @@ def solve_exact(grid: ScoreGrid, method: str = "auto") -> AdditiveDecomposition:
         raise NumericError(
             f"linear system solve did not converge: residual inf-norm {resid_norm:.3e}"
         )
-    return _canonical_from_system(solution[:n], solution[n:])
+    return AdditiveDecomposition(solution[:n], solution[n:], np.zeros(d)).canonicalized()
 
 
 def _half_loss_slice(cells: np.ndarray, own: float, others: np.ndarray) -> float:
@@ -278,7 +269,6 @@ def verify_projection(
     """
     alg = emap_decompose(grid)
     oracle = solve_exact(grid)
-    alg_loss = projection_loss(grid, alg)
     oracle_loss = projection_loss(grid, oracle)
     pred_diff = float(np.max(np.abs(alg.reconstruct() - oracle.reconstruct())))
 
@@ -287,7 +277,7 @@ def verify_projection(
 
     report = StationarityReport(
         oracle_loss=oracle_loss,
-        alg_loss=alg_loss,
+        alg_loss=stat.alg_loss,
         max_pred_diff=pred_diff,
         grad_inf_norm=stat.grad_inf_norm,
         fd_gap=stat.fd_gap,

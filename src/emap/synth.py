@@ -46,7 +46,7 @@ class SynthParams:
             raise InputError("d, d1, d2 and n must all be >= 1")
         if not (0.0 <= self.delta < 1.0):
             raise InputError(f"delta must lie in [0, 1), got {self.delta}")
-        if len(self.split) != 3 or any(f <= 0 for f in self.split):
+        if len(self.split) != 3 or not all(f > 0 for f in self.split):  # refuses NaN too
             raise InputError("split must be three positive fractions")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise InputError(f"split fractions must sum to 1, got {sum(self.split)}")

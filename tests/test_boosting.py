@@ -7,11 +7,9 @@ from emap.boosting import (
     AdaBoostConfig,
     AdaBoostModel,
     DecisionTree,
+    boost,
     fit_tree,
-    full_boost_round,
-    init_boost_state,
     train_adaboost,
-    unimodal_restricted_boost_round,
 )
 from emap.data import PairedDataset
 from emap.exceptions import InputError
@@ -96,10 +94,43 @@ class TestTree:
         np.testing.assert_array_equal(clone.predict(X), tree.predict(X))
 
 
+def fixed_candidates(*hs):
+    """A ``boost`` candidate function offering the same predictions every round, tagged by position."""
+    return lambda weights: [(np.asarray(h, dtype=np.float64), k) for k, h in enumerate(hs)]
+
+
+class TestBoost:
+    y_sign = np.array([1.0, 1.0, -1.0, -1.0])
+
+    def test_chance_level_best_candidate_stalls_in_round_one(self):
+        stages, scores, rounds_run, stop = boost(self.y_sign, fixed_candidates([1, -1, 1, -1]), 10)
+        assert (stop, rounds_run, stages) == ("no_weak_learner", 1, [])
+        np.testing.assert_array_equal(scores, 0.0)
+
+    def test_perfect_candidate_fits_in_round_one(self):
+        stages, scores, rounds_run, stop = boost(self.y_sign, fixed_candidates([1, 1, 1, 1], self.y_sign), 10)
+        assert (stop, rounds_run) == ("perfect_fit", 1)
+        assert [tag for tag, _ in stages] == [1]
+        np.testing.assert_array_equal(np.sign(scores), self.y_sign)
+
+    def test_runs_to_the_stage_budget_otherwise(self):
+        # each candidate errs on a different positive sample, so no weighted vote fits both
+        hs = ([-1, 1, -1, -1], [1, -1, -1, -1])
+        stages, _, rounds_run, stop = boost(self.y_sign, fixed_candidates(*hs), 6)
+        assert (stop, rounds_run) == ("stage_budget", 6)
+        assert [tag for tag, _ in stages] == [0, 1, 0, 1, 0, 1]
+        assert all(type(alpha) is float and alpha > 0 for _, alpha in stages)
+
+    def test_ties_go_to_the_first_candidate(self):
+        stages, _, _, _ = boost(self.y_sign, fixed_candidates([1, 1, -1, 1], [1, 1, 1, -1]), 1)
+        assert [tag for tag, _ in stages] == [0]
+
+
 class TestBoostRounds:
     def test_constant_labels_rejected_at_entry(self):
-        with pytest.raises(InputError):
-            init_boost_state(np.zeros((4, 1)), np.zeros((4, 1)), np.ones(4, dtype=int))
+        ds = PairedDataset(np.zeros((4, 1)), np.zeros((4, 1)), np.ones(4, dtype=int), np.zeros(4), num_classes=2)
+        with pytest.raises(InputError, match="constant labels"):
+            train_adaboost(ds)
 
     def test_text_only_signal_selects_text_side(self):
         """When labels depend only on t, the better weak learner is always text-side."""
@@ -107,27 +138,22 @@ class TestBoostRounds:
         X_t = rng.integers(0, 2, size=(64, 3)).astype(np.float64)
         X_v = rng.integers(0, 2, size=(64, 3)).astype(np.float64)
         y = X_t[:, 0].astype(np.int64)
-        state = init_boost_state(X_t, X_v, y, max_depth=15)
-        for _ in range(10):
-            unimodal_restricted_boost_round(state)
-            if state.stop_reason:
-                break
-        assert state.stages
-        assert all(side == "text" for _, _, side in state.stages)
+        ds = PairedDataset(X_t, X_v, y, np.zeros(64), num_classes=2)
+        model = train_adaboost(ds, AdaBoostConfig(restriction="unimodal", n_stages=10))
+        assert model.stages
+        assert all(side == "text" for _, _, side in model.stages)
 
     def test_xor_table_stalls_unimodal_boosting(self):
-        X_t, X_v, y = cells_of(np.array([[0, 1], [1, 0]]))
-        state = init_boost_state(X_t, X_v, y, max_depth=15)
-        unimodal_restricted_boost_round(state)
-        assert state.stop_reason == "no_weak_learner"
-        assert not state.stages
+        model = train_adaboost(cell_dataset(np.array([[0, 1], [1, 0]])), AdaBoostConfig(restriction="unimodal"))
+        assert (model.stop_reason, model.rounds_run) == ("no_weak_learner", 1)
+        assert not model.stages
 
     def test_full_round_fits_xor_immediately(self):
-        X_t, X_v, y = cells_of(np.array([[0, 1], [1, 0]]))
-        state = init_boost_state(X_t, X_v, y, max_depth=15)
-        full_boost_round(state)
-        assert state.stop_reason == "perfect_fit"
-        np.testing.assert_array_equal(np.sign(state.scores), state.y_sign)
+        ds = cell_dataset(np.array([[0, 1], [1, 0]]))
+        model = train_adaboost(ds, AdaBoostConfig(restriction="full"))
+        assert (model.stop_reason, model.rounds_run) == ("perfect_fit", 1)
+        scores = model.decision_scores(ds.text, ds.visual)
+        np.testing.assert_array_equal(np.sign(scores), np.where(ds.labels == 1, 1.0, -1.0))
 
 
 class TestTrainAdaboost:

@@ -120,6 +120,16 @@ class TestPipeline:
             reports.append(path.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_l2_reaches_the_mlp_model(self, capsys, tmp_path):
+        data, model_path = tmp_path / "data.json", tmp_path / "mlp.json"
+        run(capsys, "synth", "--out", str(data), "--n", "40", "--text-dim", "3", "--visual-dim", "2")
+        code, _, _ = run(
+            capsys, "train", "--data", str(data), "--model", "mlp", "--out", str(model_path),
+            "--epochs", "2", "--hidden", "4", "--proj-width", "2", "--l2", "5",
+        )
+        assert code == 0
+        assert json.loads(model_path.read_text())["config"]["l2"] == 5.0
+
     def test_adaboost_training_via_cli(self, capsys, tmp_path):
         data_path = tmp_path / "tiny.json"
         run(capsys, "synth", "--out", str(data_path), "--n", "60", "--seed", "2",
@@ -216,6 +226,19 @@ def assert_edit_refused_by_eval(capsys, tmp_path, data, model_path, edit):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def assert_refused_before_output(capsys, tmp_path, argv):
+    """``argv`` (given a small dataset when it trains) exits 1 with one stderr line and writes nothing."""
+    out = tmp_path / "out"
+    if argv[0] == "train":
+        data = tmp_path / "data.json"
+        run(capsys, "synth", "--out", str(data), "--n", "40")
+        argv = (*argv, "--data", str(data))
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()
 
 
 class TestInputContract:
@@ -319,15 +342,29 @@ class TestInputContract:
              "sweep-zero-stages", "sweep-negative-stages", "sweep-negative-depth"],
     )
     def test_empty_boosting_config_refused(self, capsys, tmp_path, argv):
-        out = tmp_path / "out"
-        if argv[0] == "train":
-            data = tmp_path / "data.json"
-            run(capsys, "synth", "--out", str(data), "--n", "40")
-            argv = (*argv, "--data", str(data))
-        code, _, err = run(capsys, *argv, "--out", str(out))
-        assert code == 1
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert not out.exists()
+        assert_refused_before_output(capsys, tmp_path, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("synth", "--split", "a,b,c"),
+            ("synth", "--split", "nan,0.5,0.5"),
+            ("synth", "--split", "0.5,0.5"),
+            ("train", "--model", "mlp", "--hidden", "a,b"),
+            ("train", "--model", "mlp", "--hidden", "-3"),
+            ("train", "--model", "mlp", "--hidden", "0,5"),
+            ("train", "--model", "mlp", "--proj-width", "0"),
+            ("train", "--model", "linear", "--lr", "nan"),
+            ("train", "--model", "poly2", "--lr", "-1"),
+            ("train", "--model", "linear", "--epochs", "-4"),
+            ("train", "--model", "mlp", "--l2", "-1"),
+        ],
+        ids=["synth-bad-split", "synth-nan-split", "synth-two-splits", "train-bad-hidden",
+             "train-negative-hidden", "train-zero-hidden", "train-zero-proj-width", "train-nan-lr",
+             "train-negative-lr", "train-negative-epochs", "train-negative-l2"],
+    )
+    def test_unusable_training_config_refused(self, capsys, tmp_path, argv):
+        assert_refused_before_output(capsys, tmp_path, argv)
 
     @pytest.mark.parametrize(
         "argv",

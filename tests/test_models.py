@@ -182,6 +182,24 @@ class TestFeedForward:
             train_interactive(ds, "svm")
 
 
+@pytest.mark.parametrize("config", [LinearConfig, Poly2Config, FeedForwardConfig])
+@pytest.mark.parametrize(
+    "bad",
+    [{"lr": 0.0}, {"lr": -1.0}, {"lr": float("nan")}, {"lr": float("inf")}, {"epochs": 0}, {"l2": -1e-3}],
+    ids=["zero-lr", "negative-lr", "nan-lr", "inf-lr", "zero-epochs", "negative-l2"],
+)
+def test_descent_config_refuses_unusable_values(config, bad):
+    with pytest.raises(InputError):
+        config(**bad)
+
+
+def test_feedforward_config_refuses_empty_layers():
+    assert FeedForwardConfig(proj_width=1, hidden=(1,)).hidden == (1,)
+    for bad in ({"proj_width": 0}, {"hidden": (0, 5)}, {"hidden": (-3,)}):
+        with pytest.raises(InputError):
+            FeedForwardConfig(**bad)
+
+
 class TestSerialization:
     def test_linear_roundtrip(self):
         ds = additive_labels_dataset(n=150)
