@@ -7,14 +7,19 @@ Tie-breaking is fully deterministic -- lowest feature index first, then
 lowest threshold, with thresholds at midpoints between consecutive distinct
 values.
 
-``boost`` is the one AdaBoost stage loop.  Full and unimodal-restricted
-boosting differ only in the weak learners that compete in a round: a full
-round fits one tree on both modalities concatenated, and a restricted round
-one tree per modality, keeping the one with lower weighted error, so every
-stage reads only text features or only visual features.  Identical feature
-rows are aggregated into weighted pseudo-samples before each fit, which
-leaves every split statistic unchanged.  The boolean lab (``logic.py``)
-boosts through the same loop.
+``boost_batch`` is the one AdaBoost stage loop.  It boosts independent
+samples side by side as ``(samples, cells)`` arrays, each row summed and
+updated with the bits it would get alone, and a sample leaves the batch
+when it stops; ``boost`` is its one-sample case.  Full and
+unimodal-restricted boosting differ only in the weak learners that compete
+in a round: a full round fits one tree on both modalities concatenated, and
+a restricted round one tree per modality, keeping the one with lower
+weighted error, so every stage reads only text features or only visual
+features.  Identical feature rows are aggregated into weighted
+pseudo-samples before each fit, which leaves every split statistic
+unchanged.  ``train_adaboost`` boosts one dataset through ``boost``; the
+boolean lab (``logic.py``) boosts many truth tables at once through
+``boost_batch``.
 
 A trained model scores all text x visual cross-pairings with
 ``logits_grid``: a text or visual stage predicts each item once and is
@@ -38,10 +43,12 @@ __all__ = [
     "fit_tree",
     "AdaBoostModel",
     "boost",
+    "boost_batch",
     "unimodal_restricted_boost_round",
     "full_boost_round",
     "train_adaboost",
     "class_sums",
+    "masked_row_sums",
     "weighted_error",
     "stage_update",
 ]
@@ -227,50 +234,119 @@ def class_sums(groups: np.ndarray, y: np.ndarray, w: np.ndarray):
     )
 
 
-def weighted_error(weights: np.ndarray, y_sign: np.ndarray, h: np.ndarray) -> float:
-    """Total weight of the samples a {-1, +1} weak learner misclassifies."""
-    return float(weights[h != y_sign].sum())
+def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``values[r][mask[r]].sum()`` for every row ``r``, with that 1-D sum's bits.
 
-
-def stage_update(weights: np.ndarray, y_sign: np.ndarray, h: np.ndarray, err: float):
-    """AdaBoost stage weight and reweighted, renormalised samples for ``h``.
-
-    Returns ``(alpha, weights)``, or None when ``h`` is at chance (majority
-    leaves guarantee ``err <= 0.5``, so "at chance" means ``err ~ 0.5``).
+    numpy sums a contiguous run pairwise, in an order set by the run's
+    length, and a row of a C-contiguous block is summed like the 1-D array
+    it holds.  So the rows are ordered by their count of selected cells, the
+    selected values packed in row order, and each run of rows with one
+    count summed as a single ``(rows, count)`` block.  (``np.add.reduceat``
+    sums sequentially, so it would change the bits.)  No selected cell gives
+    0.0.
     """
-    if err >= 0.5 - _CHANCE_TOL:
-        return None
+    counts = np.count_nonzero(mask, axis=1)
+    order = np.argsort(counts, kind="stable")
+    packed = values[order].ravel()[np.flatnonzero(mask[order])]
+    rows_with = np.bincount(counts)
+    blocks, start = [], 0
+    for count in np.flatnonzero(rows_with).tolist():
+        n_rows = int(rows_with[count])
+        # a count of 0 reduces its empty rows to 0.0
+        blocks.append(np.add.reduce(packed[start : start + n_rows * count].reshape(n_rows, count), axis=1))
+        start += n_rows * count
+    sums = np.empty(values.shape[0])
+    sums[order] = np.concatenate(blocks)
+    return sums
+
+
+def weighted_error(weights: np.ndarray, y_sign: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per row, the total weight of the samples a {-1, +1} weak learner misclassifies."""
+    return masked_row_sums(weights, h != y_sign)
+
+
+def stage_update(weights: np.ndarray, y_sign: np.ndarray, h: np.ndarray, err: np.ndarray):
+    """Per row, the AdaBoost stage weight of ``h`` and the reweighted, renormalised samples.
+
+    Returns ``(alpha, weights)``.  A row at chance (``err ~ 0.5``; majority
+    leaves guarantee ``err <= 0.5``) gets a meaningless update, and
+    ``boost_batch`` stops it before using it.
+    """
     alpha = 0.5 * np.log((1.0 - err + _ALPHA_EPS) / (err + _ALPHA_EPS))
-    weights = weights * np.exp(-alpha * y_sign * h)
-    return alpha, weights / weights.sum()
+    weights = weights * np.exp(-alpha[:, np.newaxis] * y_sign * h)
+    return alpha, weights / weights.sum(axis=1)[:, np.newaxis]
+
+
+def boost_batch(y_sign: np.ndarray, candidates, n_stages: int):
+    """The AdaBoost stage loop, run on independent samples side by side.
+
+    ``y_sign`` holds one sample's {-1, +1} labels per row.  Each round,
+    ``candidates(weights, rows)`` gets the weights of the samples still
+    boosting and their indices into the batch, and returns the round's weak
+    learners as ``(h, tags)`` pairs: ``h`` a {-1, +1} prediction per sample
+    and cell, ``tags`` one tag per row, or None for a caller that keeps no
+    stages (a stage such a candidate wins is applied but not recorded).
+    Per sample the lowest weighted error wins (the first on ties) and is
+    applied with ``stage_update``.  A sample stops when its winner is at
+    chance (``"no_weak_learner"``; that round still counts), when its scores
+    fit every cell (``"perfect_fit"``) or after ``n_stages`` rounds
+    (``"stage_budget"``), and then leaves the rows passed on.  Every row is
+    computed as it would be alone, so a sample's result does not depend on
+    the others.  Returns ``(stages, scores, rounds_run, stop_reason)``, one
+    entry or row per sample, with ``stages`` a list of ``(tag, alpha)``.
+    """
+    n_samples, n_cells = y_sign.shape
+    stages = [[] for _ in range(n_samples)]
+    scores = np.zeros((n_samples, n_cells))
+    rounds_run = [n_stages] * n_samples
+    stop_reason = ["stage_budget"] * n_samples
+    rows = np.arange(n_samples)  # the sample behind each row still boosting
+    weights = np.full((n_samples, n_cells), 1.0 / n_cells)
+    fitted = np.zeros((n_samples, n_cells))
+    for round_ in range(1, n_stages + 1):
+        fits = candidates(weights, rows)
+        errs = np.stack([weighted_error(weights, y_sign, h) for h, _ in fits])
+        best, err = np.argmin(errs, axis=0), errs.min(axis=0)
+        h = fits[0][0]
+        for k in range(1, len(fits)):
+            h = np.where((best == k)[:, np.newaxis], fits[k][0], h)
+        stalled = err >= 0.5 - _CHANCE_TOL
+        alpha, weights = stage_update(weights, y_sign, h, err)
+        previous, fitted = fitted, fitted + alpha[:, np.newaxis] * h
+        tagged = [k for k, (_, tags) in enumerate(fits) if tags is not None]
+        if tagged:
+            won = np.flatnonzero(~stalled & np.isin(best, tagged))
+            for sample, i, k, a in zip(rows[won].tolist(), won.tolist(), best[won].tolist(), alpha[won].tolist()):
+                stages[sample].append((fits[k][1][i], a))
+        perfect = ~stalled & ~np.any(np.sign(fitted) != y_sign, axis=1)
+        done = stalled | perfect
+        if not done.any():
+            continue
+        scores[rows[stalled]] = previous[stalled]
+        scores[rows[perfect]] = fitted[perfect]
+        for sample, stall in zip(rows[done].tolist(), stalled[done].tolist()):
+            rounds_run[sample] = round_
+            stop_reason[sample] = "no_weak_learner" if stall else "perfect_fit"
+        rows, y_sign, weights, fitted = rows[~done], y_sign[~done], weights[~done], fitted[~done]
+        if not rows.size:
+            break
+    scores[rows] = fitted
+    return stages, scores, rounds_run, stop_reason
 
 
 def boost(y_sign: np.ndarray, candidates, n_stages: int):
-    """The AdaBoost stage loop, over whatever weak learners compete in a round.
+    """One sample's ``boost_batch``, over whatever weak learners compete in a round.
 
     ``candidates(weights)`` returns the round's ``(h, tag)`` pairs, ``h`` a
-    {-1, +1} prediction per sample.  The lowest weighted error wins (the
-    first on ties) and is applied with ``stage_update``.  Boosting stops when
-    the winner is at chance (``"no_weak_learner"``; that round still counts),
-    when the scores fit every sample (``"perfect_fit"``) or after
-    ``n_stages`` rounds (``"stage_budget"``).  Returns ``(stages, scores,
-    rounds_run, stop_reason)`` with ``stages`` a list of ``(tag, alpha)``.
+    {-1, +1} prediction per sample.  Returns ``(stages, scores, rounds_run,
+    stop_reason)`` with ``stages`` a list of ``(tag, alpha)``.
     """
-    weights = np.full(y_sign.shape[0], 1.0 / y_sign.shape[0])
-    scores = np.zeros(y_sign.shape[0])
-    stages = []
-    for rounds_run in range(1, n_stages + 1):
-        fits = [(weighted_error(weights, y_sign, h), h, tag) for h, tag in candidates(weights)]
-        err, h, tag = min(fits, key=lambda fit: fit[0])
-        stage = stage_update(weights, y_sign, h, err)
-        if stage is None:
-            return stages, scores, rounds_run, "no_weak_learner"
-        alpha, weights = stage
-        stages.append((tag, float(alpha)))
-        scores = scores + alpha * h
-        if not np.any(np.sign(scores) != y_sign):
-            return stages, scores, rounds_run, "perfect_fit"
-    return stages, scores, n_stages, "stage_budget"
+
+    def one_row(weights, _rows):
+        return [(h[np.newaxis], [tag]) for h, tag in candidates(weights[0])]
+
+    (stages,), (scores,), (rounds_run,), (stop_reason,) = boost_batch(y_sign[np.newaxis], one_row, n_stages)
+    return stages, scores, rounds_run, stop_reason
 
 
 def full_boost_round(weights, X_t, X_v, y, max_depth: int) -> list:

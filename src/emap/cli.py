@@ -27,11 +27,12 @@ from .logic import (
     MAX_TABLE_N,
     ORACLE_SIDE_LIMIT,
     SWEEP_METHODS,
-    BooleanTable,
     additive_fit_auc,
     is_representable,
+    is_representable_many,
     parse_formula,
     representable_oracle,
+    representable_oracle_many,
     run_size_sweep,
     table_from_formula,
     table_side,
@@ -159,33 +160,47 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
         raise InputError(f"--hidden expects comma-separated integer widths, got {text!r}") from None
 
 
+# model-specific train flags: (config field, models that read it); a flag left
+# out keeps the config's default, and one the chosen model does not read is refused
+_DESCENT_MODELS = ("linear", "poly2", "mlp")
+_TRAIN_FLAGS = {
+    "l2": ("l2", _DESCENT_MODELS),
+    "lr": ("lr", _DESCENT_MODELS),
+    "epochs": ("epochs", _DESCENT_MODELS),
+    "hidden": ("hidden", ("mlp",)),
+    "proj_width": ("proj_width", ("mlp",)),
+    "activation": ("activation", ("mlp",)),
+    "stages": ("n_stages", ("adaboost",)),
+    "max_depth": ("max_depth", ("adaboost",)),
+    "restriction": ("restriction", ("adaboost",)),
+}
+
+
+def _train_settings(args) -> dict:
+    """The config fields set on the command line for the chosen model."""
+    settings = {}
+    for flag, (field, models) in _TRAIN_FLAGS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if args.model not in models:
+            raise InputError(f"--{flag.replace('_', '-')} does not apply to --model {args.model}")
+        settings[field] = _parse_hidden(value) if flag == "hidden" else value
+    return settings
+
+
 def _cmd_train(args) -> int:
     started = time.monotonic()
+    settings = _train_settings(args)
     dataset = emap_io.load_dataset(args.data)
-
-    # gradient settings given on the command line; the rest keep each config's defaults
-    descent = {k: getattr(args, k) for k in ("l2", "lr", "epochs") if getattr(args, k) is not None}
     if args.model == "linear":
-        model = train_linear(dataset, LinearConfig(**descent, seed=args.seed))
+        model = train_linear(dataset, LinearConfig(**settings, seed=args.seed))
     elif args.model == "poly2":
-        model = train_interactive(dataset, "poly2", Poly2Config(**descent, seed=args.seed))
+        model = train_interactive(dataset, "poly2", Poly2Config(**settings, seed=args.seed))
     elif args.model == "mlp":
-        cfg = FeedForwardConfig(
-            hidden=_parse_hidden(args.hidden),
-            proj_width=args.proj_width,
-            activation=args.activation,
-            **descent,
-            seed=args.seed,
-        )
-        model = train_interactive(dataset, "feedforward", cfg)
+        model = train_interactive(dataset, "feedforward", FeedForwardConfig(**settings, seed=args.seed))
     elif args.model == "adaboost":
-        cfg = AdaBoostConfig(
-            max_depth=args.max_depth,
-            n_stages=args.stages,
-            restriction=args.restriction,
-            seed=args.seed,
-        )
-        model = train_interactive(dataset, "adaboost", cfg)
+        model = train_interactive(dataset, "adaboost", AdaBoostConfig(**settings, seed=args.seed))
     else:  # pragma: no cover - argparse choices guard this
         raise InputError(f"unknown model {args.model!r}")
     emap_io.save_model(model, args.out)
@@ -240,32 +255,26 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _all_tables(n: int):
+def _all_tables(n: int) -> np.ndarray:
+    """Every table of size n as a ``(tables, rows, cols)`` stack; table k's cell j is bit j of k."""
     size = table_side(n)
     cells = size * size
     if cells > 16:
         raise InputError(f"census enumerates 2^(2^(2n)) tables; n={n} is out of reach")
-    for code in range(2**cells):
-        bits = (code >> np.arange(cells)) & 1
-        yield BooleanTable(n, bits.reshape(size, size).astype(np.uint8))
+    codes = np.arange(2**cells)[:, np.newaxis]
+    return ((codes >> np.arange(cells)) & 1).astype(np.uint8).reshape(-1, size, size)
 
 
 def _cmd_logic_census(args) -> int:
     started = time.monotonic()
-    representable = 0
-    total = 0
-    disagreements = 0
-    for table in _all_tables(args.n):
-        fast = is_representable(table)
-        if args.cross_check:
-            if representable_oracle(table) != fast:
-                disagreements += 1
-        representable += int(fast)
-        total += 1
-    print(f"{representable}/{total} representable")
-    if args.cross_check and disagreements:
-        print(f"checker/oracle disagreements: {disagreements}", file=sys.stderr)
-        return EXIT_NUMERIC
+    tables = _all_tables(args.n)
+    fast = is_representable_many(tables)
+    print(f"{int(fast.sum())}/{len(tables)} representable")
+    if args.cross_check:
+        disagreements = int(np.sum(representable_oracle_many(tables) != fast))
+        if disagreements:
+            print(f"checker/oracle disagreements: {disagreements}", file=sys.stderr)
+            return EXIT_NUMERIC
     _emit_manifest(_manifest(args, [], started))
     return EXIT_OK
 
@@ -351,12 +360,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--l2", type=float, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--hidden", default="128,128")
-    p.add_argument("--proj-width", type=int, default=64)
-    p.add_argument("--activation", default="relu", choices=["relu", "gelu"])
-    p.add_argument("--stages", type=int, default=200)
-    p.add_argument("--max-depth", type=int, default=15)
-    p.add_argument("--restriction", default="full", choices=["full", "unimodal"])
+    p.add_argument("--hidden", default=None, help="mlp only (default 128,128)")
+    p.add_argument("--proj-width", type=int, default=None, help="mlp only (default 64)")
+    p.add_argument("--activation", default=None, choices=["relu", "gelu"], help="mlp only (default relu)")
+    p.add_argument("--stages", type=int, default=None, help="adaboost only (default 200)")
+    p.add_argument("--max-depth", type=int, default=None, help="adaboost only (default 15)")
+    p.add_argument("--restriction", default=None, choices=["full", "unimodal"], help="adaboost only (default full)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model (optionally with its projection)")

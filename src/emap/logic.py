@@ -8,16 +8,21 @@ are exactly the tables with no 2x2 exclusive-or submatrix, equivalently the
 tables whose rows form a chain under elementwise <=; that combinatorial
 check is the fast path here.  The independent oracle decides the threshold
 system itself, exactly, as integer difference constraints (a negative-cycle
-search), so the module needs nothing beyond numpy.
+search), so the module needs nothing beyond numpy.  Both checks run on a
+whole ``(tables, rows, cols)`` stack at once (``is_representable_many``,
+``representable_oracle_many``); the one-table functions are their
+one-table case.
 
 The additive-fit experiment measures how well three surrogates rank the
 cells of random tables: the least-squares additive projection of the table
 itself, unimodal-restricted AdaBoost, and (as the interactive reference)
-unrestricted AdaBoost.  Both boost the table's cells through the one stage
-loop, ``boosting.boost``.  With a depth budget that covers the bits a weak
-learner reads, each round's candidates are per-row, per-column or per-cell
-weighted majorities, so no tree is built; a shorter budget boosts greedy
-trees on the cells' bits in the same loop.
+unrestricted AdaBoost.  Both boost the tables' cells through the one stage
+loop, ``boosting.boost_batch``, with every sampled table of one size (up
+to a chunk of ``_CHUNK_CELLS`` cells) in one batch.  With a depth budget
+that covers the bits a weak learner reads, each round's candidates are
+per-row, per-column or per-cell weighted majorities, so no tree is built;
+a shorter budget fits greedy trees on the cells' bits, one table at a time,
+in the same loop.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import AdaBoostConfig, boost, class_sums
+from .boosting import AdaBoostConfig, boost_batch
 from .boosting import full_boost_round, unimodal_restricted_boost_round
 from .exceptions import (
     CapabilityError,
@@ -48,7 +53,9 @@ __all__ = [
     "parse_formula",
     "table_from_formula",
     "is_representable",
+    "is_representable_many",
     "representable_oracle",
+    "representable_oracle_many",
     "sample_table",
     "random_circuit",
     "additive_fit_auc",
@@ -59,7 +66,12 @@ __all__ = [
 
 ORACLE_SIDE_LIMIT = 16
 SWEEP_METHODS = ("emap", "adaboost_unimodal", "adaboost_full")
+BOOSTED_METHODS = ("adaboost_unimodal", "adaboost_full")
 MAX_TABLE_N = 10  # a 1024 x 1024 table: about a million cells
+# cells of the tables one sweep batch boosts together; a larger table boosts
+# alone.  At 2^16 cells (512 KB per float64 array) the 2000-sample n = 1..4
+# sweep ran in 13 s against 14.5 s at 2^20 and 15 s at 2^14 (2 vCPUs).
+_CHUNK_CELLS = 2**16
 
 
 def table_side(n: int) -> int:
@@ -273,39 +285,63 @@ def is_representable(table) -> bool:
     True iff no 2x2 submatrix is an exclusive-or pattern, i.e. the rows form
     a chain under elementwise <=.  Rows are sorted by their number of ones;
     in a chain that order respects inclusion, so it suffices to check that
-    each row is contained in the next.
+    each row is contained in the next.  The one-table case of
+    ``is_representable_many``.
     """
-    rows = _coerce_table(table).astype(bool)
-    order = np.argsort(rows.sum(axis=1), kind="stable")
-    sorted_rows = rows[order]
-    smaller, larger = sorted_rows[:-1], sorted_rows[1:]
-    return not bool(np.any(smaller & ~larger))
+    return bool(is_representable_many(_coerce_table(table)[np.newaxis])[0])
 
 
-def _threshold_potentials(arr: np.ndarray) -> np.ndarray | None:
-    """Shortest-path potentials of the threshold system, or None when it is infeasible.
+def is_representable_many(tables: np.ndarray) -> np.ndarray:
+    """``is_representable`` for each table of a ``(tables, rows, cols)`` stack."""
+    rows = np.asarray(tables).astype(bool)
+    order = np.argsort(rows.sum(axis=2), axis=1, kind="stable")
+    sorted_rows = rows[np.arange(len(rows))[:, np.newaxis], order]
+    smaller, larger = sorted_rows[:, :-1], sorted_rows[:, 1:]
+    return ~np.any(smaller & ~larger, axis=(1, 2))
+
+
+def _threshold_search(tables: np.ndarray):
+    """Decide the threshold system of each table in a stack: ``(feasible, potentials)``.
 
     With ``psi_j = theta - phi_j`` a 1-cell reads ``psi_j - tau_i <= -1`` and
     a 0-cell ``tau_i - psi_j <= 0``: difference constraints, feasible iff
     their graph (an edge ``tau_i -> psi_j`` of weight -1 per 1-cell and
     ``psi_j -> tau_i`` of weight 0 per 0-cell) has no negative cycle.
     Bellman-Ford from a virtual source starts every distance at 0; with no
-    negative cycle it settles within one pass per node.  The result holds
-    the row distances then the column distances, and ``tau = d[rows]``,
-    ``phi = -d[cols]``, ``theta = 0`` reproduce the table.
+    negative cycle it settles within one pass per node, so a table is
+    feasible iff a pass changes none of its distances within ``rows + cols``
+    passes.  All tables relax together, and a settled one leaves the stack.
+    A feasible table's potentials hold the row distances then the column
+    distances, and ``tau = d[rows]``, ``phi = -d[cols]``, ``theta = 0``
+    reproduce it.
     """
-    ones = arr.astype(bool)
-    n_rows, n_cols = arr.shape
-    d_rows = np.zeros(n_rows, dtype=np.int64)
-    d_cols = np.zeros(n_cols, dtype=np.int64)
+    ones = np.asarray(tables).astype(bool)
+    n_tables, n_rows, n_cols = ones.shape
+    feasible = np.zeros(n_tables, dtype=bool)
+    potentials = np.zeros((n_tables, n_rows + n_cols), dtype=np.int64)
+    active = np.arange(n_tables)
+    d_rows = np.zeros((n_tables, n_rows), dtype=np.int64)
+    d_cols = np.zeros((n_tables, n_cols), dtype=np.int64)
     for _ in range(n_rows + n_cols):
         # distances never rise above 0, so 0 is a neutral ceiling for a node with no edge in
-        new_cols = np.minimum(d_cols, np.where(ones, d_rows[:, None] - 1, 0).min(axis=0, initial=0))
-        new_rows = np.minimum(d_rows, np.where(ones, 0, d_cols[None, :]).min(axis=1, initial=0))
-        if np.array_equal(new_cols, d_cols) and np.array_equal(new_rows, d_rows):
-            return np.concatenate([d_rows, d_cols])
+        new_cols = np.minimum(d_cols, np.where(ones, d_rows[:, :, None] - 1, 0).min(axis=1, initial=0))
+        new_rows = np.minimum(d_rows, np.where(ones, 0, d_cols[:, None, :]).min(axis=2, initial=0))
+        settled = (new_cols == d_cols).all(axis=1) & (new_rows == d_rows).all(axis=1)
         d_rows, d_cols = new_rows, new_cols
-    return None
+        if settled.any():
+            feasible[active[settled]] = True
+            potentials[active[settled]] = np.concatenate([d_rows[settled], d_cols[settled]], axis=1)
+            moving = ~settled
+            active, ones, d_rows, d_cols = active[moving], ones[moving], d_rows[moving], d_cols[moving]
+            if not active.size:
+                break
+    return feasible, potentials
+
+
+def _threshold_potentials(arr: np.ndarray) -> np.ndarray | None:
+    """One table's shortest-path potentials (``_threshold_search``), or None when it is infeasible."""
+    feasible, potentials = _threshold_search(np.asarray(arr)[np.newaxis])
+    return potentials[0] if feasible[0] else None
 
 
 def representable_oracle(table) -> bool:
@@ -315,17 +351,22 @@ def representable_oracle(table) -> bool:
     1-cells and ``tau_i + phi_j <= theta`` on 0-cells; the system is
     scale-free, so the unit margin loses no generality.  It is decided in
     integer arithmetic as a system of difference constraints
-    (``_threshold_potentials``), with no tolerance and no use of the row
+    (``_threshold_search``), with no tolerance and no use of the row
     chain that ``is_representable`` tests.  Limited to tables with at most
-    ``ORACLE_SIDE_LIMIT`` (16) rows/columns per side.
+    ``ORACLE_SIDE_LIMIT`` (16) rows/columns per side.  The one-table case of
+    ``representable_oracle_many``.
     """
-    arr = _coerce_table(table)
-    n_rows, n_cols = arr.shape
-    if n_rows > ORACLE_SIDE_LIMIT or n_cols > ORACLE_SIDE_LIMIT:
+    return bool(representable_oracle_many(_coerce_table(table)[np.newaxis])[0])
+
+
+def representable_oracle_many(tables: np.ndarray) -> np.ndarray:
+    """``representable_oracle`` for each table of a ``(tables, rows, cols)`` stack."""
+    tables = np.asarray(tables)
+    if tables.shape[1] > ORACLE_SIDE_LIMIT or tables.shape[2] > ORACLE_SIDE_LIMIT:
         raise CapabilityError(
-            f"oracle limited to {ORACLE_SIDE_LIMIT} rows/columns per side, got {arr.shape}"
+            f"oracle limited to {ORACLE_SIDE_LIMIT} rows/columns per side, got {tables.shape[1:]}"
         )
-    return _threshold_potentials(arr) is not None
+    return _threshold_search(tables)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,35 +416,48 @@ def sample_table(
 # ---------------------------------------------------------------------------
 
 
-def _boost_train_auc(table: BooleanTable, restriction: str, cfg: AdaBoostConfig) -> float:
-    """Training AUC of ``boosting.boost`` on every cell of ``table``, row-major.
+def _boost_train_auc(tables: list[BooleanTable], restriction: str, cfg: AdaBoostConfig) -> list[float]:
+    """Training AUC of boosting on every cell of each table (all of one size), row-major.
 
-    Each row of a table is one text pattern and each column one visual
-    pattern, so a tree deep enough for the bits a side reads fits the
-    per-row (text) or per-column (visual) weighted majority, and a full one
-    every cell: those majorities are the candidates, and no tree is built.
-    A shallower budget boosts greedy trees on the cells' bits instead.
+    The tables boost side by side through ``boosting.boost_batch``.  When
+    the depth budget covers the bits a weak learner reads, the candidates
+    are the per-row (text), per-column (visual) or per-cell (full) weighted
+    majorities that such a tree fits, so no tree is built.  Their class
+    sums come from one ``np.bincount`` with a bin per (table, class, group);
+    bincount adds in element order, so every sum is the one the table alone
+    would get.  A shallower budget fits greedy trees on the cells' bits, one
+    table at a time, inside the same loop.
     """
-    y = table.table.ravel()
-    bits_read = table.n if restriction == "unimodal" else 2 * table.n
+    n = tables[0].n
+    y = np.stack([table.table.ravel() for table in tables])
+    bits_read = n if restriction == "unimodal" else 2 * n
     if cfg.max_depth >= bits_read:
-        size, cells = 2**table.n, np.arange(y.size)
-        sides = [cells] if restriction == "full" else [cells // size, cells % size]
+        size, cells = 2**n, np.arange(y.shape[1])
+        groups = [(cells, cells.size)] if restriction == "full" else [(cells // size, size), (cells % size, size)]
+        # table s sums class 1 of group k into bin 2 s n_groups + k, and class 0 n_groups bins later
+        table_bins = 2 * np.arange(len(tables))[:, np.newaxis] + (y != 1)
+        sides = [(g, n_groups, g + n_groups * table_bins) for g, n_groups in groups]
 
-        def candidates(weights):
-            # ties go to -1, as a leaf's do
-            return [(np.where(np.greater(*class_sums(g, y, weights)), 1.0, -1.0)[g], None) for g in sides]
+        def candidates(weights, rows):
+            fits = []
+            for g, n_groups, bins in sides:
+                sums = np.bincount(bins[rows].ravel(), weights.ravel(), minlength=bins.shape[0] * 2 * n_groups)
+                pos, neg = sums.reshape(-1, 2, n_groups)[rows].transpose(1, 0, 2)
+                # ties go to -1, as a leaf's do
+                fits.append((np.where(pos > neg, 1.0, -1.0)[:, g], None))
+            return fits
 
     else:
-        patterns = bit_patterns(table.n)
+        patterns = bit_patterns(n)
         text, visual = np.repeat(patterns, len(patterns), axis=0), np.tile(patterns, (len(patterns), 1))
         step = full_boost_round if restriction == "full" else unimodal_restricted_boost_round
 
-        def candidates(weights):
-            return step(weights, text, visual, y, cfg.max_depth)
+        def candidates(weights, rows):
+            per_table = [step(w, text, visual, y[r], cfg.max_depth) for w, r in zip(weights, rows)]
+            return [(np.stack([fits[k][0] for fits in per_table]), None) for k in range(len(per_table[0]))]
 
-    _, scores, _, _ = boost(np.where(y == 1, 1.0, -1.0), candidates, cfg.n_stages)
-    return auc_binary(scores, y)
+    _, scores, _, _ = boost_batch(np.where(y == 1, 1.0, -1.0), candidates, cfg.n_stages)
+    return [auc_binary(row, labels) for row, labels in zip(scores, y)]
 
 
 def additive_fit_auc(table: BooleanTable, method: str, cfg: AdaBoostConfig | None = None) -> float:
@@ -419,9 +473,8 @@ def additive_fit_auc(table: BooleanTable, method: str, cfg: AdaBoostConfig | Non
         grid = ScoreGrid(values=table.table.astype(np.float64)[:, :, np.newaxis])
         recon = emap_decompose(grid).reconstruct()[:, :, 0]
         return auc_binary(recon.ravel(), table.table.ravel())
-    if method in ("adaboost_unimodal", "adaboost_full"):
-        cfg = cfg or AdaBoostConfig()
-        return _boost_train_auc(table, method.removeprefix("adaboost_"), cfg)
+    if method in BOOSTED_METHODS:
+        return _boost_train_auc([table], method.removeprefix("adaboost_"), cfg or AdaBoostConfig())[0]
     raise InputError(f"unknown method {method!r}")
 
 
@@ -444,34 +497,40 @@ def run_size_sweep(
 ) -> list[SweepRow]:
     """Mean/std additive-fit AUC per problem size for each method.
 
-    Samples are evaluated one after another.  Each sample's RNG is derived
-    from (seed, n, sample index), so a sample's result does not depend on
-    which samples ran before it.  Only nonconstant tables are drawn.
+    The samples of one n are batched: the boosting methods fit every table
+    of a chunk of at most ``_CHUNK_CELLS`` cells at once.  Each sample's RNG
+    is derived from (seed, n, sample index) and each table boosts as it
+    would alone, so a sample's result does not depend on the other samples
+    or on the chunking.  Only nonconstant tables are drawn.
     """
     if samples_per_n < 1:
         raise InputError("samples_per_n must be >= 1")
     n_values = list(n_values)
     for n in n_values:
         table_side(n)  # refuse an out-of-reach size before any sample runs
+    cfg = cfg or AdaBoostConfig()
     rows = []
     for n in n_values:
-        scores = {m: np.empty(samples_per_n) for m in methods}
-        for i in range(samples_per_n):
-            table = sample_table(
-                n,
-                np.random.SeedSequence([seed, n, i]),
-                require_nonconstant=True,
-                sampler=sampler,
-            )
+        scores = {m: [] for m in methods}
+        per_chunk = max(1, _CHUNK_CELLS // table_side(n) ** 2)
+        for first in range(0, samples_per_n, per_chunk):
+            tables = [
+                sample_table(n, np.random.SeedSequence([seed, n, i]), require_nonconstant=True, sampler=sampler)
+                for i in range(first, min(first + per_chunk, samples_per_n))
+            ]
             for m in methods:
-                scores[m][i] = additive_fit_auc(table, m, cfg)
+                if m in BOOSTED_METHODS:
+                    scores[m] += _boost_train_auc(tables, m.removeprefix("adaboost_"), cfg)
+                else:
+                    scores[m] += [additive_fit_auc(table, m, cfg) for table in tables]
         for m in methods:
+            aucs = np.array(scores[m])
             rows.append(
                 SweepRow(
                     n=n,
                     method=m,
-                    mean_auc=float(scores[m].mean()),
-                    std_auc=float(scores[m].std()),
+                    mean_auc=float(aucs.mean()),
+                    std_auc=float(aucs.std()),
                     samples=samples_per_n,
                 )
             )

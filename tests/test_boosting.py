@@ -1,5 +1,8 @@
 """Depth-capped trees and binary AdaBoost, full and unimodal-restricted."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,9 @@ from emap.boosting import (
     AdaBoostModel,
     DecisionTree,
     boost,
+    boost_batch,
     fit_tree,
+    masked_row_sums,
     train_adaboost,
 )
 from emap.data import PairedDataset
@@ -124,6 +129,66 @@ class TestBoost:
     def test_ties_go_to_the_first_candidate(self):
         stages, _, _, _ = boost(self.y_sign, fixed_candidates([1, 1, -1, 1], [1, 1, 1, -1]), 1)
         assert [tag for tag, _ in stages] == [0]
+
+
+class TestBoostBatch:
+    def test_each_sample_boosts_as_it_would_alone(self):
+        """Scores, stages, rounds and stop reasons equal one-sample runs bit for bit."""
+        rng = np.random.default_rng(8)
+        hs = np.where(rng.random((4, 6)) < 0.5, 1.0, -1.0)
+        y_sign = np.where(rng.random((300, 6)) < 0.5, 1.0, -1.0)
+
+        def candidates(weights, _rows):
+            return [(np.broadcast_to(h, weights.shape), [k] * len(weights)) for k, h in enumerate(hs)]
+
+        stages, scores, rounds_run, stops = boost_batch(y_sign, candidates, 8)
+        alone = [boost(y, fixed_candidates(*hs), 8) for y in y_sign]
+        assert stages == [a[0] for a in alone]
+        assert scores.tobytes() == np.stack([a[1] for a in alone]).tobytes()
+        assert rounds_run == [a[2] for a in alone]
+        assert stops == [a[3] for a in alone]
+        # samples leave the batch at different rounds, for each of the three reasons
+        by_reason = {}
+        for stop, rounds in zip(stops, rounds_run):
+            by_reason.setdefault(stop, set()).add(rounds)
+        assert set(by_reason) == {"no_weak_learner", "perfect_fit", "stage_budget"}
+        assert len(by_reason["no_weak_learner"]) > 1 and len(by_reason["perfect_fit"]) > 1
+
+    def test_a_sample_worse_than_chance_stops_with_the_scores_it_had(self):
+        hs = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0]])
+        # every candidate errs on 3 or 4 of the first sample's cells; the others go on
+        y_sign = np.array([[-1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+
+        def candidates(weights, _rows):
+            return [(np.broadcast_to(h, weights.shape), None) for h in hs]
+
+        _, scores, rounds_run, stops = boost_batch(y_sign, candidates, 5)
+        alone = [boost(y, fixed_candidates(*hs), 5) for y in y_sign]
+        assert (stops[0], rounds_run[0]) == ("no_weak_learner", 1)
+        assert scores.tobytes() == np.stack([a[1] for a in alone]).tobytes()
+        assert rounds_run == [a[2] for a in alone] and stops == [a[3] for a in alone]
+        np.testing.assert_array_equal(scores[0], 0.0)
+
+    def test_untagged_candidates_record_no_stages(self):
+        y_sign = np.array([[1.0, -1.0], [1.0, 1.0]])
+        stages, scores, _, stops = boost_batch(y_sign, lambda weights, rows: [(y_sign[rows], None)], 3)
+        assert stages == [[], []]
+        assert stops == ["perfect_fit", "perfect_fit"]
+        np.testing.assert_array_equal(np.sign(scores), y_sign)
+
+    def test_masked_row_sums_have_the_bits_of_one_row_sums(self):
+        """Every selected count from 0 to 256: numpy's sequential, unrolled and pairwise regimes."""
+        rng = np.random.default_rng(5)
+        counts = np.concatenate([np.arange(257), rng.integers(0, 257, 100)])
+        values = rng.random((counts.size, 256)) * 10.0 ** rng.integers(-6, 7, (counts.size, 256))
+        mask = np.zeros(values.shape, dtype=bool)
+        for row, count in enumerate(counts):
+            mask[row, rng.choice(256, count, replace=False)] = True
+        expected = np.array([row[keep].sum() for row, keep in zip(values, mask)])
+        assert masked_row_sums(values, mask).tobytes() == expected.tobytes()
+        # a plain left-to-right sum differs, so the check has teeth
+        sequential = [functools.reduce(operator.add, row[keep].tolist(), 0.0) for row, keep in zip(values, mask)]
+        assert np.any(np.array(sequential) != expected)
 
 
 class TestBoostRounds:

@@ -189,6 +189,31 @@ class TestLogic:
                 "--seed", "9", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_census_n2_counts_and_cross_checks(self, capsys):
+        code, out, err = run(capsys, "logic", "census", "--n", "2")
+        assert code == 0
+        assert out.strip() == "6902/65536 representable"
+        assert "disagreements" not in err
+
+    def test_census_enumerates_tables_in_code_order(self):
+        from emap.cli import _all_tables
+
+        tables = _all_tables(1)
+        assert tables.shape == (16, 2, 2)
+        for code, table in enumerate(tables):
+            np.testing.assert_array_equal(table.ravel(), (code >> np.arange(4)) & 1)
+
+    def test_sweep_at_the_largest_size_finishes(self, capsys, tmp_path):
+        # depth 20 covers all 2n bits, so full boosting also fits per-cell majorities
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            capsys, "logic", "sweep", "--n-range", "10..10", "--samples", "2", "--stages", "2",
+            "--max-depth", "20", "--out", str(out),
+        )
+        assert code == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 4 and lines[3].startswith("10,adaboost_full,1.0,0.0,2")
+
     @pytest.mark.parametrize(
         "extra, digest",
         [
@@ -324,7 +349,7 @@ class TestInputContract:
         model_path = tmp_path / "model.json"
         run(
             capsys, "train", "--data", str(data), "--model", kind, "--out", str(model_path),
-            "--epochs", "2", "--hidden", "4,3", "--proj-width", "2",
+            "--epochs", "2", *(("--hidden", "4,3", "--proj-width", "2") if kind == "mlp" else ()),
         )
         assert_edit_refused_by_eval(capsys, tmp_path, data, model_path, edit)
 
@@ -365,6 +390,32 @@ class TestInputContract:
     )
     def test_unusable_training_config_refused(self, capsys, tmp_path, argv):
         assert_refused_before_output(capsys, tmp_path, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("train", "--model", "linear", "--stages", "0"),
+            ("train", "--model", "adaboost", "--lr", "nan"),
+            ("train", "--model", "adaboost", "--hidden", "0"),
+            ("train", "--model", "adaboost", "--epochs", "5"),
+            ("train", "--model", "adaboost", "--l2", "0.1"),
+            ("train", "--model", "poly2", "--proj-width", "8"),
+            ("train", "--model", "linear", "--activation", "gelu"),
+            ("train", "--model", "mlp", "--restriction", "unimodal"),
+            ("train", "--model", "mlp", "--max-depth", "3"),
+        ],
+        ids=["linear-stages", "adaboost-lr", "adaboost-hidden", "adaboost-epochs", "adaboost-l2",
+             "poly2-proj-width", "linear-activation", "mlp-restriction", "mlp-max-depth"],
+    )
+    def test_flag_the_model_does_not_read_refused(self, capsys, tmp_path, argv):
+        assert_refused_before_output(capsys, tmp_path, argv)
+
+    def test_refusal_names_the_flag_and_the_model(self, capsys, tmp_path):
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--data", "unread.json", "--model", "linear",
+                           "--max-depth", "3", "--out", str(out))
+        assert code == 1
+        assert err.strip() == "error: --max-depth does not apply to --model linear"
 
     @pytest.mark.parametrize(
         "argv",

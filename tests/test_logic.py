@@ -1,8 +1,11 @@
 """Boolean representability analysis and additive-fit experiments."""
 
+import collections
+
 import numpy as np
 import pytest
 
+from emap import logic
 from emap.exceptions import CapabilityError, InputError, UndefinedMetricError
 from emap.logic import (
     ORACLE_SIDE_LIMIT,
@@ -13,8 +16,10 @@ from emap.logic import (
     Var,
     additive_fit_auc,
     is_representable,
+    is_representable_many,
     parse_formula,
     representable_oracle,
+    representable_oracle_many,
     run_size_sweep,
     sample_table,
     table_from_formula,
@@ -140,6 +145,17 @@ class TestRepresentability:
             for i in range(300):
                 table = sample_table(n, np.random.SeedSequence([99, n, i]))
                 assert is_representable(table) == representable_oracle(table)
+
+    def test_batched_checks_match_one_table_calls(self):
+        tables = [t for _, t in all_n1_tables()]
+        for seed, n, count in ((3, 1, 16), (4, 2, 300)):
+            tables += list(seeded_tables(n, count, seed))
+        for size in (2, 4):
+            stack = np.stack([t.table for t in tables if t.table.shape[0] == size])
+            chain = [is_representable(t) for t in stack]
+            assert is_representable_many(stack).tolist() == chain
+            assert representable_oracle_many(stack).tolist() == [representable_oracle(t) for t in stack]
+            assert 0 < sum(chain) < len(stack)
 
     def test_oracle_size_limit(self):
         with pytest.raises(CapabilityError):
@@ -360,3 +376,53 @@ class TestSweep:
         for row in rows:
             if row.method in ("emap", "adaboost_unimodal"):
                 assert row.mean_auc > 0.9
+
+
+def recorded_aucs(monkeypatch) -> dict:
+    """Record every per-sample AUC the sweep computes, by method, in sample order."""
+    seen = collections.defaultdict(list)
+    boosted, additive = logic._boost_train_auc, logic.additive_fit_auc
+
+    def boosted_spy(tables, restriction, cfg):
+        aucs = boosted(tables, restriction, cfg)
+        seen[f"adaboost_{restriction}"] += aucs
+        return aucs
+
+    def additive_spy(table, method, cfg=None):
+        seen[method].append(additive(table, method, cfg))
+        return seen[method][-1]
+
+    monkeypatch.setattr(logic, "_boost_train_auc", boosted_spy)
+    monkeypatch.setattr(logic, "additive_fit_auc", additive_spy)
+    return seen
+
+
+class TestSweepBatching:
+    def test_chunking_changes_no_sample(self, monkeypatch):
+        """Chunks of 40 cells split every n; each sample's AUC equals its one-table fit."""
+        whole = recorded_aucs(monkeypatch)
+        rows = run_size_sweep([1, 2, 3], 12, seed=31)
+        monkeypatch.undo()
+        monkeypatch.setattr(logic, "_CHUNK_CELLS", 40)
+        chunked = recorded_aucs(monkeypatch)
+        assert run_size_sweep([1, 2, 3], 12, seed=31) == rows
+        assert chunked == whole
+        monkeypatch.undo()
+        for m, aucs in whole.items():
+            alone = [
+                additive_fit_auc(sample_table(n, np.random.SeedSequence([31, n, i]), require_nonconstant=True), m)
+                for n in (1, 2, 3)
+                for i in range(12)
+            ]
+            assert aucs == alone, m
+
+    def test_first_samples_do_not_depend_on_the_sample_count(self, monkeypatch):
+        for n in (2, 3):
+            few = recorded_aucs(monkeypatch)
+            run_size_sweep([n], 5, seed=8)
+            monkeypatch.undo()
+            many = recorded_aucs(monkeypatch)
+            run_size_sweep([n], 15, seed=8)
+            assert set(few) == set(logic.SWEEP_METHODS)
+            assert all(many[m][:5] == few[m] for m in few)
+            monkeypatch.undo()
