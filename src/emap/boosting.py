@@ -24,7 +24,8 @@ boolean lab (``logic.py``) boosts many truth tables at once through
 A trained model scores all text x visual cross-pairings with
 ``logits_grid``: a text or visual stage predicts each item once and is
 broadcast, and only a full stage is evaluated per cell, one text row at a
-time.
+time.  The two class planes accumulate channel-major, the layout
+``grid.ScoreGrid`` keeps, so the grid is never copied.
 """
 
 from __future__ import annotations
@@ -400,19 +401,23 @@ class AdaBoostModel:
         return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
 
     def _per_class(self, shape: tuple, predict) -> np.ndarray:
-        """Per-class stage-weight sums, stage by stage; ``predict(tree, side)`` gives h."""
-        per_class = np.zeros((*shape, 2))
+        """Per-class stage-weight sums, stage by stage; ``predict(tree, side)`` gives h.
+
+        The sums fill a contiguous ``(2, *shape)`` array, returned as a ``(*shape, 2)`` view.
+        """
+        per_class = np.zeros((2, *shape))
         for tree, alpha, side in self.stages:
             h = predict(tree, side)
-            per_class[..., 1] += alpha * (h > 0)
-            per_class[..., 0] += alpha * (h < 0)
-        return per_class
+            per_class[1] += alpha * (h > 0)
+            per_class[0] += alpha * (h < 0)
+        return np.moveaxis(per_class, 0, -1)
 
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
         inputs = self._side_inputs(T, V)
         return self._per_class(inputs["text"].shape[:1], lambda tree, side: tree.predict(inputs[side]))
 
     def logits_grid(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Per-class sums over all cross-pairings, as a channel-major ``(N_t, N_v, 2)`` view."""
         T, V = check_widths(T, V, self.d1, self.d2)
 
         def predict(tree, side):

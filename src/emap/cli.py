@@ -229,6 +229,7 @@ def _cmd_eval(args) -> int:
         split=args.split,
         metrics=_split_metrics(logits, part.labels),
     )
+    grid = None
     if args.with_emap:
         grid = build_grid(model, part.text, part.visual)
         proj = emap_predictions(emap_decompose(grid))
@@ -242,7 +243,7 @@ def _cmd_eval(args) -> int:
         except ValueError:
             raise InputError("--subsample expects 'k,m' with two integers") from None
         report.subsample = subsampled_emap_metric(
-            model, part, k, m, args.metric, seed=args.seed
+            model, part, k, m, args.metric, seed=args.seed, grid=grid
         )
     if args.report.endswith(".csv"):
         Path(args.report).write_text(

@@ -12,9 +12,12 @@ constant that can be shifted between the two unimodal parts; see
 ``build_grid`` fills a grid with one ``scorer.logits_grid(T, V)`` call, or
 with one call per cell for a plain ``(t, v) -> logits`` callable.
 
-All arithmetic is 64-bit.  Grids are stored in C order, on which numpy sums
-every mean in index order, so identical grid bytes always produce identical
-decomposition bytes, regardless of how the grid was built.
+All arithmetic is 64-bit.  Grids are stored channel-major: ``values`` has
+the logical shape ``(N_t, N_v, d)``, but its memory is ``(d, N_t, N_v)``, so
+each channel plane is one C-contiguous block and every mean reduces a
+contiguous plane with numpy's pairwise sum.  ``ScoreGrid`` alone enforces
+this layout, so identical grid values always produce identical
+decomposition bytes, whatever order the grid was built or loaded in.
 """
 
 from __future__ import annotations
@@ -41,8 +44,10 @@ class ScoreGrid:
     """Scores of a two-input scorer over all cross-pairings.
 
     ``values[i, j, c]`` is output channel ``c`` of the scorer applied to
-    text item ``i`` and visual item ``j``.  Grids built from paired
-    evaluation data are square; rectangular grids are accepted for
+    text item ``i`` and visual item ``j``.  Its memory is channel-major:
+    ``planes`` (``values`` seen as ``(d, N_t, N_v)``) is C-contiguous, and
+    input in any other layout is copied into it once.  Grids built from
+    paired evaluation data are square; rectangular grids are accepted for
     decomposition but not for paired predictions.
     """
 
@@ -51,15 +56,16 @@ class ScoreGrid:
     visual_ids: tuple = field(default=())
 
     def __post_init__(self):
-        # C order fixes the summation order of the means (see the module docstring)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64)
         if values.ndim == 2:
             values = values[:, :, np.newaxis]
         if values.ndim != 3:
             raise InputError(f"grid values must be N_t x N_v x d, got shape {values.shape}")
         if values.shape[0] < 1 or values.shape[1] < 1 or values.shape[2] < 1:
             raise InputError(f"grid dimensions must all be >= 1, got {values.shape}")
-        if not np.all(np.isfinite(values)):
+        # channel-major memory fixes the summation order of the means (see the module docstring)
+        values = np.ascontiguousarray(values.transpose(2, 0, 1)).transpose(1, 2, 0)
+        if not np.isfinite(values).all():
             bad = np.argwhere(~np.isfinite(values))[0]
             raise NumericError(f"non-finite grid value at (i={bad[0]}, j={bad[1]}, channel={bad[2]})")
         object.__setattr__(self, "values", values)
@@ -69,6 +75,11 @@ class ScoreGrid:
             raise InputError("text_ids length does not match grid rows")
         if len(self.visual_ids) != values.shape[1]:
             raise InputError("visual_ids length does not match grid columns")
+
+    @property
+    def planes(self) -> np.ndarray:
+        """The grid as C-contiguous channel planes, shape ``(d, N_t, N_v)``; a view."""
+        return self.values.transpose(2, 0, 1)
 
     @property
     def n_text(self) -> int:
@@ -109,8 +120,8 @@ class AdditiveDecomposition:
     mu: np.ndarray
 
     def __post_init__(self):
-        tau = np.atleast_2d(np.asarray(self.tau, dtype=np.float64))
-        phi = np.atleast_2d(np.asarray(self.phi, dtype=np.float64))
+        tau = np.ascontiguousarray(np.atleast_2d(np.asarray(self.tau, dtype=np.float64)))
+        phi = np.ascontiguousarray(np.atleast_2d(np.asarray(self.phi, dtype=np.float64)))
         mu = np.atleast_1d(np.asarray(self.mu, dtype=np.float64))
         if tau.ndim != 2 or phi.ndim != 2 or mu.ndim != 1:
             raise InputError("tau and phi must be 2-D (items x channels), mu 1-D")
@@ -207,10 +218,10 @@ def emap_decompose(grid: ScoreGrid) -> AdditiveDecomposition:
     grand mean, so that ``tau[i] + phi[j] + mu`` equals
     ``row_mean[i] + col_mean[j] - grand_mean`` -- the optimal additive fit.
     """
-    values = grid.values
-    mu = values.mean(axis=(0, 1))
-    row_means = values.mean(axis=1)
-    col_means = values.mean(axis=0)
+    planes = grid.planes
+    mu = planes.mean(axis=(1, 2))
+    row_means = planes.mean(axis=2).T
+    col_means = planes.mean(axis=1).T
     return AdditiveDecomposition(tau=row_means - mu, phi=col_means - mu, mu=mu)
 
 
@@ -244,8 +255,11 @@ def projection_loss(
         )
     if dec.d != grid.d:
         raise InputError(f"channel mismatch: grid d={grid.d}, decomposition d={dec.d}")
-    resid = grid.values - dec.reconstruct()
-    channel = np.sum(resid * resid, axis=(0, 1))
+    resid = np.empty(grid.planes.shape)
+    np.add(dec.tau.T[:, :, np.newaxis], dec.phi.T[:, np.newaxis, :], out=resid)
+    resid += dec.mu[:, np.newaxis, np.newaxis]
+    np.subtract(grid.planes, resid, out=resid)
+    channel = np.sum(resid * resid, axis=(1, 2))
     if per_channel:
         return channel
     return float(np.sum(channel))

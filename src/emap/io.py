@@ -134,7 +134,7 @@ def save_grid(grid: ScoreGrid, path) -> None:
     with open(path, "wb") as fh:
         fh.write(GRID_MAGIC)
         fh.write(struct.pack("<IQQ", FORMAT_VERSION, grid.n, grid.d))
-        fh.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
+        fh.write(grid.values.astype("<f8", copy=False).tobytes())  # (i, j, c) order, one copy
 
 
 def load_grid(path) -> ScoreGrid:
@@ -157,9 +157,10 @@ def load_grid(path) -> ScoreGrid:
     with open(path, "rb") as fh:
         n, d = _read_header(fh, path, GRID_MAGIC, "<IQQ", "grid")
         raw = _read_exact(fh, 8 * n * n * d, "values")
-        values = np.frombuffer(raw, dtype="<f8").reshape(n, n, d).astype(np.float64)
         _expect_end(fh, path)
-    return ScoreGrid(values=values)
+    # one copy, from the file's (i, j, c) order straight into channel-major planes
+    planes = np.frombuffer(raw, dtype="<f8").reshape(n, n, d).transpose(2, 0, 1).astype(np.float64, order="C")
+    return ScoreGrid(values=planes.transpose(1, 2, 0))
 
 
 # -- decompositions ----------------------------------------------------------

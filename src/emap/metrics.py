@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import PairedDataset
 from .exceptions import InputError, UndefinedMetricError
-from .grid import build_grid, emap_decompose, emap_predictions
+from .grid import ScoreGrid, build_grid, emap_decompose, emap_predictions
 
 __all__ = [
     "AUC_CONVENTION_NOTE",
@@ -27,6 +27,7 @@ __all__ = [
     "agreement",
     "disagreement_advantage",
     "SubsampleResult",
+    "subsample_grids",
     "subsampled_emap_metric",
     "EvalReport",
     "METRIC_NAMES",
@@ -184,6 +185,23 @@ class SubsampleResult:
     emap_values: tuple = ()
 
 
+def subsample_grids(scorer, dataset: PairedDataset, k: int, m: int, seed: int = 0, grid=None):
+    """Yield ``(subsample, sub_grid)`` for each of the k repetitions.
+
+    Repetition r draws m indices without replacement from the r-th child of
+    ``SeedSequence(seed)`` and keeps them in ascending order.  The sub-grid
+    is sliced from ``grid``, the dataset's full grid, when one is given, and
+    scored by ``scorer`` otherwise.
+    """
+    for child in np.random.SeedSequence(seed).spawn(k):
+        idx = np.sort(np.random.default_rng(child).choice(dataset.n, size=m, replace=False))
+        sub = dataset.take(idx)
+        if grid is None:
+            yield sub, build_grid(scorer, sub.text, sub.visual)
+        else:
+            yield sub, ScoreGrid(values=grid.planes[:, idx[:, np.newaxis], idx].transpose(1, 2, 0))
+
+
 def subsampled_emap_metric(
     scorer,
     dataset: PairedDataset,
@@ -191,6 +209,7 @@ def subsampled_emap_metric(
     m: int,
     metric: str,
     seed: int = 0,
+    grid: ScoreGrid | None = None,
 ) -> SubsampleResult:
     """Projection quality on k random size-m subsamples of a dataset.
 
@@ -199,22 +218,21 @@ def subsampled_emap_metric(
     index order -- a subsample is a set, so with m = n the grid is exactly
     the full-dataset grid and the metrics match it bit for bit.  Direct
     predictions are the grid diagonal; projected predictions come from the
-    additive decomposition of the same grid.
+    additive decomposition of the same grid.  When ``grid`` (the full grid
+    of ``dataset``) is given, each sub-grid is sliced from it instead of
+    being scored again; see ``subsample_grids``.
     """
     if k < 1:
         raise InputError("k must be >= 1")
     if m < 1 or m > dataset.n:
         raise InputError(f"subsample size m={m} must lie in [1, {dataset.n}]")
+    if grid is not None and (grid.n_text, grid.n_visual) != (dataset.n, dataset.n):
+        raise InputError(f"a {grid.n_text} x {grid.n_visual} grid is not the grid of {dataset.n} items")
     direct_vals = np.empty(k)
     emap_vals = np.empty(k)
-    children = np.random.SeedSequence(seed).spawn(k)
-    for rep in range(k):
-        rng = np.random.default_rng(children[rep])
-        idx = np.sort(rng.choice(dataset.n, size=m, replace=False))
-        sub = dataset.take(idx)
-        grid = build_grid(scorer, sub.text, sub.visual)
-        diag = grid.values[np.arange(m), np.arange(m), :]
-        proj = emap_predictions(emap_decompose(grid))
+    for rep, (sub, sub_grid) in enumerate(subsample_grids(scorer, dataset, k, m, seed, grid)):
+        diag = sub_grid.values[np.arange(m), np.arange(m), :]
+        proj = emap_predictions(emap_decompose(sub_grid))
         direct_vals[rep] = metric_from_logits(metric, diag, sub.labels)
         emap_vals[rep] = metric_from_logits(metric, proj, sub.labels)
     return SubsampleResult(

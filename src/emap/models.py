@@ -10,8 +10,11 @@ projected features ``[t'; v'; v' - t'; v' * t']``.
 All training is full-batch and deterministic given the config seed.  Each
 model scores paired rows with ``logits_many(T, V)`` and all text x visual
 cross-pairings with ``logits_grid(T, V)``, the one batch protocol
-``grid.build_grid`` calls.  ``from_json_dict`` checks every weight's shape
-and finiteness, so a malformed model file fails at load with ``InputError``.
+``grid.build_grid`` calls.  ``logits_grid`` returns an ``(N_t, N_v, d)``
+array whose memory is channel-major, the layout ``grid.ScoreGrid`` keeps,
+and fills each channel plane in place without an N^2 x d temporary.
+``from_json_dict`` checks every weight's shape and finiteness, so a
+malformed model file fails at load with ``InputError``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ __all__ = [
     "train_interactive",
     "predict",
 ]
+
+
+# cells of the unimodal outer-sum temporary that poly2's logits_grid adds per block
+GRID_BLOCK_CELLS = 1 << 16
 
 
 def _check_descent(cfg) -> None:
@@ -194,11 +201,13 @@ class LinearModel:
         return T @ self.w_t + V @ self.w_v + self.b
 
     def logits_grid(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-        # additive structure: the grid is an outer sum of unimodal scores
+        # additive structure: each channel plane is an outer sum of unimodal scores
         T, V = check_widths(T, V, self.w_t.shape[0], self.w_v.shape[0])
         t_part = T @ self.w_t
         v_part = V @ self.w_v + self.b
-        return t_part[:, np.newaxis, :] + v_part[np.newaxis, :, :]
+        planes = np.empty((self.num_classes, len(T), len(V)))
+        np.add(t_part.T[:, :, np.newaxis], v_part.T[:, np.newaxis, :], out=planes)
+        return planes.transpose(1, 2, 0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -277,12 +286,20 @@ class Poly2Model:
         return T @ w_t + V @ w_v + bilinear + self.b
 
     def logits_grid(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """One gemm per class writes the bilinear term into its plane; the unimodal
+        outer sum ``t + v`` is then added a block of rows at a time, so no
+        temporary is as large as a plane."""
         T, V = check_widths(T, V, self.d1, self.d2)
         w_t, w_v, w_x = self._split_weights()
         t_part = T @ w_t
         v_part = V @ w_v + self.b
-        cross = np.einsum("ta,abc,vb->tvc", T, w_x, V, optimize=True)
-        return t_part[:, np.newaxis, :] + v_part[np.newaxis, :, :] + cross
+        planes = np.empty((self.num_classes, len(T), len(V)))
+        rows = max(1, GRID_BLOCK_CELLS // len(V))
+        for c, plane in enumerate(planes):
+            np.matmul(T @ w_x[:, :, c], V.T, out=plane)
+            for start in range(0, len(T), rows):
+                plane[start : start + rows] += t_part[start : start + rows, c, np.newaxis] + v_part[:, c]
+        return planes.transpose(1, 2, 0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -387,10 +404,10 @@ class FeedForwardModel:
     def logits_grid(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Both sides projected once; the head runs one text row against all of V at a time."""
         tp, vp = self._project(T, V)
-        out = np.empty((tp.shape[0], vp.shape[0], self.num_classes))
+        planes = np.empty((self.num_classes, tp.shape[0], vp.shape[0]))
         for i, row in enumerate(tp):
-            out[i] = self._head(np.broadcast_to(row, vp.shape), vp)
-        return out
+            planes[:, i, :] = self._head(np.broadcast_to(row, vp.shape), vp).T
+        return planes.transpose(1, 2, 0)
 
     def to_json_dict(self) -> dict:
         return {

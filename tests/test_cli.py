@@ -120,6 +120,24 @@ class TestPipeline:
             reports.append(path.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_subsample_sliced_from_the_emap_grid_matches_rescoring(self, capsys, tmp_path, data_path):
+        model_path = tmp_path / "poly2.json"
+        code, _, _ = run(
+            capsys, "train", "--data", str(data_path), "--model", "poly2", "--epochs", "20",
+            "--out", str(model_path),
+        )
+        assert code == 0
+        blocks = []
+        for extra, name in (((), "alone.json"), (("--with-emap",), "with_emap.json")):
+            path = tmp_path / name
+            code, _, _ = run(
+                capsys, "eval", "--data", str(data_path), "--model", str(model_path), "--split", "train",
+                "--subsample", "3,40", "--metric", "weighted_f1", *extra, "--report", str(path),
+            )
+            assert code == 0
+            blocks.append(json.loads(path.read_text())["subsample"])
+        assert blocks[0] == blocks[1]
+
     def test_l2_reaches_the_mlp_model(self, capsys, tmp_path):
         data, model_path = tmp_path / "data.json", tmp_path / "mlp.json"
         run(capsys, "synth", "--out", str(data), "--n", "40", "--text-dim", "3", "--visual-dim", "2")

@@ -15,6 +15,7 @@ from emap.grid import (
     emap_predictions,
     projection_loss,
 )
+from emap.metrics import metric_from_logits, subsample_grids, subsampled_emap_metric
 from emap.models import FeedForwardConfig, Poly2Config, train_interactive, train_linear
 from emap.synth import SynthParams, generate
 
@@ -97,7 +98,7 @@ class TestBuildGrid:
         """A transposed-layout grid decomposes to the same bytes as its C-order copy."""
         values = np.random.default_rng(2).standard_normal((2, 7, 6)).transpose(1, 2, 0)
         grid = ScoreGrid(values=values)
-        assert grid.values.flags.c_contiguous
+        assert all(plane.flags.c_contiguous for plane in grid.planes)
         again = emap_decompose(ScoreGrid(values=values.copy(order="C")))
         assert emap_decompose(grid).tau.tobytes() == again.tau.tobytes()
 
@@ -113,6 +114,83 @@ class TestBuildGrid:
 
         with pytest.raises(NumericError, match=r"i=1.*j=1"):
             build_grid(scorer, [[0.0], [1.0]], [[2.0], [3.0]])
+
+
+class TestLayout:
+    def test_every_layout_decomposes_to_the_same_bytes(self):
+        """C order, Fortran order, a transposed view and channel-major planes give one decomposition."""
+        values = np.random.default_rng(31).standard_normal((9, 11, 3)) * 3.0
+        layouts = {
+            "C": np.ascontiguousarray(values),
+            "Fortran": np.asfortranarray(values),
+            "transposed view": np.ascontiguousarray(values.transpose(1, 0, 2)).transpose(1, 0, 2),
+            "channel-major": np.ascontiguousarray(values.transpose(2, 0, 1)).transpose(1, 2, 0),
+        }
+        ref = emap_decompose(ScoreGrid(values=layouts["C"]))
+        for name, laid_out in layouts.items():
+            dec = emap_decompose(ScoreGrid(values=laid_out))
+            for part in ("tau", "phi", "mu"):
+                assert getattr(dec, part).tobytes() == getattr(ref, part).tobytes(), (name, part)
+        mu = values.mean(axis=(0, 1))
+        np.testing.assert_allclose(ref.mu, mu, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ref.tau, values.mean(axis=1) - mu, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ref.phi, values.mean(axis=0) - mu, rtol=0, atol=1e-12)
+
+    def test_grid_already_channel_major_is_not_copied(self):
+        rng = np.random.default_rng(32)
+        planes = rng.standard_normal((2, 4, 5))
+        single = rng.standard_normal((4, 5, 1))
+        assert np.shares_memory(ScoreGrid(values=planes.transpose(1, 2, 0)).values, planes)
+        assert np.shares_memory(ScoreGrid(values=single).values, single)
+
+    @pytest.mark.parametrize("n_t, n_v", [(3, 3), (50, 50), (257, 300)])
+    def test_single_channel_bytes_equal_the_plain_means(self, n_t, n_v):
+        """With d = 1 the decomposition is numpy's means of the C-order grid, byte for byte."""
+        values = np.random.default_rng(n_t).standard_normal((n_t, n_v, 1))
+        dec = emap_decompose(ScoreGrid(values=values))
+        mu = values.mean(axis=(0, 1))
+        assert dec.mu.tobytes() == mu.tobytes()
+        assert dec.tau.tobytes() == (values.mean(axis=1) - mu).tobytes()
+        assert dec.phi.tobytes() == (values.mean(axis=0) - mu).tobytes()
+
+
+class TestSubsampleSlices:
+    """A sub-grid sliced from the full grid stands in for scoring the subsample again."""
+
+    @pytest.fixture(scope="class")
+    def paired(self):
+        return generate(SynthParams(n=30, d=4, d1=6, d2=5, seed=2))
+
+    def test_sliced_subgrids_equal_rescored_ones(self, bundled_models, paired):
+        for name, model in bundled_models.items():
+            full = build_grid(model, paired.text, paired.visual)
+            sliced = subsample_grids(model, paired, 4, 12, seed=3, grid=full)
+            rescored = subsample_grids(model, paired, 4, 12, seed=3)
+            for (sub_a, grid_a), (sub_b, grid_b) in zip(sliced, rescored, strict=True):
+                assert sub_a.labels.tobytes() == sub_b.labels.tobytes()
+                np.testing.assert_allclose(grid_a.values, grid_b.values, rtol=0, atol=1e-12, err_msg=name)
+            for metric in ("accuracy", "weighted_f1"):
+                with_grid = subsampled_emap_metric(model, paired, 4, 12, metric, seed=3, grid=full)
+                assert with_grid == subsampled_emap_metric(model, paired, 4, 12, metric, seed=3), (name, metric)
+
+    def test_full_size_subsample_reproduces_the_full_grid(self, bundled_models, paired):
+        n = paired.n
+        for name, model in bundled_models.items():
+            full = build_grid(model, paired.text, paired.visual)
+            (_, sub_grid), = subsample_grids(model, paired, 1, n, grid=full)
+            assert sub_grid.values.tobytes() == full.values.tobytes(), name
+            direct = full.values[np.arange(n), np.arange(n), :]
+            proj = emap_predictions(emap_decompose(full))
+            for metric in ("accuracy", "weighted_f1"):
+                result = subsampled_emap_metric(model, paired, 1, n, metric, grid=full)
+                assert result.direct_mean == metric_from_logits(metric, direct, paired.labels), name
+                assert result.emap_mean == metric_from_logits(metric, proj, paired.labels), name
+
+    def test_grid_of_another_size_rejected(self, bundled_models, paired):
+        model = bundled_models["linear"]
+        other = build_grid(model, paired.text[:10], paired.visual[:10])
+        with pytest.raises(InputError, match="not the grid of 30 items"):
+            subsampled_emap_metric(model, paired, 2, 5, "accuracy", grid=other)
 
 
 class TestDecompose:

@@ -3,6 +3,7 @@
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,34 @@ class TestGridFiles:
         path.write_bytes(path.read_bytes() + bytes(24))
         with pytest.raises(InputError, match="24 unexpected bytes"):
             emap_io.load_grid(path)
+
+    @pytest.mark.parametrize("name", ["grid.json", "grid.bin"])
+    def test_channel_major_grid_rewrites_byte_for_byte(self, tmp_path, name):
+        """Files keep (i, j, c) row-major order however the grid is held in memory."""
+        planes = np.random.default_rng(4).standard_normal((3, 6, 6))
+        grid = ScoreGrid(values=planes.transpose(1, 2, 0))
+        first, second = tmp_path / f"a.{name}", tmp_path / f"b.{name}"
+        emap_io.save_grid(grid, first)
+        loaded = emap_io.load_grid(first)
+        assert loaded.planes.flags.c_contiguous
+        emap_io.save_grid(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        if name.endswith(".bin"):
+            assert first.read_bytes()[28:] == np.ascontiguousarray(grid.values).tobytes()
+
+    def test_binary_save_and_load_copy_the_grid_once(self, tmp_path):
+        """save holds one (i, j, c) copy; load holds the file's bytes and one copy in planes."""
+        grid = ScoreGrid(values=np.random.default_rng(5).standard_normal((3, 120, 120)).transpose(1, 2, 0))
+        path = tmp_path / "grid.bin"
+        peaks = []
+        for action in (lambda: emap_io.save_grid(grid, path), lambda: emap_io.load_grid(path)):
+            tracemalloc.start()
+            try:
+                action()
+                peaks.append(tracemalloc.get_traced_memory()[1] / grid.values.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 1.5 and peaks[1] < 2.5, peaks
 
     def test_write_is_deterministic(self, grid, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,5 +1,7 @@
 """Reference model families and their training contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,36 @@ class TestFeedForward:
         ds = sign_product_dataset(n=40)
         with pytest.raises(InputError):
             train_interactive(ds, "svm")
+
+
+@pytest.mark.parametrize("kind", ["linear", "poly2"])
+def test_grid_peak_memory_stays_below_one_and_a_half_grids(kind):
+    """logits_grid fills its planes in place: no second N^2 x d array at its peak."""
+    rng = np.random.default_rng(8)
+    n, d1, d2, classes = 600, 6, 5, 2
+    if kind == "linear":
+        model = LinearModel(
+            w_t=rng.standard_normal((d1, classes)),
+            w_v=rng.standard_normal((d2, classes)),
+            b=rng.standard_normal(classes),
+        )
+    else:
+        model = Poly2Model(
+            w=rng.standard_normal((d1 + d2 + d1 * d2, classes)),
+            b=rng.standard_normal(classes),
+            d1=d1,
+            d2=d2,
+        )
+    T, V = rng.standard_normal((n, d1)), rng.standard_normal((n, d2))
+    grid_bytes = n * n * classes * 8
+    tracemalloc.start()
+    try:
+        values = model.logits_grid(T, V)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (n, n, classes)
+    assert peak < 1.5 * grid_bytes, peak / grid_bytes
 
 
 @pytest.mark.parametrize("config", [LinearConfig, Poly2Config, FeedForwardConfig])
