@@ -309,6 +309,15 @@ def _cmd_logic_sweep(args) -> int:
     if lo > hi:
         raise InputError(f"--n-range {args.n_range} is empty; it needs A <= B")
     cfg = AdaBoostConfig(max_depth=args.max_depth, n_stages=args.stages)
+    for n in (lo, hi):
+        table_side(n)  # an out-of-reach range is refused before any warning
+    if cfg.max_depth < 2 * hi:
+        slow = max(lo, cfg.max_depth // 2 + 1)
+        print(
+            f"warning: --max-depth {cfg.max_depth} < 2n for n = {slow}..{hi}: full boosting fits "
+            f"greedy trees on all 4^n cells there, which is slow at large n (--max-depth {2 * hi} avoids it)",
+            file=sys.stderr,
+        )
     rows = run_size_sweep(
         range(lo, hi + 1),
         args.samples,

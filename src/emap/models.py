@@ -5,7 +5,10 @@ text-only part plus a visual-only part, so its cross-pairing grid is an
 exact fixed point of the additive projection.  The two interactive families
 can represent multiplicative cross-modal structure: an explicit degree-2
 cross-term expansion with logistic loss, and a feed-forward network over
-projected features ``[t'; v'; v' - t'; v' * t']``.
+projected features ``[t'; v'; v' - t'; v' * t']``.  At inference the
+network's first layer is split by input side: three quarters of it is
+affine in one side at a time, so a grid computes that part once per item
+and only the product block once per cell.
 
 All training is full-batch and deterministic given the config seed.  Each
 model scores paired rows with ``logits_many(T, V)`` and all text x visual
@@ -41,6 +44,10 @@ __all__ = [
 
 # cells of the unimodal outer-sum temporary that poly2's logits_grid adds per block
 GRID_BLOCK_CELLS = 1 << 16
+# cells of poly2's per-block bilinear temporary in logits_many: at 64 KB glibc serves it
+# from its heap; freeing a larger block raises glibc's mmap and trim thresholds, and the
+# eval's peak RSS then rose by about 1 MB at N = 3000
+PAIR_BLOCK_CELLS = 1 << 13
 
 
 def _check_descent(cfg) -> None:
@@ -282,7 +289,13 @@ class Poly2Model:
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
         T, V = check_widths(T, V, self.d1, self.d2)
         w_t, w_v, w_x = self._split_weights()
-        bilinear = np.einsum("na,abc,nb->nc", T, w_x, V)
+        # t_n' W_x for a block of rows is one gemm; its dot with each v_n one batched matmul
+        bilinear = np.empty((len(T), self.num_classes))
+        rows = max(1, PAIR_BLOCK_CELLS // (self.d2 * self.num_classes))
+        for start in range(0, len(T), rows):
+            block = slice(start, start + rows)
+            t_forms = (T[block] @ w_x.reshape(self.d1, -1)).reshape(-1, self.d2, self.num_classes)
+            bilinear[block] = np.matmul(V[block, np.newaxis, :], t_forms)[:, 0]
         return T @ w_t + V @ w_v + bilinear + self.b
 
     def logits_grid(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -344,13 +357,16 @@ def _train_poly2(data: PairedDataset, cfg: Poly2Config) -> Poly2Model:
 
 
 def _activation(name: str):
+    """``(act, grad)`` of an activation; ``act(x, out=x)`` overwrites ``x``."""
     if name == "relu":
-        return lambda x: np.maximum(x, 0.0), lambda x, a: (x > 0.0).astype(np.float64)
+        return lambda x, out=None: np.maximum(x, 0.0, out=out), lambda x, a: (x > 0.0).astype(np.float64)
     if name == "gelu":
         from scipy.special import erf  # deferred so relu-only runs never import scipy
 
-        def gelu(x):
-            return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+        def gelu(x, out=None):
+            cdf = erf(x / np.sqrt(2.0))
+            cdf += 1.0
+            return np.multiply(0.5 * x, cdf, out=out)
 
         def gelu_grad(x, a):
             pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
@@ -367,7 +383,9 @@ class FeedForwardModel:
     Both inputs are first mapped by affine layers to a common width, then
     the concatenated comparison features feed a plain multi-layer network.
     The elementwise product channel is what gives the family its capacity
-    for multiplicative interactions.
+    for multiplicative interactions.  Training runs that network as
+    written; inference splits its first layer by input side (``_head``),
+    so the comparison features are never concatenated.
     """
 
     proj_t: np.ndarray
@@ -386,27 +404,56 @@ class FeedForwardModel:
         T, V = check_widths(T, V, self.proj_t.shape[0], self.proj_v.shape[0])
         return T @ self.proj_t + self.proj_t_b, V @ self.proj_v + self.proj_v_b
 
-    def _head(self, tp: np.ndarray, vp: np.ndarray) -> np.ndarray:
-        """Logits of row-paired projected features ``tp`` and ``vp``."""
+    def _head(self, tp: np.ndarray, vp: np.ndarray):
+        """A scorer of projected features whose first layer is split by input side.
+
+        ``[t'; v'; v' - t'; v' * t'] [Wa; Wb; Wc; Wd] + b1`` equals
+        ``(v' * t') Wd + (v' (Wb + Wc) + b1) + t' (Wa - Wc)``.  The last two
+        terms depend on one side each and are computed here once per item.
+        The returned ``score(rows)`` gives the logits of the text items
+        ``rows`` against ``vp``: row-paired for a slice of all items, or one
+        text item against every visual item for an integer.  It sums the
+        terms in the order written above, and writes each layer into a
+        buffer of ``len(vp)`` rows that the next call overwrites.
+        """
         act, _ = _activation(self.activation)
-        h = np.hstack([tp, vp, vp - tp, vp * tp])
-        for w, b in self.layers[:-1]:
-            h = act(h @ w + b)
-        w, b = self.layers[-1]
-        return h @ w + b
+        (w1, b1), rest = self.layers[0], self.layers[1:]
+        h = tp.shape[1]
+        w_diff = w1[2 * h : 3 * h]
+        t_part = tp @ (w1[:h] - w_diff)
+        v_part = vp @ (w1[h : 2 * h] + w_diff) + b1
+        w_prod = w1[3 * h :]
+        # one buffer per layer for every call: fresh per-row arrays made a process's first
+        # N = 2000 grid about 1.5x slower (glibc mmap churn; 2 vCPU, BLAS on 1 thread)
+        prod = np.empty_like(vp)
+        outs = [np.empty((len(vp), w.shape[1])) for w, _ in self.layers]
+
+        def score(rows) -> np.ndarray:
+            z = np.matmul(np.multiply(vp, tp[rows], out=prod), w_prod, out=outs[0])
+            z += v_part
+            z += t_part[rows]
+            for (w, b), out in zip(rest, outs[1:]):
+                z = np.matmul(act(z, out=z), w, out=out)
+                z += b
+            return z
+
+        return score
 
     def logits(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
 
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return self._head(*self._project(T, V))
+        return self._head(*self._project(T, V))(slice(None))
 
     def logits_grid(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Both sides projected once; the head runs one text row against all of V at a time."""
+        """Both sides projected and their first-layer parts computed once; then
+        one gemm per layer per text row, that row against all of V.  Each row
+        equals ``logits_many`` of the text item tiled against V."""
         tp, vp = self._project(T, V)
+        score = self._head(tp, vp)
         planes = np.empty((self.num_classes, tp.shape[0], vp.shape[0]))
-        for i, row in enumerate(tp):
-            planes[:, i, :] = self._head(np.broadcast_to(row, vp.shape), vp).T
+        for i in range(tp.shape[0]):
+            planes[:, i, :] = score(i).T
         return planes.transpose(1, 2, 0)
 
     def to_json_dict(self) -> dict:

@@ -232,6 +232,24 @@ class TestLogic:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 4 and lines[3].startswith("10,adaboost_full,1.0,0.0,2")
 
+    @pytest.mark.parametrize("depth, warned", [(3, True), (4, False)])
+    def test_sweep_warns_once_when_depth_is_below_2n(self, capsys, tmp_path, depth, warned):
+        """The warning changes no byte: the CSV equals the library's, which never warns."""
+        from emap.boosting import AdaBoostConfig
+        from emap.logic import run_size_sweep, write_sweep_csv
+
+        out, reference = tmp_path / "sweep.csv", tmp_path / "reference.csv"
+        code, _, err = run(
+            capsys, "logic", "sweep", "--n-range", "1..2", "--samples", "4", "--stages", "5",
+            "--max-depth", str(depth), "--seed", "3", "--out", str(out),
+        )
+        assert code == 0
+        warnings = [line for line in err.splitlines() if line.startswith("warning: ")]
+        assert len(warnings) == warned
+        assert all(line.startswith("warning: --max-depth 3 < 2n for n = 2..2:") for line in warnings)
+        write_sweep_csv(run_size_sweep([1, 2], 4, 3, cfg=AdaBoostConfig(max_depth=depth, n_stages=5)), reference)
+        assert out.read_bytes() == reference.read_bytes()
+
     @pytest.mark.parametrize(
         "extra, digest",
         [

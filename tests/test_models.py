@@ -15,6 +15,7 @@ from emap.models import (
     LinearModel,
     Poly2Config,
     Poly2Model,
+    _activation,
     _fit_softmax_descent,
     predict,
     train_interactive,
@@ -130,6 +131,24 @@ class TestPoly2:
             for j in range(5):
                 np.testing.assert_allclose(grid[i, j], model.logits(T[i], V[j]), atol=1e-12)
 
+    def test_direct_logits_match_the_einsum_and_the_grid_diagonal(self):
+        rng = np.random.default_rng(5)
+        d1, d2, classes, n = 4, 3, 3, 2000  # n spans several row blocks of logits_many
+        model = Poly2Model(
+            w=rng.standard_normal((d1 + d2 + d1 * d2, classes)),
+            b=rng.standard_normal(classes),
+            d1=d1,
+            d2=d2,
+        )
+        T, V = rng.standard_normal((n, d1)), rng.standard_normal((n, d2))
+        w_t, w_v, w_x = model.w[:d1], model.w[d1 : d1 + d2], model.w[d1 + d2 :].reshape(d1, d2, classes)
+        reference = T @ w_t + V @ w_v + np.einsum("na,abc,nb->nc", T, w_x, V) + model.b
+        logits = model.logits_many(T, V)
+        np.testing.assert_allclose(logits, reference, rtol=0, atol=1e-12)
+        last = slice(n - 40, n)
+        diagonal = model.logits_grid(T[last], V[last])[np.arange(40), np.arange(40)]
+        np.testing.assert_allclose(logits[last], diagonal, rtol=0, atol=1e-12)
+
     def test_learns_sign_product_task(self):
         ds = sign_product_dataset()
         model = train_interactive(ds, "poly2", Poly2Config(epochs=300))
@@ -177,6 +196,44 @@ class TestFeedForward:
         model = train_interactive(ds, "feedforward", cfg)
         out = model.logits_many(ds.text[:3], ds.visual[:3])
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    @pytest.mark.parametrize("hidden", [(), (7, 5)], ids=["one-layer", "two-hidden"])
+    @pytest.mark.parametrize("n_t, n_v", [(5, 8), (1, 1)], ids=["rectangular", "single"])
+    def test_split_first_layer_matches_the_concatenated_head(self, activation, hidden, n_t, n_v):
+        """logits_grid and logits_many agree with the head as trained, features concatenated."""
+        rng = np.random.default_rng(6)
+        d1, d2, width, classes = 3, 4, 6, 2
+        widths = [4 * width, *hidden, classes]
+        model = FeedForwardModel(
+            proj_t=rng.standard_normal((d1, width)),
+            proj_t_b=rng.standard_normal(width),
+            proj_v=rng.standard_normal((d2, width)),
+            proj_v_b=rng.standard_normal(width),
+            layers=tuple(
+                (rng.standard_normal((fan_in, fan_out)), rng.standard_normal(fan_out))
+                for fan_in, fan_out in zip(widths[:-1], widths[1:])
+            ),
+            activation=activation,
+        )
+        T, V = rng.standard_normal((n_t, d1)), rng.standard_normal((n_v, d2))
+
+        def concatenated_head(T, V):
+            act, _ = _activation(activation)
+            tp, vp = T @ model.proj_t + model.proj_t_b, V @ model.proj_v + model.proj_v_b
+            h = np.hstack([tp, vp, vp - tp, vp * tp])
+            for w, b in model.layers[:-1]:
+                h = act(h @ w + b)
+            w, b = model.layers[-1]
+            return h @ w + b
+
+        pairs = np.repeat(T, n_v, axis=0), np.tile(V, (n_t, 1))
+        reference = concatenated_head(*pairs)
+        tol = 1e-12 * (1.0 + np.abs(reference).max())
+        grid = model.logits_grid(T, V)
+        assert grid.shape == (n_t, n_v, classes)
+        np.testing.assert_allclose(grid.reshape(-1, classes), reference, rtol=0, atol=tol)
+        np.testing.assert_allclose(model.logits_many(*pairs), reference, rtol=0, atol=tol)
 
     def test_unknown_kind_rejected(self):
         ds = sign_product_dataset(n=40)
