@@ -36,7 +36,7 @@ import numpy as np
 
 from .data import PairedDataset
 from .exceptions import InputError
-from .models import check_widths
+from .models import check_pairs, check_widths
 
 __all__ = [
     "AdaBoostConfig",
@@ -385,8 +385,8 @@ class AdaBoostModel:
         return 2
 
     def _side_inputs(self, T: np.ndarray, V: np.ndarray) -> dict:
-        """The features each stage side reads, after checking their widths."""
-        T, V = check_widths(T, V, self.d1, self.d2)
+        """The features each stage side reads, after checking their widths and row counts."""
+        T, V = check_pairs(T, V, self.d1, self.d2)
         return {"full": np.hstack([T, V]), "text": T, "visual": V}
 
     def decision_scores(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -3,12 +3,12 @@
 The linear model is additive by construction: its logits split into a
 text-only part plus a visual-only part, so its cross-pairing grid is an
 exact fixed point of the additive projection.  The two interactive families
-can represent multiplicative cross-modal structure: an explicit degree-2
-cross-term expansion with logistic loss, and a feed-forward network over
-projected features ``[t'; v'; v' - t'; v' * t']``.  At inference the
-network's first layer is split by input side: three quarters of it is
-affine in one side at a time, so a grid computes that part once per item
-and only the product block once per cell.
+can represent multiplicative cross-modal structure: a logistic model trained
+on a bilinear cross term (never expanded into product features), and a
+feed-forward network over projected features ``[t'; v'; v' - t'; v' * t']``.
+At inference the network's first layer is split by input side: three
+quarters of it is affine in one side at a time, so a grid computes that
+part once per item and only the product block once per cell.
 
 All training is full-batch and deterministic given the config seed.  Each
 model scores paired rows with ``logits_many(T, V)`` and all text x visual
@@ -77,7 +77,6 @@ class Poly2Config:
     lr: float = 1.0
     epochs: int = 400
     seed: int = 0
-    max_features: int = 200_000
 
     def __post_init__(self):
         _check_descent(self)
@@ -136,8 +135,16 @@ def check_widths(T: np.ndarray, V: np.ndarray, d1: int, d2: int):
     return T, V
 
 
+def check_pairs(T: np.ndarray, V: np.ndarray, d1: int, d2: int):
+    """``check_widths`` for paired rows: also refused unless ``T`` and ``V`` have as many rows."""
+    T, V = check_widths(T, V, d1, d2)
+    if len(T) != len(V):
+        raise InputError(f"paired inputs need as many text as visual rows, got {len(T)} and {len(V)}")
+    return T, V
+
+
 def _fit_softmax_descent(
-    features: np.ndarray,
+    forward, adjoint, num_params: int,
     labels: np.ndarray,
     num_classes: int,
     l2: float,
@@ -146,18 +153,19 @@ def _fit_softmax_descent(
 ):
     """Full-batch multinomial logistic regression with step halving.
 
+    Logits are ``forward(w) + b``; ``adjoint`` is ``forward``'s transpose, e.g. ``X @ w`` and ``X.T @ g``.
     A step is committed only if it does not increase the regularized loss,
     so the committed loss sequence is non-increasing; on an increase the
     learning rate is halved and the step retried.  Starts from zero weights,
     which makes the result deterministic without any RNG.  Returns the
     weights, bias and the per-epoch loss history.
     """
-    n, p = features.shape
-    w = np.zeros((p, num_classes))
+    n = labels.shape[0]
+    w = np.zeros((num_params, num_classes))
     b = np.zeros(num_classes)
 
     def loss_of(w_, b_):
-        probs = _softmax(features @ w_ + b_)
+        probs = _softmax(forward(w_) + b_)
         return _cross_entropy(probs, labels) + 0.5 * l2 * float(np.sum(w_ * w_)), probs
 
     loss, probs = loss_of(w, b)
@@ -167,7 +175,7 @@ def _fit_softmax_descent(
         grad_logits = probs
         grad_logits[np.arange(n), labels] -= 1.0
         grad_logits /= n
-        g_w = features.T @ grad_logits + l2 * w
+        g_w = adjoint(grad_logits) + l2 * w
         g_b = grad_logits.sum(axis=0)
         committed = False
         while step > 1e-16:
@@ -204,7 +212,7 @@ class LinearModel:
         return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
 
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-        T, V = check_widths(T, V, self.w_t.shape[0], self.w_v.shape[0])
+        T, V = check_pairs(T, V, self.w_t.shape[0], self.w_v.shape[0])
         return T @ self.w_t + V @ self.w_v + self.b
 
     def logits_grid(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -243,8 +251,8 @@ def train_linear(data: PairedDataset, cfg: LinearConfig | None = None) -> Linear
     train = data.subset("train")
     features = np.hstack([train.text, train.visual])
     w, b, _ = _fit_softmax_descent(
-        features, train.labels, data.num_classes, cfg.l2, cfg.lr, cfg.epochs
-    )
+        lambda w: features @ w, lambda g: features.T @ g, features.shape[1],
+        train.labels, data.num_classes, cfg.l2, cfg.lr, cfg.epochs)
     return LinearModel(
         w_t=w[: train.d1],
         w_v=w[train.d1 :],
@@ -253,12 +261,38 @@ def train_linear(data: PairedDataset, cfg: LinearConfig | None = None) -> Linear
     )
 
 
+def _poly2_split(w: np.ndarray, d1: int, d2: int):
+    """poly2's weight blocks ``w_t``, ``w_v`` and the cross weights ``w_x[a, b, c]``."""
+    return w[:d1], w[d1 : d1 + d2], w[d1 + d2 :].reshape(d1, d2, -1)
+
+
+def _poly2_logits(w: np.ndarray, T: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Bias-free poly2 logits ``t' w_t + v' w_v + t' w_x[:, :, c] v`` of paired rows."""
+    w_t, w_v, w_x = _poly2_split(w, T.shape[1], V.shape[1])
+    d1, d2, classes = w_x.shape
+    # t_n' W_x for a block of rows is one gemm; its dot with each v_n one batched matmul
+    bilinear = np.empty((len(T), classes))
+    rows = max(1, PAIR_BLOCK_CELLS // (d2 * classes))
+    for start in range(0, len(T), rows):
+        block = slice(start, start + rows)
+        t_forms = (T[block] @ w_x.reshape(d1, -1)).reshape(-1, d2, classes)
+        bilinear[block] = np.matmul(V[block, np.newaxis, :], t_forms)[:, 0]
+    return T @ w_t + V @ w_v + bilinear
+
+
+def _poly2_adjoint(g: np.ndarray, T: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``_poly2_logits``'s transpose in ``w``; the cross block is one gemm over the products ``g_nc v_n``."""
+    outer = (g[:, :, np.newaxis] * V[:, np.newaxis, :]).reshape(len(V), -1)  # class-major: 1.8x faster to fill
+    cross = (T.T @ outer).reshape(T.shape[1], g.shape[1], V.shape[1]).transpose(0, 2, 1)
+    return np.vstack([T.T @ g, V.T @ g, cross.reshape(-1, g.shape[1])])
+
+
 @dataclass(frozen=True, eq=False)
 class Poly2Model:
-    """Logistic model over ``[t; v; all pairwise products t_a * v_b]``.
+    """Logistic model over ``t``, ``v`` and all pairwise products ``t_a * v_b``.
 
-    The cross-term block is an explicit bilinear form, so the model can
-    represent multiplicative cross-modal interactions exactly.
+    The cross term is a bilinear form, so the model can represent multiplicative cross-modal
+    interactions exactly; training and ``logits_many`` score it with ``_poly2_logits``.
     """
 
     w: np.ndarray
@@ -271,39 +305,18 @@ class Poly2Model:
     def num_classes(self) -> int:
         return self.b.shape[0]
 
-    @staticmethod
-    def expand(T: np.ndarray, V: np.ndarray) -> np.ndarray:
-        T, V = np.atleast_2d(T), np.atleast_2d(V)
-        cross = np.einsum("na,nb->nab", T, V).reshape(T.shape[0], -1)
-        return np.hstack([T, V, cross])
-
-    def _split_weights(self):
-        w_t = self.w[: self.d1]
-        w_v = self.w[self.d1 : self.d1 + self.d2]
-        w_x = self.w[self.d1 + self.d2 :].reshape(self.d1, self.d2, -1)
-        return w_t, w_v, w_x
-
     def logits(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
 
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-        T, V = check_widths(T, V, self.d1, self.d2)
-        w_t, w_v, w_x = self._split_weights()
-        # t_n' W_x for a block of rows is one gemm; its dot with each v_n one batched matmul
-        bilinear = np.empty((len(T), self.num_classes))
-        rows = max(1, PAIR_BLOCK_CELLS // (self.d2 * self.num_classes))
-        for start in range(0, len(T), rows):
-            block = slice(start, start + rows)
-            t_forms = (T[block] @ w_x.reshape(self.d1, -1)).reshape(-1, self.d2, self.num_classes)
-            bilinear[block] = np.matmul(V[block, np.newaxis, :], t_forms)[:, 0]
-        return T @ w_t + V @ w_v + bilinear + self.b
+        return _poly2_logits(self.w, *check_pairs(T, V, self.d1, self.d2)) + self.b
 
     def logits_grid(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
         """One gemm per class writes the bilinear term into its plane; the unimodal
         outer sum ``t + v`` is then added a block of rows at a time, so no
         temporary is as large as a plane."""
         T, V = check_widths(T, V, self.d1, self.d2)
-        w_t, w_v, w_x = self._split_weights()
+        w_t, w_v, w_x = _poly2_split(self.w, self.d1, self.d2)
         t_part = T @ w_t
         v_part = V @ w_v + self.b
         planes = np.empty((self.num_classes, len(T), len(V)))
@@ -341,16 +354,10 @@ class Poly2Model:
 
 def _train_poly2(data: PairedDataset, cfg: Poly2Config) -> Poly2Model:
     train = data.subset("train")
-    feature_count = train.d1 + train.d2 + train.d1 * train.d2
-    if feature_count > cfg.max_features:
-        raise InputError(
-            f"degree-2 expansion needs {feature_count} features, over the budget "
-            f"of {cfg.max_features}"
-        )
-    features = Poly2Model.expand(train.text, train.visual)
+    T, V = train.text, train.visual
     w, b, _ = _fit_softmax_descent(
-        features, train.labels, data.num_classes, cfg.l2, cfg.lr, cfg.epochs
-    )
+        lambda w: _poly2_logits(w, T, V), lambda g: _poly2_adjoint(g, T, V),
+        train.d1 + train.d2 + train.d1 * train.d2, train.labels, data.num_classes, cfg.l2, cfg.lr, cfg.epochs)
     return Poly2Model(
         w=w, b=b, d1=train.d1, d2=train.d2, config={**asdict(cfg), "kind": "poly2"}
     )
@@ -443,6 +450,7 @@ class FeedForwardModel:
         return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
 
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
+        check_pairs(T, V, self.proj_t.shape[0], self.proj_v.shape[0])
         return self._head(*self._project(T, V))(slice(None))
 
     def logits_grid(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:

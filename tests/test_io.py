@@ -308,6 +308,37 @@ class TestModelFiles:
             assert model.logits_many(T, V).shape == (3, model.num_classes)
             assert model.logits_grid(T, V).shape == (3, 3, model.num_classes)
 
+    @pytest.mark.parametrize("kind", ["linear", "poly2", "feedforward", "adaboost"])
+    @pytest.mark.parametrize("n_t, n_v", [(1, 5), (5, 1)])
+    def test_paired_logits_refuse_unequal_row_counts(self, kind, n_t, n_v, tmp_path):
+        """logits_many pairs rows, so unequal counts are an InputError; logits_grid crosses them."""
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_payload(kind)))
+        model = emap_io.load_model(path)
+        rng = np.random.default_rng(2)
+        T, V = rng.standard_normal((n_t, 3)), rng.standard_normal((n_v, 2))
+        with pytest.raises(InputError, match="rows"):
+            model.logits_many(T, V)
+        assert model.logits_grid(T, V).shape == (n_t, n_v, 2)
+
+    def test_poly2_file_with_the_retired_budget_field_scores_the_same(self, tmp_path):
+        """Files written while poly2 had a ``max_features`` budget keep their config and scores."""
+        payload = model_payload("poly2")
+        current, retired = tmp_path / "current.json", tmp_path / "retired.json"
+        current.write_text(json.dumps(payload))
+        payload["config"] = {
+            "l2": 1e-4, "lr": 1.0, "epochs": 400, "seed": 0, "max_features": 200_000, "kind": "poly2"
+        }
+        retired.write_text(json.dumps(payload))
+        model, loaded = emap_io.load_model(current), emap_io.load_model(retired)
+        assert loaded.config == payload["config"]
+        rng = np.random.default_rng(3)
+        T, V = rng.standard_normal((7, 3)), rng.standard_normal((7, 2))
+        np.testing.assert_array_equal(loaded.logits_many(T, V), model.logits_many(T, V))
+        np.testing.assert_array_equal(loaded.logits_grid(T, V), model.logits_grid(T, V))
+        features = np.hstack([T, V, np.einsum("na,nb->nab", T, V).reshape(7, -1)])
+        np.testing.assert_allclose(loaded.logits_many(T, V), features @ loaded.w + loaded.b, rtol=0, atol=1e-12)
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"kind": "transformer"}')

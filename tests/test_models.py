@@ -17,6 +17,8 @@ from emap.models import (
     Poly2Model,
     _activation,
     _fit_softmax_descent,
+    _poly2_adjoint,
+    _poly2_logits,
     predict,
     train_interactive,
     train_linear,
@@ -45,6 +47,11 @@ def additive_labels_dataset(n=600, d1=5, d2=4, seed=0):
     split = np.zeros(n, dtype=np.int8)
     split[-n // 4 :] = 2  # last quarter is test
     return make_dataset(T, V, y, split=split)
+
+
+def expand(T, V):
+    """The explicit degree-2 features ``[t; v; t_a * v_b]`` whose weights poly2 stores."""
+    return np.hstack([T, V, np.einsum("na,nb->nab", T, V).reshape(len(T), -1)])
 
 
 def sign_product_dataset(n=500, seed=0):
@@ -93,7 +100,9 @@ class TestLinear:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((80, 6))
         y = (X[:, 0] + 0.3 * rng.standard_normal(80) > 0).astype(np.int64)
-        _, _, history = _fit_softmax_descent(X, y, 2, l2=1e-4, lr=1.0, epochs=120)
+        _, _, history = _fit_softmax_descent(
+            lambda w: X @ w, lambda g: X.T @ g, X.shape[1], y, 2, l2=1e-4, lr=1.0, epochs=120
+        )
         assert len(history) > 10
         assert np.all(np.diff(history) <= 1e-6)
 
@@ -156,16 +165,50 @@ class TestPoly2:
         acc = np.mean(np.argmax(model.logits_many(train.text, train.visual), axis=1) == train.labels)
         assert acc >= 0.95
 
-    def test_feature_budget_enforced(self):
-        ds = make_dataset(np.zeros((4, 100)), np.zeros((4, 100)), [0, 1, 0, 1])
-        with pytest.raises(InputError):
-            train_interactive(ds, "poly2", Poly2Config(max_features=1000))
+    def test_wide_inputs_train_without_a_feature_budget(self):
+        """10 200 weights per class: the width that once exceeded the expansion budget."""
+        rng = np.random.default_rng(9)
+        ds = make_dataset(rng.standard_normal((4, 100)), rng.standard_normal((4, 100)), [0, 1, 0, 1])
+        model = train_interactive(ds, "poly2", Poly2Config(epochs=20))
+        assert model.w.shape == (100 + 100 + 100 * 100, 2)
+        assert np.all(np.isfinite(model.logits_many(ds.text, ds.visual)))
 
-    def test_expand_layout(self):
-        T, V = np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])
-        np.testing.assert_array_equal(
-            Poly2Model.expand(T, V), [[1.0, 2.0, 3.0, 4.0, 3.0, 4.0, 6.0, 8.0]]
+    def test_adjoint_is_the_transpose_of_the_expanded_features(self):
+        rng = np.random.default_rng(10)
+        n, d1, d2, classes = 300, 4, 3, 3
+        T, V = rng.standard_normal((n, d1)), rng.standard_normal((n, d2))
+        w = rng.standard_normal((d1 + d2 + d1 * d2, classes))
+        g = rng.standard_normal((n, classes))
+        features = expand(T, V)
+        reference = features.T @ g
+        adjoint = _poly2_adjoint(g, T, V)
+        assert adjoint.shape == reference.shape
+        assert np.abs(adjoint - reference).max() <= 1e-12 * np.abs(reference).max()
+        forward = _poly2_logits(w, T, V)
+        np.testing.assert_allclose(forward, features @ w, rtol=0, atol=1e-12 * np.abs(forward).max())
+        # <forward(w), g> = <w, adjoint(g)>
+        assert np.isclose(np.sum(forward * g), np.sum(w * adjoint), rtol=1e-12, atol=0)
+
+    def test_fit_matches_descent_on_the_expanded_features(self):
+        rng = np.random.default_rng(11)
+        n, d1, d2 = 400, 5, 4
+        T, V = rng.standard_normal((n, d1)), rng.standard_normal((n, d2))
+        y = (T[:, 0] * V[:, 0] + 0.3 * T[:, 1] > 0).astype(np.int64)
+        ds = make_dataset(T, V, y)
+        cfg = Poly2Config(epochs=150)
+        features = expand(T, V)
+        args = (features.shape[1], y, 2, cfg.l2, cfg.lr, cfg.epochs)
+        w_ref, b_ref, history_ref = _fit_softmax_descent(
+            lambda w: features @ w, lambda g: features.T @ g, *args
         )
+        _, _, history = _fit_softmax_descent(
+            lambda w: _poly2_logits(w, T, V), lambda g: _poly2_adjoint(g, T, V), *args
+        )
+        model = train_interactive(ds, "poly2", cfg)
+        assert len(history) == len(history_ref)
+        np.testing.assert_allclose(history, history_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.w, w_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.b, b_ref, rtol=0, atol=1e-12)
 
 
 class TestFeedForward:
