@@ -38,6 +38,8 @@ __all__ = [
     "projection_loss",
 ]
 
+LOSS_BLOCK_CELLS = 1 << 18  # residual floats per block in projection_loss (2 MB)
+
 
 @dataclass(frozen=True, eq=False)
 class ScoreGrid:
@@ -65,7 +67,8 @@ class ScoreGrid:
             raise InputError(f"grid dimensions must all be >= 1, got {values.shape}")
         # channel-major memory fixes the summation order of the means (see the module docstring)
         values = np.ascontiguousarray(values.transpose(2, 0, 1)).transpose(1, 2, 0)
-        if not np.isfinite(values).all():
+        # NaN propagates through min and max, so this finds any non-finite value without a mask
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             bad = np.argwhere(~np.isfinite(values))[0]
             raise NumericError(f"non-finite grid value at (i={bad[0]}, j={bad[1]}, channel={bad[2]})")
         object.__setattr__(self, "values", values)
@@ -246,7 +249,8 @@ def projection_loss(
 
     Returns the total over all cells and channels, or the per-channel vector
     when ``per_channel`` is set.  The objective decouples across channels, so
-    the total is exactly the sum of the per-channel losses.
+    the total is exactly the sum of the per-channel losses.  The residual is
+    formed ``LOSS_BLOCK_CELLS`` cells (whole rows, at least one) at a time.
     """
     if dec.tau.shape[0] != grid.n_text or dec.phi.shape[0] != grid.n_visual:
         raise InputError(
@@ -255,11 +259,16 @@ def projection_loss(
         )
     if dec.d != grid.d:
         raise InputError(f"channel mismatch: grid d={grid.d}, decomposition d={dec.d}")
-    resid = np.empty(grid.planes.shape)
-    np.add(dec.tau.T[:, :, np.newaxis], dec.phi.T[:, np.newaxis, :], out=resid)
-    resid += dec.mu[:, np.newaxis, np.newaxis]
-    np.subtract(grid.planes, resid, out=resid)
-    channel = np.sum(resid * resid, axis=(1, 2))
+    planes = grid.planes
+    rows = max(1, LOSS_BLOCK_CELLS // grid.n_visual)
+    channel = np.zeros(grid.d)
+    for c in range(grid.d):
+        for start in range(0, grid.n_text, rows):
+            resid = dec.tau[start : start + rows, c, np.newaxis] + dec.phi[:, c]
+            resid += dec.mu[c]
+            np.subtract(planes[c, start : start + rows], resid, out=resid)
+            np.square(resid, out=resid)
+            channel[c] += resid.sum()
     if per_channel:
         return channel
     return float(np.sum(channel))

@@ -15,7 +15,9 @@ file extension (anything but ``.json``).  Binary layouts are little-endian:
 All writers produce byte-identical output for identical inputs.  Every
 loader turns a malformed file into ``InputError``; binary readers check each
 length a header claims against the bytes left in the file before reading or
-allocating anything, and reject bytes left over after the payload.
+allocating anything, and reject bytes left over after the payload.  A
+binary grid is read in blocks of whole rows straight into channel-major
+planes; a JSON grid file above ``JSON_GRID_MAX_BYTES`` is refused.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ GRID_MAGIC = b"EMAPGRID"
 DECOMP_MAGIC = b"EMAPDCMP"
 DATA_MAGIC = b"EMAPDATA"
 FORMAT_VERSION = 1
+GRID_READ_BLOCK_BYTES = 1 << 22  # a binary grid is read about this many bytes (whole rows) at a time
+# Parsing a JSON grid holds about 3x its file size (13.6x the values' bytes) in Python
+# floats and lists, so larger files are refused in favour of the binary format, which
+# loads with one grid plus one block.
+JSON_GRID_MAX_BYTES = 256 << 20
 
 _SPLIT_CODES = {name: i for i, name in enumerate(SPLIT_NAMES)}
 
@@ -85,10 +92,14 @@ def _is_json(path) -> bool:
     return Path(path).suffix.lower() == ".json"
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
+def _check_left(fh, count: int, what: str) -> None:
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if count > left:
         raise InputError(f"truncated file while reading {what}: need {count} bytes, {left} left")
+
+
+def _read_exact(fh, count: int, what: str) -> bytes:
+    _check_left(fh, count, what)
     data = fh.read(count)
     if len(data) != count:
         raise InputError(f"truncated file while reading {what}")
@@ -139,6 +150,13 @@ def save_grid(grid: ScoreGrid, path) -> None:
 
 def load_grid(path) -> ScoreGrid:
     if _is_json(path):
+        size = os.stat(path).st_size
+        if size > JSON_GRID_MAX_BYTES:
+            raise InputError(
+                f"{path} is a {size / 2**20:.0f} MiB JSON grid; JSON grids above "
+                f"{JSON_GRID_MAX_BYTES // 2**20} MiB are refused, save the grid in the binary format"
+                " (any extension but .json)"
+            )
         payload = _load_json(path)
         with _malformed(path, "grid"):
             values = np.asarray(payload["values"], dtype=np.float64)
@@ -156,10 +174,16 @@ def load_grid(path) -> ScoreGrid:
             )
     with open(path, "rb") as fh:
         n, d = _read_header(fh, path, GRID_MAGIC, "<IQQ", "grid")
-        raw = _read_exact(fh, 8 * n * n * d, "values")
+        row_bytes = 8 * n * d
+        _check_left(fh, row_bytes * n, "values")
+        # rows straight from the file's (i, j, c) order into channel-major planes
+        planes = np.empty((d, n, n))
+        rows = max(1, GRID_READ_BLOCK_BYTES // row_bytes)
+        for start in range(0, n, rows):
+            count = min(rows, n - start)
+            block = np.frombuffer(_read_exact(fh, row_bytes * count, "values"), dtype="<f8")
+            planes[:, start : start + count] = block.reshape(count, n, d).transpose(2, 0, 1)
         _expect_end(fh, path)
-    # one copy, from the file's (i, j, c) order straight into channel-major planes
-    planes = np.frombuffer(raw, dtype="<f8").reshape(n, n, d).transpose(2, 0, 1).astype(np.float64, order="C")
     return ScoreGrid(values=planes.transpose(1, 2, 0))
 
 

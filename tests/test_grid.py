@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emap import grid as grid_module
 from emap.boosting import AdaBoostConfig, train_adaboost
 from emap.exceptions import InputError, NumericError
 from emap.grid import (
@@ -270,6 +271,20 @@ class TestProjectionLoss:
         first = projection_loss(ScoreGrid(values=one), emap_decompose(ScoreGrid(values=one)))
         np.testing.assert_allclose(per_channel[0], first, rtol=1e-12)
 
+    @pytest.mark.parametrize("cells", [1, 7, 30, 1 << 18])
+    def test_row_blocks_match_the_whole_grid_residual(self, monkeypatch, cells):
+        """Any block size (one row, rows not dividing N_t, the whole grid) gives the same loss."""
+        rng = np.random.default_rng(cells)
+        grid = random_grid(rng, n_t=11, n_v=6, d=3)
+        dec = AdditiveDecomposition(
+            tau=rng.standard_normal((11, 3)), phi=rng.standard_normal((6, 3)), mu=rng.standard_normal(3)
+        )
+        resid = grid.values - dec.reconstruct()
+        monkeypatch.setattr(grid_module, "LOSS_BLOCK_CELLS", cells)
+        np.testing.assert_allclose(
+            projection_loss(grid, dec, per_channel=True), np.sum(resid * resid, axis=(0, 1)), rtol=1e-13
+        )
+
     def test_shape_mismatch_rejected(self):
         grid = golden_grid()
         dec = emap_decompose(random_grid(np.random.default_rng(0), n_t=4, n_v=4))
@@ -332,6 +347,14 @@ class TestValidation:
         values = np.zeros((2, 2, 1))
         values[1, 0, 0] = np.inf
         with pytest.raises(NumericError, match=r"i=1.*j=0"):
+            ScoreGrid(values=values)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_first_non_finite_value_is_named(self, bad):
+        values = np.arange(24.0).reshape(2, 4, 3)
+        values[1, 2, 1] = bad
+        values[1, 3, 0] = np.nan
+        with pytest.raises(NumericError, match=r"i=1, j=2, channel=1"):
             ScoreGrid(values=values)
 
     def test_grid_shape_checked(self):

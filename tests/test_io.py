@@ -173,6 +173,28 @@ class TestGridFiles:
                 tracemalloc.stop()
         assert peaks[0] < 1.5 and peaks[1] < 2.5, peaks
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_row_blocked_load_matches_the_file_bytes(self, monkeypatch, tmp_path, d):
+        """Blocks of 1, 4 and all rows load the same values as one read of the whole payload."""
+        n = 13
+        path = tmp_path / "grid.bin"
+        emap_io.save_grid(ScoreGrid(values=np.random.default_rng(d).standard_normal((n, n, d))), path)
+        one_shot = np.frombuffer(path.read_bytes()[28:], dtype="<f8").reshape(n, n, d)
+        for rows in (1, 4, n):
+            monkeypatch.setattr(emap_io, "GRID_READ_BLOCK_BYTES", rows * n * d * 8)
+            loaded = emap_io.load_grid(path)
+            assert loaded.planes.flags.c_contiguous
+            assert np.ascontiguousarray(loaded.values).tobytes() == one_shot.tobytes()
+
+    def test_json_grid_above_the_size_limit_is_refused(self, monkeypatch, grid, tmp_path):
+        path = tmp_path / "grid.json"
+        emap_io.save_grid(grid, path)
+        monkeypatch.setattr(emap_io, "JSON_GRID_MAX_BYTES", path.stat().st_size - 1)
+        with pytest.raises(InputError, match="binary format"):
+            emap_io.load_grid(path)
+        monkeypatch.setattr(emap_io, "JSON_GRID_MAX_BYTES", path.stat().st_size)
+        np.testing.assert_array_equal(emap_io.load_grid(path).values, grid.values)
+
     def test_write_is_deterministic(self, grid, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         emap_io.save_grid(grid, a)

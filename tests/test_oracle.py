@@ -1,12 +1,20 @@
 """Independent stationarity/optimality verification of the projection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from emap import oracle
+from emap.exceptions import InputError, NumericError
 from emap.grid import AdditiveDecomposition, ScoreGrid, emap_decompose, emap_predictions, projection_loss
 from emap.oracle import (
+    HESSIAN_BLOCK_CELLS,
     _fd_derivatives,
+    _hessian_matvec,
+    _max_pred_diff,
     _pair_sum_identity,
+    _pair_sum_identity_rows,
     analytic_gradient,
     check_hessian,
     check_stationarity,
@@ -24,7 +32,7 @@ def golden_grid():
 
 
 class TestSolveExact:
-    @pytest.mark.parametrize("method", ["dense", "structured"])
+    @pytest.mark.parametrize("method", ["dense", "cg"])
     def test_worked_example_diagonal(self, method):
         dec = solve_exact(golden_grid(), method=method)
         np.testing.assert_allclose(
@@ -46,15 +54,38 @@ class TestSolveExact:
             grid = ScoreGrid(values=rng.standard_normal((n, n, d)) * 5.0)
             alg = emap_decompose(grid).reconstruct()
             dense = solve_exact(grid, method="dense").reconstruct()
-            structured = solve_exact(grid, method="structured").reconstruct()
-            worst = max(worst, np.max(np.abs(alg - dense)), np.max(np.abs(alg - structured)))
+            cg = solve_exact(grid, method="cg").reconstruct()
+            worst = max(worst, np.max(np.abs(alg - dense)), np.max(np.abs(alg - cg)))
         assert worst <= 1e-8
 
     def test_rectangular_rejected(self):
-        from emap.exceptions import InputError
-
         with pytest.raises(InputError):
             solve_exact(ScoreGrid(values=np.zeros((2, 3, 1))))
+
+    @pytest.mark.parametrize("n", [65, 80])
+    def test_cg_agrees_with_dense_and_means_above_the_dense_limit(self, n):
+        grid = ScoreGrid(values=np.random.default_rng(n).standard_normal((n, n, 3)) * 4.0)
+        cg = solve_exact(grid, method="cg").reconstruct()
+        assert np.max(np.abs(cg - solve_exact(grid, method="dense").reconstruct())) <= 1e-10
+        assert np.max(np.abs(cg - emap_decompose(grid).reconstruct())) <= 1e-10
+
+    def test_auto_picks_dense_up_to_the_limit_and_cg_beyond(self, monkeypatch):
+        calls = []
+        real = oracle._solve_cg
+        monkeypatch.setattr(oracle, "_solve_cg", lambda rhs, n: calls.append(n) or real(rhs, n))
+        for n in (oracle.DENSE_LIMIT, oracle.DENSE_LIMIT + 1):
+            solve_exact(ScoreGrid(values=np.ones((n, n, 1))))
+        assert calls == [oracle.DENSE_LIMIT + 1]
+
+    def test_structured_method_is_gone(self):
+        with pytest.raises(InputError, match="unknown solve method 'structured'"):
+            solve_exact(golden_grid(), method="structured")
+
+    def test_cg_without_convergence_is_numeric_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "CG_MAX_ITER", 1)
+        grid = ScoreGrid(values=np.random.default_rng(8).standard_normal((70, 70, 2)))
+        with pytest.raises(NumericError, match="did not converge"):
+            solve_exact(grid, method="cg")
 
     def test_loss_match(self):
         rng = np.random.default_rng(9)
@@ -154,6 +185,45 @@ class TestHessian:
         for block in (1, 5, 23, 64):
             assert _pair_sum_identity(z, n, block).tobytes() == dense.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 7, 64, 65, 300])
+    def test_matvec_matches_dense_hessian(self, n):
+        z = np.random.default_rng(n).standard_normal((5, 2 * n))
+        np.testing.assert_allclose(_hessian_matvec(z, n), z @ hessian_matrix(n), rtol=1e-14, atol=1e-12)
+        assert np.max(np.abs(_hessian_matvec(nullspace_direction(n), n))) == 0.0
+
+    @pytest.mark.parametrize("n", [65, 97])
+    def test_row_blocked_pair_sums_match_the_dense_identity(self, monkeypatch, n):
+        z = np.random.default_rng(n).standard_normal((3, 2 * n))
+        dense = _pair_sum_identity(z, n, 3)
+        for cells in (n, 7 * n, 50 * n, HESSIAN_BLOCK_CELLS):  # 1, 7, 50 rows and all rows per block
+            monkeypatch.setattr(oracle, "HESSIAN_BLOCK_CELLS", cells)
+            blocked = np.array([_pair_sum_identity_rows(probe, n) for probe in z])
+            np.testing.assert_allclose(blocked, dense, rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [65, 300, 2000])
+    def test_matrix_free_check_passes_above_the_dense_limit(self, n):
+        report = check_hessian(n, samples=50, seed=n)
+        assert report.hessian_max_rel_err <= 1e-8
+        assert report.hessian_min_quadform >= -1e-10
+        assert report.nullspace_residual == 0.0
+
+    @pytest.mark.parametrize("n", [65, 300])
+    def test_wrong_matvec_is_caught(self, monkeypatch, n):
+        """A matvec with diagonal n - 1 in place of n must fail the check and verify."""
+        monkeypatch.setattr(oracle, "_hessian_matvec", lambda z, n: _hessian_matvec(z, n) - z)
+        assert check_hessian(n, samples=20).hessian_max_rel_err > 1e-8
+        grid = ScoreGrid(values=np.random.default_rng(n).standard_normal((n, n, 2)))
+        assert verify_projection(grid)[1] is False
+
+    def test_check_hessian_stays_within_two_blocks(self):
+        tracemalloc.start()
+        try:
+            check_hessian(2000, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * HESSIAN_BLOCK_CELLS * 8, peak
+
     def test_rank_is_2n_minus_1(self):
         for n in (2, 4, 7):
             assert np.linalg.matrix_rank(hessian_matrix(n)) == 2 * n - 1
@@ -189,6 +259,36 @@ class TestOptimality:
         base = projection_loss(grid, dec)
         gauge = AdditiveDecomposition(tau=dec.tau + 0.7, phi=dec.phi - 0.7, mu=dec.mu)
         assert abs(projection_loss(grid, gauge) - base) <= 1e-10
+
+    def test_max_pred_diff_equals_the_reconstructed_maximum(self):
+        rng = np.random.default_rng(12)
+        for scale in (1e-3, 1.0, 1e3):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+            grid = ScoreGrid(values=rng.standard_normal((n, n, d)) * scale)
+            alg = emap_decompose(grid)
+            others = [solve_exact(grid, method="cg")] + [
+                AdditiveDecomposition(
+                    tau=alg.tau + rng.standard_normal(alg.tau.shape) * scale * spread,
+                    phi=alg.phi + rng.standard_normal(alg.phi.shape) * scale * spread,
+                    mu=alg.mu + rng.standard_normal(alg.mu.shape) * scale * spread,
+                )
+                for spread in (1e-9, 1.0)
+            ]
+            bound = 1e-15 * (1.0 + float(np.max(np.abs(grid.values))))
+            for other in others:
+                reconstructed = float(np.max(np.abs(alg.reconstruct() - other.reconstruct())))
+                assert abs(_max_pred_diff(alg, other) - reconstructed) <= bound
+
+    def test_verify_projection_holds_no_grid_sized_temporary(self):
+        grid = ScoreGrid(values=np.random.default_rng(13).standard_normal((2, 1000, 1000)).transpose(1, 2, 0))
+        tracemalloc.start()
+        try:
+            _, passed = verify_projection(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passed
+        assert peak < grid.values.nbytes, peak
 
     def test_verify_projection_bundle(self):
         report, passed = verify_projection(golden_grid())
