@@ -17,7 +17,8 @@ loader turns a malformed file into ``InputError``; binary readers check each
 length a header claims against the bytes left in the file before reading or
 allocating anything, and reject bytes left over after the payload.  A
 binary grid is read in blocks of whole rows straight into channel-major
-planes; a JSON grid file above ``JSON_GRID_MAX_BYTES`` is refused.
+planes.  A JSON grid file above ``JSON_GRID_MAX_BYTES`` is refused, at load
+and before a save whose file could exceed it.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .boosting import AdaBoostModel
 from .data import SPLIT_NAMES, PairedDataset
 from .exceptions import InputError
 from .grid import AdditiveDecomposition, ScoreGrid
-from .models import FeedForwardModel, LinearModel, Poly2Model
 
 __all__ = [
     "save_grid",
@@ -57,6 +56,11 @@ GRID_READ_BLOCK_BYTES = 1 << 22  # a binary grid is read about this many bytes (
 # floats and lists, so larger files are refused in favour of the binary format, which
 # loads with one grid plus one block.
 JSON_GRID_MAX_BYTES = 256 << 20
+# A saved JSON grid spends at most 34 bytes per value: an 8-space indent, a float64 repr of at
+# most 24 characters (such as -2.2250738585072014e-308) and ",\n".  The brackets around each
+# cell add 17 bytes, those around each row 13, and the keys, sizes and brackets of the
+# object at most 128.
+JSON_VALUE_MAX_BYTES = 34
 
 _SPLIT_CODES = {name: i for i, name in enumerate(SPLIT_NAMES)}
 
@@ -127,10 +131,27 @@ def _expect_end(fh, path) -> None:
 # -- grids ------------------------------------------------------------------
 
 
+def _json_grid_bytes_bound(grid: ScoreGrid) -> int:
+    """An upper bound on the size of ``grid`` saved as JSON (see ``JSON_VALUE_MAX_BYTES``)."""
+    ids = sum(len(json.dumps(item)) + 6 for item in grid.text_ids + grid.visual_ids)
+    return grid.n * grid.n * (JSON_VALUE_MAX_BYTES * grid.d + 17) + 13 * grid.n + ids + 128
+
+
+def _refuse_large_json_grid(path, size: int, what: str) -> None:
+    if size > JSON_GRID_MAX_BYTES:
+        raise InputError(
+            f"{path} {what} {size / 2**20:.0f} MiB JSON grid; JSON grids above "
+            f"{JSON_GRID_MAX_BYTES // 2**20} MiB are refused, save the grid in the binary format"
+            " (any extension but .json)"
+        )
+
+
 def save_grid(grid: ScoreGrid, path) -> None:
     if not grid.is_square:
         raise InputError("grid files store square grids only")
     if _is_json(path):
+        # refused before serialising, which holds about 28x the values' bytes
+        _refuse_large_json_grid(path, _json_grid_bytes_bound(grid), "would be up to a")
         dump_json(
             {
                 "n": grid.n,
@@ -150,13 +171,7 @@ def save_grid(grid: ScoreGrid, path) -> None:
 
 def load_grid(path) -> ScoreGrid:
     if _is_json(path):
-        size = os.stat(path).st_size
-        if size > JSON_GRID_MAX_BYTES:
-            raise InputError(
-                f"{path} is a {size / 2**20:.0f} MiB JSON grid; JSON grids above "
-                f"{JSON_GRID_MAX_BYTES // 2**20} MiB are refused, save the grid in the binary format"
-                " (any extension but .json)"
-            )
+        _refuse_large_json_grid(path, os.stat(path).st_size, "is a")
         payload = _load_json(path)
         with _malformed(path, "grid"):
             values = np.asarray(payload["values"], dtype=np.float64)
@@ -313,22 +328,21 @@ def load_dataset(path) -> PairedDataset:
 
 # -- models ------------------------------------------------------------------
 
-_MODEL_KINDS = {
-    "linear": LinearModel,
-    "poly2": Poly2Model,
-    "feedforward": FeedForwardModel,
-    "adaboost": AdaBoostModel,
-}
-
-
 def save_model(model, path) -> None:
     dump_json(model.to_json_dict(), path)
 
 
 def load_model(path):
+    # imported here, so that reading grids and datasets loads no model or boosting code
+    from .boosting import AdaBoostModel
+    from .models import FeedForwardModel, LinearModel, Poly2Model
+
+    kinds = {
+        "linear": LinearModel, "poly2": Poly2Model, "feedforward": FeedForwardModel, "adaboost": AdaBoostModel,
+    }
     payload = _load_json(path)
     with _malformed(path, "model"):
         kind = payload.get("kind")
-        if kind not in _MODEL_KINDS:
+        if kind not in kinds:
             raise InputError(f"unknown model kind {kind!r} in {path}")
-        return _MODEL_KINDS[kind].from_json_dict(payload)
+        return kinds[kind].from_json_dict(payload)

@@ -6,9 +6,9 @@ exact fixed point of the additive projection.  The two interactive families
 can represent multiplicative cross-modal structure: a logistic model trained
 on a bilinear cross term (never expanded into product features), and a
 feed-forward network over projected features ``[t'; v'; v' - t'; v' * t']``.
-At inference the network's first layer is split by input side: three
-quarters of it is affine in one side at a time, so a grid computes that
-part once per item and only the product block once per cell.
+Training and scoring share one first-layer formula split by input side:
+three quarters of it is affine in one side at a time, so a grid computes
+that part once per item and only the product block once per cell.
 
 All training is full-batch and deterministic given the config seed.  Each
 model scores paired rows with ``logits_many(T, V)`` and all text x visual
@@ -364,9 +364,9 @@ def _train_poly2(data: PairedDataset, cfg: Poly2Config) -> Poly2Model:
 
 
 def _activation(name: str):
-    """``(act, grad)`` of an activation; ``act(x, out=x)`` overwrites ``x``."""
+    """``(act, grad)``: an activation and its derivative; ``act(x, out=x)`` overwrites ``x``."""
     if name == "relu":
-        return lambda x, out=None: np.maximum(x, 0.0, out=out), lambda x, a: (x > 0.0).astype(np.float64)
+        return lambda x, out=None: np.maximum(x, 0.0, out=out), lambda x: (x > 0.0).astype(np.float64)
     if name == "gelu":
         from scipy.special import erf  # deferred so relu-only runs never import scipy
 
@@ -375,7 +375,7 @@ def _activation(name: str):
             cdf += 1.0
             return np.multiply(0.5 * x, cdf, out=out)
 
-        def gelu_grad(x, a):
+        def gelu_grad(x):
             pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
             return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * pdf
 
@@ -383,16 +383,27 @@ def _activation(name: str):
     raise InputError(f"unknown activation {name!r}")
 
 
+def _split_first_layer(w1: np.ndarray):
+    """``W1 = [Wa; Wb; Wc; Wd]`` as the weights ``(Wa - Wc, Wb + Wc, Wd)`` of ``t'``, ``v'`` and ``v' * t'``.
+
+    ``[t'; v'; v' - t'; v' * t'] W1 + b1`` equals ``(v' * t') Wd + (v' (Wb + Wc) + b1) + t' (Wa - Wc)``,
+    the one first-layer formula that training and scoring both sum in this order.
+    """
+    wa, wb, wc, wd = np.split(w1, 4)
+    return wa - wc, wb + wc, wd
+
+
 @dataclass(frozen=True, eq=False)
 class FeedForwardModel:
     """Network over projected features ``[t'; v'; v' - t'; v' * t']``.
 
     Both inputs are first mapped by affine layers to a common width, then
-    the concatenated comparison features feed a plain multi-layer network.
-    The elementwise product channel is what gives the family its capacity
-    for multiplicative interactions.  Training runs that network as
-    written; inference splits its first layer by input side (``_head``),
-    so the comparison features are never concatenated.
+    the comparison features feed a plain multi-layer network.  The
+    elementwise product channel is what gives the family its capacity for
+    multiplicative interactions.  Training (``_ffn_forward``) and scoring
+    (``_head``) evaluate the first layer with one formula split by input
+    side (``_split_first_layer``), so the comparison features are never
+    concatenated and the two give the same logits bit for bit.
     """
 
     proj_t: np.ndarray
@@ -412,24 +423,20 @@ class FeedForwardModel:
         return T @ self.proj_t + self.proj_t_b, V @ self.proj_v + self.proj_v_b
 
     def _head(self, tp: np.ndarray, vp: np.ndarray):
-        """A scorer of projected features whose first layer is split by input side.
+        """A scorer of projected features whose first layer is ``_split_first_layer``'s formula.
 
-        ``[t'; v'; v' - t'; v' * t'] [Wa; Wb; Wc; Wd] + b1`` equals
-        ``(v' * t') Wd + (v' (Wb + Wc) + b1) + t' (Wa - Wc)``.  The last two
-        terms depend on one side each and are computed here once per item.
-        The returned ``score(rows)`` gives the logits of the text items
-        ``rows`` against ``vp``: row-paired for a slice of all items, or one
-        text item against every visual item for an integer.  It sums the
-        terms in the order written above, and writes each layer into a
+        The two terms that depend on one side each are computed here once
+        per item.  The returned ``score(rows)`` gives the logits of the text
+        items ``rows`` against ``vp``: row-paired for a slice of all items,
+        or one text item against every visual item for an integer.  It sums
+        the terms in that formula's order, and writes each layer into a
         buffer of ``len(vp)`` rows that the next call overwrites.
         """
         act, _ = _activation(self.activation)
         (w1, b1), rest = self.layers[0], self.layers[1:]
-        h = tp.shape[1]
-        w_diff = w1[2 * h : 3 * h]
-        t_part = tp @ (w1[:h] - w_diff)
-        v_part = vp @ (w1[h : 2 * h] + w_diff) + b1
-        w_prod = w1[3 * h :]
+        w_t, w_v, w_prod = _split_first_layer(w1)
+        t_part = tp @ w_t
+        v_part = vp @ w_v + b1
         # one buffer per layer for every call: fresh per-row arrays made a process's first
         # N = 2000 grid about 1.5x slower (glibc mmap churn; 2 vCPU, BLAS on 1 thread)
         prod = np.empty_like(vp)
@@ -500,98 +507,90 @@ class FeedForwardModel:
         )
 
 
+def _ffn_forward(params: list, T: np.ndarray, V: np.ndarray, act):
+    """Training's forward ``(tp, vp, prod, pre, post)``: ``pre[-1]`` is the logits, ``post[k] = act(pre[k])``.
+
+    The first layer sums ``_split_first_layer``'s terms in ``_head``'s order, so ``pre[-1]`` equals
+    ``logits_many`` of the same rows bit for bit.  ``params`` is ``_train_feedforward``'s list.
+    """
+    p_t, b_t, p_v, b_v, w1, b1, *rest = params
+    tp, vp = T @ p_t + b_t, V @ p_v + b_v
+    w_t, w_v, w_prod = _split_first_layer(w1)
+    prod = vp * tp
+    z = prod @ w_prod
+    z += vp @ w_v + b1
+    z += tp @ w_t
+    pre, post = [z], []
+    for w, b in zip(rest[::2], rest[1::2]):
+        post.append(act(pre[-1]))
+        pre.append(post[-1] @ w + b)
+    return tp, vp, prod, pre, post
+
+
+def _ffn_loss_and_grads(params: list, T: np.ndarray, V: np.ndarray, y: np.ndarray, activation: str, l2: float):
+    """Mean cross-entropy plus ``l2 / 2`` times each weight matrix's squared norm, and its gradients.
+
+    With ``g_t = t'^T delta``, ``g_v = v'^T delta`` and ``g_p = (v' * t')^T delta`` at the first
+    layer, ``dW1 = [g_t; g_v; g_v - g_t; g_p]``.
+    """
+    act, act_grad = _activation(activation)
+    tp, vp, prod, pre, post = _ffn_forward(params, T, V, act)
+    probs = _softmax(pre[-1])
+    loss = _cross_entropy(probs, y)
+    if l2 > 0.0:
+        loss += 0.5 * l2 * sum(float(np.sum(p * p)) for p in params[::2])
+    grads = [None] * len(params)
+    delta = probs
+    delta[np.arange(len(y)), y] -= 1.0
+    delta /= len(y)
+    for k in reversed(range(1, len(pre))):
+        grads[4 + 2 * k : 6 + 2 * k] = post[k - 1].T @ delta, delta.sum(axis=0)
+        delta = (delta @ params[4 + 2 * k].T) * act_grad(pre[k - 1])
+    w_t, w_v, w_prod = _split_first_layer(params[4])
+    g_t, g_v = tp.T @ delta, vp.T @ delta
+    grads[4:6] = np.vstack([g_t, g_v, g_v - g_t, prod.T @ delta]), delta.sum(axis=0)
+    d_prod = delta @ w_prod.T
+    d_tp = delta @ w_t.T + d_prod * vp
+    d_vp = delta @ w_v.T + d_prod * tp
+    grads[:4] = T.T @ d_tp, d_tp.sum(axis=0), V.T @ d_vp, d_vp.sum(axis=0)
+    if l2 > 0.0:
+        grads[::2] = [g + l2 * p for g, p in zip(grads[::2], params[::2])]
+    return loss, grads
+
+
 def _train_feedforward(data: PairedDataset, cfg: FeedForwardConfig) -> FeedForwardModel:
     train = data.subset("train")
-    T, V, y = train.text, train.visual, train.labels
-    n, num_classes = T.shape[0], data.num_classes
     h = cfg.proj_width
-    act, act_grad = _activation(cfg.activation)
     rng = np.random.default_rng(cfg.seed)
 
     def init(fan_in, fan_out):
         return rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
 
     params = [init(train.d1, h), np.zeros(h), init(train.d2, h), np.zeros(h)]
-    widths = [4 * h, *cfg.hidden, num_classes]
+    widths = [4 * h, *cfg.hidden, data.num_classes]
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         params.append(init(fan_in, fan_out))
         params.append(np.zeros(fan_out))
     velocity = [np.zeros_like(p) for p in params]
 
-    def forward(ps):
-        p_t, b_t, p_v, b_v, *rest = ps
-        tp = T @ p_t + b_t
-        vp = V @ p_v + b_v
-        feats = np.hstack([tp, vp, vp - tp, vp * tp])
-        pre, post = [], [feats]
-        hcur = feats
-        n_layers = len(rest) // 2
-        for k in range(n_layers):
-            z = hcur @ rest[2 * k] + rest[2 * k + 1]
-            pre.append(z)
-            hcur = act(z) if k < n_layers - 1 else z
-            post.append(hcur)
-        return (tp, vp, feats, pre, post)
-
-    def loss_and_grads(ps):
-        p_t, b_t, p_v, b_v, *rest = ps
-        tp, vp, feats, pre, post = forward(ps)
-        probs = _softmax(post[-1])
-        loss = _cross_entropy(probs, y)
-        if cfg.l2 > 0.0:
-            loss += 0.5 * cfg.l2 * sum(float(np.sum(p * p)) for p in ps[::2])
-
-        grads = [None] * len(ps)
-        delta = probs
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        n_layers = len(rest) // 2
-        for k in reversed(range(n_layers)):
-            inp = post[k]
-            grads[4 + 2 * k] = inp.T @ delta
-            grads[4 + 2 * k + 1] = delta.sum(axis=0)
-            if k > 0:
-                delta = (delta @ rest[2 * k].T) * act_grad(pre[k - 1], post[k])
-        d_feats = delta @ rest[0].T
-        d_tp = d_feats[:, :h] - d_feats[:, 2 * h : 3 * h] + d_feats[:, 3 * h :] * vp
-        d_vp = d_feats[:, h : 2 * h] + d_feats[:, 2 * h : 3 * h] + d_feats[:, 3 * h :] * tp
-        grads[0] = T.T @ d_tp
-        grads[1] = d_tp.sum(axis=0)
-        grads[2] = V.T @ d_vp
-        grads[3] = d_vp.sum(axis=0)
-        if cfg.l2 > 0.0:
-            for i in range(0, len(ps), 2):
-                grads[i] = grads[i] + cfg.l2 * ps[i]
-        return loss, grads
-
-    lr = cfg.lr
-    best_loss = np.inf
-    stall = 0
+    lr, best_loss, stall = cfg.lr, np.inf, 0
     for _ in range(cfg.epochs):
-        loss, grads = loss_and_grads(params)
+        loss, grads = _ffn_loss_and_grads(params, train.text, train.visual, train.labels, cfg.activation, cfg.l2)
         if not np.isfinite(loss):
             raise TrainingError("feed-forward training diverged to a non-finite loss")
         if loss < best_loss * (1.0 - cfg.plateau_rtol):
-            best_loss = loss
-            stall = 0
+            best_loss, stall = loss, 0
         else:
             stall += 1
             if stall >= cfg.plateau_patience:
-                lr *= 0.5
-                stall = 0
+                lr, stall = lr * 0.5, 0
         for i, g in enumerate(grads):
             velocity[i] = cfg.momentum * velocity[i] - lr * g
             params[i] = params[i] + velocity[i]
 
-    p_t, b_t, p_v, b_v, *rest = params
-    layers = tuple((rest[2 * k], rest[2 * k + 1]) for k in range(len(rest) // 2))
+    # params run proj_t, proj_t_b, proj_v, proj_v_b, then each layer's weight and bias
     return FeedForwardModel(
-        proj_t=p_t,
-        proj_t_b=b_t,
-        proj_v=p_v,
-        proj_v_b=b_v,
-        layers=layers,
-        activation=cfg.activation,
+        *params[:4], tuple(zip(params[4::2], params[5::2])), cfg.activation,
         config={**asdict(cfg), "hidden": list(cfg.hidden), "kind": "feedforward"},
     )
 

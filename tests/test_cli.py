@@ -501,6 +501,23 @@ class TestImportCost:
     def test_verify_never_imports_scipy(self):
         assert_runs_without_scipy(["verify", "--grid", "fixture:worked_example_grid.json"])
 
+    def test_grid_io_and_the_oracle_load_no_model_or_lab_code(self):
+        """What ``verify`` and ``project`` read (``emap.io``, ``emap.oracle``) imports none of the rest."""
+        heavy = ["emap.logic", "emap.synth", "emap.metrics", "emap.models", "emap.boosting"]
+        script = (
+            "import sys\n"
+            "import emap.io, emap.oracle\n"
+            f"print(sorted(set(sys.modules) & set({heavy!r})))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(emap.__file__).resolve().parent.parent)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_logic_census_and_check_never_import_scipy(self):
         formula = (Path(emap.__file__).parent / "fixtures" / "surprising_formula.txt").read_text().strip()
         assert_runs_without_scipy(

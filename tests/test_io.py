@@ -195,6 +195,22 @@ class TestGridFiles:
         monkeypatch.setattr(emap_io, "JSON_GRID_MAX_BYTES", path.stat().st_size)
         np.testing.assert_array_equal(emap_io.load_grid(path).values, grid.values)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_json_save_that_could_exceed_the_size_limit_is_refused(self, monkeypatch, tmp_path, d):
+        """The bound holds for the longest float reprs, and a save above it writes nothing."""
+        worst = ScoreGrid(values=np.full((3, 3, d), -2.2250738585072014e-308), text_ids=("a", "bb", "é"))
+        bound = emap_io._json_grid_bytes_bound(worst)
+        path = tmp_path / "grid.json"
+        monkeypatch.setattr(emap_io, "JSON_GRID_MAX_BYTES", bound - 1)
+        with pytest.raises(InputError, match="binary format"):
+            emap_io.save_grid(worst, path)
+        assert not path.exists()
+        emap_io.save_grid(worst, tmp_path / "grid.bin")  # binary saves have no limit
+        monkeypatch.setattr(emap_io, "JSON_GRID_MAX_BYTES", bound)
+        emap_io.save_grid(worst, path)
+        assert path.stat().st_size <= bound
+        np.testing.assert_array_equal(emap_io.load_grid(path).values, worst.values)
+
     def test_write_is_deterministic(self, grid, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         emap_io.save_grid(grid, a)

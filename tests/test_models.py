@@ -16,6 +16,8 @@ from emap.models import (
     Poly2Config,
     Poly2Model,
     _activation,
+    _ffn_forward,
+    _ffn_loss_and_grads,
     _fit_softmax_descent,
     _poly2_adjoint,
     _poly2_logits,
@@ -52,6 +54,16 @@ def additive_labels_dataset(n=600, d1=5, d2=4, seed=0):
 def expand(T, V):
     """The explicit degree-2 features ``[t; v; t_a * v_b]`` whose weights poly2 stores."""
     return np.hstack([T, V, np.einsum("na,nb->nab", T, V).reshape(len(T), -1)])
+
+
+def ffn_params(rng, d1, d2, width, hidden, classes):
+    """Random feed-forward parameters in training's order: both projections, then each layer."""
+    params = [rng.standard_normal((d1, width)), rng.standard_normal(width)]
+    params += [rng.standard_normal((d2, width)), rng.standard_normal(width)]
+    widths = [4 * width, *hidden, classes]
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        params += [rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in), rng.standard_normal(fan_out)]
+    return params
 
 
 def sign_product_dataset(n=500, seed=0):
@@ -244,7 +256,7 @@ class TestFeedForward:
     @pytest.mark.parametrize("hidden", [(), (7, 5)], ids=["one-layer", "two-hidden"])
     @pytest.mark.parametrize("n_t, n_v", [(5, 8), (1, 1)], ids=["rectangular", "single"])
     def test_split_first_layer_matches_the_concatenated_head(self, activation, hidden, n_t, n_v):
-        """logits_grid and logits_many agree with the head as trained, features concatenated."""
+        """logits_grid and logits_many agree with the network as written, features concatenated."""
         rng = np.random.default_rng(6)
         d1, d2, width, classes = 3, 4, 6, 2
         widths = [4 * width, *hidden, classes]
@@ -277,6 +289,47 @@ class TestFeedForward:
         assert grid.shape == (n_t, n_v, classes)
         np.testing.assert_allclose(grid.reshape(-1, classes), reference, rtol=0, atol=tol)
         np.testing.assert_allclose(model.logits_many(*pairs), reference, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    @pytest.mark.parametrize("hidden", [(), (7, 5)], ids=["one-layer", "two-hidden"])
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    def test_training_gradients_match_central_differences(self, activation, hidden, l2):
+        rng = np.random.default_rng(12)
+        d1, d2, width, classes, n = 3, 2, 3, 3, 10
+        params = ffn_params(rng, d1, d2, width, hidden, classes)
+        T, V = rng.standard_normal((n, d1)), rng.standard_normal((n, d2))
+        y = rng.integers(0, classes, n)
+        _, grads = _ffn_loss_and_grads(params, T, V, y, activation, l2)
+        eps = 1e-6
+        numeric = []
+        for p in params:
+            numeric.append(np.empty_like(p))
+            for idx in np.ndindex(p.shape):
+                value = p[idx]
+                p[idx] = value + eps
+                up = _ffn_loss_and_grads(params, T, V, y, activation, l2)[0]
+                p[idx] = value - eps
+                down = _ffn_loss_and_grads(params, T, V, y, activation, l2)[0]
+                p[idx] = value
+                numeric[-1][idx] = (up - down) / (2 * eps)
+        for i, (grad, expected) in enumerate(zip(grads, numeric)):
+            assert grad.shape == expected.shape
+            np.testing.assert_allclose(grad, expected, rtol=1e-6, atol=1e-8, err_msg=f"parameter {i}")
+        # the first layer's blocks [Wa; Wb; Wc; Wd] one by one: Wc's gradient is g_v - g_t
+        for name, grad, expected in zip("abcd", np.split(grads[4], 4), np.split(numeric[4], 4)):
+            np.testing.assert_allclose(grad, expected, rtol=1e-6, atol=1e-8, err_msg=f"W{name}")
+
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    @pytest.mark.parametrize("hidden", [(), (7, 5), (128, 128)], ids=["one-layer", "two-hidden", "default"])
+    def test_training_forward_equals_logits_many_bit_for_bit(self, activation, hidden):
+        rng = np.random.default_rng(13)
+        d1, d2, width, classes, n = 6, 5, 16, 3, 300
+        params = ffn_params(rng, d1, d2, width, hidden, classes)
+        model = FeedForwardModel(*params[:4], tuple(zip(params[4::2], params[5::2])), activation)
+        T, V = rng.standard_normal((n, d1)), rng.standard_normal((n, d2))
+        act, _ = _activation(activation)
+        logits = _ffn_forward(params, T, V, act)[3][-1]
+        assert logits.tobytes() == model.logits_many(T, V).tobytes()
 
     def test_unknown_kind_rejected(self):
         ds = sign_product_dataset(n=40)
