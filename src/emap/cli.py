@@ -26,8 +26,8 @@ from .grid import build_grid, emap_decompose, emap_predictions
 from .logic import (
     MAX_TABLE_N,
     ORACLE_SIDE_LIMIT,
-    SWEEP_METHODS,
     additive_fit_auc,
+    all_tables,
     is_representable,
     is_representable_many,
     parse_formula,
@@ -39,6 +39,7 @@ from .logic import (
     write_sweep_csv,
 )
 from .metrics import (
+    METRIC_NAMES,
     EvalReport,
     UndefinedMetricError,
     agreement,
@@ -214,7 +215,7 @@ def _cmd_train(args) -> int:
 
 def _split_metrics(logits, labels) -> dict:
     out = {}
-    for name in ("accuracy", "auc", "weighted_f1"):
+    for name in METRIC_NAMES:
         try:
             out[name] = metric_from_logits(name, logits, labels)
         except (UndefinedMetricError, InputError):
@@ -260,19 +261,9 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _all_tables(n: int) -> np.ndarray:
-    """Every table of size n as a ``(tables, rows, cols)`` stack; table k's cell j is bit j of k."""
-    size = table_side(n)
-    cells = size * size
-    if cells > 16:
-        raise InputError(f"census enumerates 2^(2^(2n)) tables; n={n} is out of reach")
-    codes = np.arange(2**cells)[:, np.newaxis]
-    return ((codes >> np.arange(cells)) & 1).astype(np.uint8).reshape(-1, size, size)
-
-
 def _cmd_logic_census(args) -> int:
     started = time.monotonic()
-    tables = _all_tables(args.n)
+    tables = all_tables(args.n)
     fast = is_representable_many(tables)
     print(f"{int(fast.sum())}/{len(tables)} representable")
     if args.cross_check:
@@ -322,14 +313,7 @@ def _cmd_logic_sweep(args) -> int:
             f"greedy trees on all 4^n cells there, which is slow at large n (--max-depth {2 * hi} avoids it)",
             file=sys.stderr,
         )
-    rows = run_size_sweep(
-        range(lo, hi + 1),
-        args.samples,
-        args.seed,
-        methods=SWEEP_METHODS,
-        cfg=cfg,
-        sampler=args.sampler,
-    )
+    rows = run_size_sweep(range(lo, hi + 1), args.samples, args.seed, cfg=cfg, sampler=args.sampler)
     write_sweep_csv(rows, args.out)
     print(f"sampler={args.sampler}", file=sys.stderr)
     _emit_manifest(_manifest(args, [], started, seed=args.seed), args.out)
@@ -389,7 +373,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--split", default="test", choices=list(SPLIT_NAMES))
     p.add_argument("--with-emap", action="store_true")
     p.add_argument("--subsample", default=None, help="k,m")
-    p.add_argument("--metric", default="accuracy", choices=["accuracy", "auc", "weighted_f1"])
+    p.add_argument("--metric", default="accuracy", choices=METRIC_NAMES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, help="accepted; grid evaluation runs single-threaded")
     p.set_defaults(func=_cmd_eval)

@@ -8,21 +8,22 @@ are exactly the tables with no 2x2 exclusive-or submatrix, equivalently the
 tables whose rows form a chain under elementwise <=; that combinatorial
 check is the fast path here.  The independent oracle decides the threshold
 system itself, exactly, as integer difference constraints (a negative-cycle
-search), so the module needs nothing beyond numpy.  Both checks run on a
-whole ``(tables, rows, cols)`` stack at once (``is_representable_many``,
-``representable_oracle_many``); the one-table functions are their
-one-table case.
+search), so the module needs nothing beyond numpy.  Every check and fit
+runs on a whole ``(tables, rows, cols)`` stack at once, such as the
+census's ``all_tables``; the one-table functions are its one-table case.
 
 The additive-fit experiment measures how well three surrogates rank the
 cells of random tables: the least-squares additive projection of the table
 itself, unimodal-restricted AdaBoost, and (as the interactive reference)
-unrestricted AdaBoost.  Both boost the tables' cells through the one stage
-loop, ``boosting.boost_batch``, with every sampled table of one size (up
-to a chunk of ``_CHUNK_CELLS`` cells) in one batch.  With a depth budget
-that covers the bits a weak learner reads, each round's candidates are
-per-row, per-column or per-cell weighted majorities, so no tree is built;
-a shorter budget fits greedy trees on the cells' bits, one table at a time,
-in the same loop.
+unrestricted AdaBoost.  The sweep stacks every sampled table of one size,
+up to a chunk of ``_CHUNK_CELLS`` cells.  The projection takes the tables
+as the channels of one ``emap_decompose`` call, and both boosted methods
+run them through the one stage loop, ``boosting.boost_batch``.  With a
+depth budget that covers the bits a weak learner reads, each round's
+candidates are per-row, per-column or per-cell weighted majorities, so no
+tree is built; a shorter budget fits greedy trees on the cells' bits, one
+table at a time, in the same loop.  One ``metrics.auc_rows`` call ranks
+every table's cells.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .exceptions import (
     UndefinedMetricError,
 )
 from .grid import ScoreGrid, emap_decompose
-from .metrics import auc_binary
+from .metrics import auc_rows
 
 __all__ = [
     "MAX_TABLE_N",
@@ -52,6 +53,7 @@ __all__ = [
     "Or",
     "parse_formula",
     "table_from_formula",
+    "all_tables",
     "is_representable",
     "is_representable_many",
     "representable_oracle",
@@ -59,6 +61,7 @@ __all__ = [
     "sample_table",
     "random_circuit",
     "additive_fit_auc",
+    "additive_fit_aucs",
     "SweepRow",
     "run_size_sweep",
     "write_sweep_csv",
@@ -279,6 +282,16 @@ def _coerce_table(table) -> np.ndarray:
     return arr
 
 
+def all_tables(n: int) -> np.ndarray:
+    """Every table of size n as a ``(tables, rows, cols)`` stack; table k's cell j is bit j of k."""
+    size = table_side(n)
+    cells = size * size
+    if cells > 16:
+        raise InputError(f"census enumerates 2^(2^(2n)) tables; n={n} is out of reach")
+    codes = np.arange(2**cells)[:, np.newaxis]
+    return ((codes >> np.arange(cells)) & 1).astype(np.uint8).reshape(-1, size, size)
+
+
 def is_representable(table) -> bool:
     """Fast combinatorial check for threshold representability.
 
@@ -384,13 +397,7 @@ def random_circuit(n: int, rng: np.random.Generator, max_depth: int = 6):
     return gate(random_circuit(n, rng, max_depth - 1), random_circuit(n, rng, max_depth - 1))
 
 
-def sample_table(
-    n: int,
-    seed,
-    require_nonconstant: bool = False,
-    sampler: str = "uniform",
-    circuit_depth: int = 6,
-) -> BooleanTable:
+def sample_table(n: int, seed, require_nonconstant: bool = False, sampler: str = "uniform") -> BooleanTable:
     """Draw a random truth table.
 
     ``sampler="uniform"`` draws every cell independently (the default
@@ -403,7 +410,7 @@ def sample_table(
         if sampler == "uniform":
             table = BooleanTable(n, rng.integers(0, 2, size=(size, size), dtype=np.uint8))
         elif sampler == "circuit":
-            table = table_from_formula(random_circuit(n, rng, circuit_depth), n)
+            table = table_from_formula(random_circuit(n, rng), n)
         else:
             raise InputError(f"unknown sampler {sampler!r}")
         if not require_nonconstant or not table.is_constant:
@@ -416,8 +423,8 @@ def sample_table(
 # ---------------------------------------------------------------------------
 
 
-def _boost_train_auc(tables: list[BooleanTable], restriction: str, cfg: AdaBoostConfig) -> list[float]:
-    """Training AUC of boosting on every cell of each table (all of one size), row-major.
+def _boost_train_scores(tables: np.ndarray, restriction: str, cfg: AdaBoostConfig) -> np.ndarray:
+    """Training scores of boosting on every cell of each table of a stack, row-major.
 
     The tables boost side by side through ``boosting.boost_batch``.  When
     the depth budget covers the bits a weak learner reads, the candidates
@@ -428,8 +435,8 @@ def _boost_train_auc(tables: list[BooleanTable], restriction: str, cfg: AdaBoost
     would get.  A shallower budget fits greedy trees on the cells' bits, one
     table at a time, inside the same loop.
     """
-    n = tables[0].n
-    y = np.stack([table.table.ravel() for table in tables])
+    n = tables.shape[1].bit_length() - 1
+    y = tables.reshape(len(tables), -1)
     bits_read = n if restriction == "unimodal" else 2 * n
     if cfg.max_depth >= bits_read:
         size, cells = 2**n, np.arange(y.shape[1])
@@ -457,25 +464,34 @@ def _boost_train_auc(tables: list[BooleanTable], restriction: str, cfg: AdaBoost
             return [(np.stack([fits[k][0] for fits in per_table]), None) for k in range(len(per_table[0]))]
 
     _, scores, _, _ = boost_batch(np.where(y == 1, 1.0, -1.0), candidates, cfg.n_stages)
-    return [auc_binary(row, labels) for row, labels in zip(scores, y)]
+    return scores
+
+
+def additive_fit_aucs(tables: np.ndarray, method: str, cfg: AdaBoostConfig | None = None) -> np.ndarray:
+    """Train-set AUC of an additive (or reference) fit of each table of a (tables, rows, cols) stack.
+
+    ``emap`` projects the 0/1 tables, as the channels of one grid, onto the
+    additive family and ranks cells by the reconstructed scores; the
+    adaboost methods train on all cells with the raw bits as features and
+    report training AUC.
+    """
+    tables = np.asarray(tables)
+    cells = tables.reshape(len(tables), -1)
+    if (cells == cells[:, :1]).all(axis=1).any():
+        raise UndefinedMetricError("AUC is undefined for a constant table")
+    if method == "emap":
+        grid = ScoreGrid(values=tables.transpose(1, 2, 0))
+        scores = emap_decompose(grid).reconstruct().transpose(2, 0, 1)
+    elif method in BOOSTED_METHODS:
+        scores = _boost_train_scores(tables, method.removeprefix("adaboost_"), cfg or AdaBoostConfig())
+    else:
+        raise InputError(f"unknown method {method!r}")
+    return auc_rows(scores.reshape(cells.shape), cells)
 
 
 def additive_fit_auc(table: BooleanTable, method: str, cfg: AdaBoostConfig | None = None) -> float:
-    """Train-set AUC of an additive (or reference) fit of the whole table.
-
-    ``emap`` projects the 0/1 table onto the additive family and ranks cells
-    by the reconstructed scores; the adaboost methods train on all cells
-    with the raw bits as features and report training AUC.
-    """
-    if table.is_constant:
-        raise UndefinedMetricError("AUC is undefined for a constant table")
-    if method == "emap":
-        grid = ScoreGrid(values=table.table.astype(np.float64)[:, :, np.newaxis])
-        recon = emap_decompose(grid).reconstruct()[:, :, 0]
-        return auc_binary(recon.ravel(), table.table.ravel())
-    if method in BOOSTED_METHODS:
-        return _boost_train_auc([table], method.removeprefix("adaboost_"), cfg or AdaBoostConfig())[0]
-    raise InputError(f"unknown method {method!r}")
+    """``additive_fit_aucs`` of one table."""
+    return float(additive_fit_aucs(table.table[np.newaxis], method, cfg)[0])
 
 
 @dataclass(frozen=True)
@@ -488,17 +504,12 @@ class SweepRow:
 
 
 def run_size_sweep(
-    n_values,
-    samples_per_n: int,
-    seed: int,
-    methods: tuple[str, ...] = SWEEP_METHODS,
-    cfg: AdaBoostConfig | None = None,
-    sampler: str = "uniform",
+    n_values, samples_per_n: int, seed: int, cfg: AdaBoostConfig | None = None, sampler: str = "uniform"
 ) -> list[SweepRow]:
     """Mean/std additive-fit AUC per problem size for each method.
 
-    The samples of one n are batched: the boosting methods fit every table
-    of a chunk of at most ``_CHUNK_CELLS`` cells at once.  Each sample's RNG
+    The samples of one n are batched: every method fits the stack of a
+    chunk of at most ``_CHUNK_CELLS`` cells at once.  Each sample's RNG
     is derived from (seed, n, sample index) and each table boosts as it
     would alone, so a sample's result does not depend on the other samples
     or on the chunking.  Only nonconstant tables are drawn.
@@ -511,20 +522,19 @@ def run_size_sweep(
     cfg = cfg or AdaBoostConfig()
     rows = []
     for n in n_values:
-        scores = {m: [] for m in methods}
+        chunks = {m: [] for m in SWEEP_METHODS}
         per_chunk = max(1, _CHUNK_CELLS // table_side(n) ** 2)
         for first in range(0, samples_per_n, per_chunk):
-            tables = [
-                sample_table(n, np.random.SeedSequence([seed, n, i]), require_nonconstant=True, sampler=sampler)
+            tables = np.stack([
+                sample_table(
+                    n, np.random.SeedSequence([seed, n, i]), require_nonconstant=True, sampler=sampler
+                ).table
                 for i in range(first, min(first + per_chunk, samples_per_n))
-            ]
-            for m in methods:
-                if m in BOOSTED_METHODS:
-                    scores[m] += _boost_train_auc(tables, m.removeprefix("adaboost_"), cfg)
-                else:
-                    scores[m] += [additive_fit_auc(table, m, cfg) for table in tables]
-        for m in methods:
-            aucs = np.array(scores[m])
+            ])
+            for m in SWEEP_METHODS:
+                chunks[m].append(additive_fit_aucs(tables, m, cfg))
+        for m in SWEEP_METHODS:
+            aucs = np.concatenate(chunks[m])
             rows.append(
                 SweepRow(
                     n=n,

@@ -20,6 +20,7 @@ from .grid import ScoreGrid, build_grid, emap_decompose, emap_predictions
 __all__ = [
     "AUC_CONVENTION_NOTE",
     "accuracy",
+    "auc_rows",
     "auc_binary",
     "auc_macro_ovr",
     "weighted_f1",
@@ -59,45 +60,57 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-D array, tied values sharing their mean rank.
+    """1-based ranks along each row of a 2-D array, tied values sharing their mean rank.
 
-    Matches ``scipy.stats.rankdata(scores, method="average")`` bit for bit,
-    including its all-NaN result when any score is NaN.  Average ranks are
-    integers or halves, so they are exact in float64.
+    Matches ``scipy.stats.rankdata(scores, method="average", axis=1)`` bit
+    for bit, including its all-NaN row wherever a row holds a NaN.  Average
+    ranks are integers or halves, so they are exact in float64.
     """
-    if np.isnan(scores).any():
-        return np.full(scores.shape[0], np.nan)
-    order = np.argsort(scores, kind="stable")
-    ordered = scores[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    counts = np.diff(starts, append=scores.shape[0])
-    ranks = np.empty(scores.shape[0])
-    ranks[order] = np.repeat((starts + 1) + (counts - 1) / 2.0, counts)
+    n_cols = scores.shape[1]
+    # sort each row, then work on the flat array, where row r starts at cell r * n_cols
+    row_starts = np.arange(0, scores.size, n_cols)[:, np.newaxis]
+    order = (np.argsort(scores, axis=1, kind="stable") + row_starts).ravel()
+    ordered = scores.ravel()[order]
+    # a run of ties starts at each change of value and at the first cell of each row
+    new_run = np.empty(scores.size, dtype=bool)
+    new_run[1:] = ordered[1:] != ordered[:-1]
+    new_run[::n_cols] = True
+    starts = np.flatnonzero(new_run)
+    counts = np.diff(starts, append=scores.size)
+    ranks = np.empty(scores.shape)
+    ranks.ravel()[order] = np.repeat((starts % n_cols + 1) + (counts - 1) / 2.0, counts)
+    ranks[np.isnan(scores).any(axis=1)] = np.nan
     return ranks
 
 
-def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mann-Whitney AUC of 1-D scores against binary labels."""
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels).ravel()
-    if scores.shape != labels.shape:
-        raise InputError("scores and labels must have equal length")
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = labels.shape[0] - n_pos
-    if n_pos == 0 or n_neg == 0:
+def auc_rows(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mann-Whitney AUC of each row of 2-D scores against the same row of binary labels.
+
+    A positive's rank sum is a sum of integers and halves, so it is exact in
+    any order: each row's AUC has the bits the row alone would get.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    if scores.ndim != 2 or scores.shape != pos.shape:
+        raise InputError("scores and labels must be 2-D arrays of one shape")
+    n_pos = pos.sum(axis=1)
+    n_neg = pos.shape[1] - n_pos
+    if not (n_pos.all() and n_neg.all()):
         raise UndefinedMetricError("AUC needs both classes present")
-    ranks = _average_ranks(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    rank_sums = np.where(pos, _average_ranks(scores), 0.0).sum(axis=1)
+    return (rank_sums - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Mann-Whitney AUC of 1-D scores against binary labels; the one-row case of ``auc_rows``."""
+    return float(auc_rows(np.ravel(scores)[np.newaxis], np.ravel(labels)[np.newaxis])[0])
 
 
 def auc_macro_ovr(logits: np.ndarray, labels: np.ndarray) -> float:
     """Unweighted mean of per-class one-vs-rest binary AUCs."""
     logits, labels = _check_logits(logits, labels)
-    per_class = []
-    for c in range(logits.shape[1]):
-        per_class.append(auc_binary(logits[:, c], (labels == c).astype(np.int64)))
-    return float(np.mean(per_class))
+    classes = labels == np.arange(logits.shape[1])[:, np.newaxis]
+    return float(np.mean(auc_rows(logits.T, classes)))
 
 
 def weighted_f1(logits: np.ndarray, labels: np.ndarray) -> float:

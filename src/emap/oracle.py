@@ -269,21 +269,12 @@ def check_stationarity(
     )
 
 
-def _pair_sum_identity(z: np.ndarray, n: int, block: int) -> np.ndarray:
-    """``sum_{i < n <= j} (z_i + z_j)^2`` for each row of ``z``, ``block`` rows at a time.
+def _pair_sum_identity(z: np.ndarray, n: int) -> float:
+    """``sum_{i < n <= j} (z_i + z_j)^2`` of one probe ``z``.
 
-    This is ``z' H z`` expanded by the block structure of ``H``.
+    This is ``z' H z`` expanded by the block structure of ``H``, formed
+    with at most ``HESSIAN_BLOCK_CELLS`` pair sums at a time.
     """
-    identity = np.empty(z.shape[0])
-    for start in range(0, z.shape[0], block):
-        rows = z[start : start + block]
-        pair_sums = rows[:, :n, np.newaxis] + rows[:, np.newaxis, n:]
-        identity[start : start + block] = np.sum(pair_sums * pair_sums, axis=(1, 2))
-    return identity
-
-
-def _pair_sum_identity_rows(z: np.ndarray, n: int) -> float:
-    """The pair-sum identity of one probe, with at most ``HESSIAN_BLOCK_CELLS`` pair sums at a time."""
     rows = max(1, HESSIAN_BLOCK_CELLS // n)
     pair_sums = np.empty((min(rows, n), n))
     total = 0.0
@@ -319,7 +310,7 @@ def check_hessian(n: int, samples: int = 1000, seed: int = 0) -> StationarityRep
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((samples, 2 * m))
     quad = np.einsum("si,ij,sj->s", z, H, z)
-    identity = _pair_sum_identity(z, m, max(1, HESSIAN_BLOCK_CELLS // (m * m)))
+    identity = np.array([_pair_sum_identity(probe, m) for probe in z])
     rel_err = _relative_gap(quad, identity)
     min_quad = float(np.min(quad))
     if n > DENSE_LIMIT:
@@ -336,7 +327,7 @@ def check_hessian(n: int, samples: int = 1000, seed: int = 0) -> StationarityRep
             quad = np.einsum("si,si->s", z, _hessian_matvec(z, n))
             min_quad = min(min_quad, float(np.min(quad)))
             if start == 0:
-                identity = np.array([_pair_sum_identity_rows(probe, n) for probe in z[:exact]])
+                identity = np.array([_pair_sum_identity(probe, n) for probe in z[:exact]])
                 rel_err = max(rel_err, _relative_gap(quad[:exact], identity))
     return StationarityReport(
         hessian_min_quadform=min_quad,

@@ -214,9 +214,9 @@ class TestLogic:
         assert "disagreements" not in err
 
     def test_census_enumerates_tables_in_code_order(self):
-        from emap.cli import _all_tables
+        from emap.logic import all_tables
 
-        tables = _all_tables(1)
+        tables = all_tables(1)
         assert tables.shape == (16, 2, 2)
         for code, table in enumerate(tables):
             np.testing.assert_array_equal(table.ravel(), (code >> np.arange(4)) & 1)

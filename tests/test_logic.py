@@ -7,6 +7,7 @@ import pytest
 
 from emap import logic
 from emap.exceptions import CapabilityError, InputError, UndefinedMetricError
+from emap.grid import ScoreGrid, emap_decompose
 from emap.logic import (
     ORACLE_SIDE_LIMIT,
     And,
@@ -15,6 +16,8 @@ from emap.logic import (
     Or,
     Var,
     additive_fit_auc,
+    additive_fit_aucs,
+    all_tables,
     is_representable,
     is_representable_many,
     parse_formula,
@@ -26,6 +29,7 @@ from emap.logic import (
     write_sweep_csv,
 )
 from emap.logic import _threshold_potentials
+from emap.metrics import auc_binary
 
 SURPRISING_N2 = "(t2 & !v2) | (t1 & t2 & v1) | (!t1 & !v1 & !v2)"
 
@@ -296,22 +300,38 @@ class TestAdditiveFit:
         a perfect AUC certifies a separating additive score, so AUC = 1.0
         implies representability.
         """
-        count = 0
-        worst = 1.0
-        for code in range(2**16):
-            bits = (code >> np.arange(16)) & 1
-            table = BooleanTable(2, bits.reshape(4, 4).astype(np.uint8))
-            if table.is_constant:
-                continue
-            auc = additive_fit_auc(table, "emap")
-            if is_representable(table):
-                count += 1
-                worst = min(worst, auc)
-                assert auc >= 95.0 / 96.0
-            else:
-                assert auc < 1.0
+        tables = all_tables(2)[1:-1]  # codes 0 and 2^16 - 1 are the two constant tables
+        aucs = additive_fit_aucs(tables, "emap")
+        representable = is_representable_many(tables)
+        count = int(representable.sum())
+        worst = aucs[representable].min()
+        assert np.all(aucs[representable] >= 95.0 / 96.0)
+        assert np.all(aucs[~representable] < 1.0)
         assert count == 6900
         assert worst == 95.0 / 96.0
+
+    # a sweep chunk of _CHUNK_CELLS cells holds exactly one n = 8 table
+    @pytest.mark.parametrize("n, count", [(1, 30), (2, 30), (3, 30), (4, 30), (8, 2)])
+    def test_stacked_projection_equals_each_table_alone(self, n, count):
+        """The tables of a stack are the channels of one decomposition; each keeps its one-table bits."""
+        seeds = [np.random.SeedSequence([12, n, i]) for i in range(count)]
+        tables = np.stack([sample_table(n, sq, require_nonconstant=True).table for sq in seeds])
+        stacked = emap_decompose(ScoreGrid(values=tables.transpose(1, 2, 0))).reconstruct()
+        expected = []
+        for k, table in enumerate(tables):
+            alone = emap_decompose(ScoreGrid(values=table.astype(np.float64)[:, :, np.newaxis])).reconstruct()
+            assert stacked[:, :, k].tobytes() == alone[:, :, 0].tobytes()
+            expected.append(auc_binary(alone.ravel(), table.ravel()))
+        assert additive_fit_aucs(tables, "emap").tobytes() == np.array(expected).tobytes()
+
+    def test_stack_with_a_constant_table_rejected(self):
+        tables = np.stack([XOR.table, np.ones((2, 2), dtype=np.uint8)])
+        with pytest.raises(UndefinedMetricError):
+            additive_fit_aucs(tables, "adaboost_full")
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(InputError):
+            additive_fit_auc(XOR, "mystery")
 
     def test_xor_emap_auc_is_chance(self):
         assert additive_fit_auc(XOR, "emap") == 0.5
@@ -381,19 +401,14 @@ class TestSweep:
 def recorded_aucs(monkeypatch) -> dict:
     """Record every per-sample AUC the sweep computes, by method, in sample order."""
     seen = collections.defaultdict(list)
-    boosted, additive = logic._boost_train_auc, logic.additive_fit_auc
+    fit = logic.additive_fit_aucs
 
-    def boosted_spy(tables, restriction, cfg):
-        aucs = boosted(tables, restriction, cfg)
-        seen[f"adaboost_{restriction}"] += aucs
+    def spy(tables, method, cfg=None):
+        aucs = fit(tables, method, cfg)
+        seen[method] += aucs.tolist()
         return aucs
 
-    def additive_spy(table, method, cfg=None):
-        seen[method].append(additive(table, method, cfg))
-        return seen[method][-1]
-
-    monkeypatch.setattr(logic, "_boost_train_auc", boosted_spy)
-    monkeypatch.setattr(logic, "additive_fit_auc", additive_spy)
+    monkeypatch.setattr(logic, "additive_fit_aucs", spy)
     return seen
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emap.data import PairedDataset
 from emap.exceptions import InputError, UndefinedMetricError
@@ -13,6 +14,7 @@ from emap.metrics import (
     auc_binary,
     auc_from_logits,
     auc_macro_ovr,
+    auc_rows,
     _average_ranks,
     disagreement_advantage,
     metric_from_logits,
@@ -70,30 +72,67 @@ class TestBinaryAuc:
         assert auc_binary(np.exp(scores), labels) == pytest.approx(base, abs=1e-12)
 
 
+def score_rows(dtype, max_cols: int, elements):
+    """Hypothesis strategy: an array of 1..4 rows of 1..max_cols scores each."""
+    return arrays(dtype, st.tuples(st.integers(1, 4), st.integers(1, max_cols)), elements=elements)
+
+
 class TestAverageRanks:
-    """The numpy ranks must equal scipy's average ranks bit for bit."""
+    """The numpy ranks must equal scipy's row-wise average ranks bit for bit."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=60))
+    @given(score_rows(np.int8, 60, st.integers(-3, 3)))
     def test_heavily_tied_integers_match_scipy(self, values):
         from scipy.stats import rankdata
 
-        scores = np.asarray(values, dtype=np.float64)
-        assert _average_ranks(scores).tobytes() == rankdata(scores, method="average").tobytes()
+        scores = values.astype(np.float64)
+        assert _average_ranks(scores).tobytes() == rankdata(scores, method="average", axis=1).tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.floats(allow_nan=False, width=16), min_size=1, max_size=40),
-        st.data(),
-    )
-    def test_any_nan_gives_all_nan_like_scipy(self, values, data):
+    @given(score_rows(np.float64, 40, st.floats(allow_nan=False, width=16)), st.data())
+    def test_any_nan_gives_all_nan_like_scipy(self, scores, data):
         from scipy.stats import rankdata
 
-        scores = np.asarray(values, dtype=np.float64)
-        scores[data.draw(st.integers(0, len(values) - 1))] = np.nan
+        blank = np.array(data.draw(st.lists(st.booleans(), min_size=len(scores), max_size=len(scores))))
+        for r in np.flatnonzero(blank):
+            scores[r, data.draw(st.integers(0, scores.shape[1] - 1))] = np.nan
         ours = _average_ranks(scores)
-        assert np.isnan(ours).all()
-        assert ours.tobytes() == rankdata(scores, method="average").tobytes()
+        assert np.isnan(ours[blank]).all()
+        assert not np.isnan(ours[~blank]).any()
+        assert ours.tobytes() == rankdata(scores, method="average", axis=1).tobytes()
+
+
+class TestAucRows:
+    def test_each_row_matches_the_scipy_rank_sum_bit_for_bit(self):
+        """Tied and NaN rows, ranked side by side, each get the one-row rank-sum AUC."""
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n_rows, n = int(rng.integers(1, 6)), int(rng.integers(2, 30))
+            scores = rng.integers(0, 5, (n_rows, n)).astype(np.float64)
+            scores[rng.random((n_rows, n)) < 0.02] = np.nan
+            labels = rng.integers(0, 2, (n_rows, n))
+            labels[:, :2] = (0, 1)
+            expected = []
+            for row, row_labels in zip(scores, labels):
+                pos = row_labels == 1
+                n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+                ranks = rankdata(row, method="average")
+                expected.append((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+            assert auc_rows(scores, labels).tobytes() == np.array(expected).tobytes()
+
+    def test_unequal_shapes_rejected(self):
+        with pytest.raises(InputError):
+            auc_rows(np.zeros((2, 3)), np.array([[0, 1, 0]]))
+        with pytest.raises(InputError):
+            auc_rows(np.zeros(3), np.array([0, 1, 0]))
+        with pytest.raises(InputError):
+            auc_binary([0.1, 0.2, 0.3], [0, 1])
+
+    def test_a_row_with_one_class_rejected(self):
+        with pytest.raises(UndefinedMetricError):
+            auc_rows(np.zeros((2, 3)), np.array([[0, 1, 0], [1, 1, 1]]))
 
 
 class TestMulticlass:
@@ -109,6 +148,11 @@ class TestMulticlass:
             ]
         )
         assert auc_macro_ovr(logits, labels) == pytest.approx(manual, abs=1e-12)
+
+    def test_macro_ovr_rejects_a_class_with_no_items(self):
+        logits = np.array([[3.0, 1.0, 0.0], [0.5, 2.0, 0.1], [0.2, 0.1, 2.5]])
+        with pytest.raises(UndefinedMetricError):
+            auc_macro_ovr(logits, np.array([0, 1, 1]))
 
     def test_auc_from_logits_dispatch(self):
         two = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 2.0]])

@@ -14,7 +14,6 @@ from emap.oracle import (
     _hessian_matvec,
     _max_pred_diff,
     _pair_sum_identity,
-    _pair_sum_identity_rows,
     analytic_gradient,
     check_hessian,
     check_stationarity,
@@ -177,13 +176,12 @@ class TestHessian:
         assert report.hessian_min_quadform >= -1e-10
         assert report.nullspace_residual == 0.0
 
-    @pytest.mark.parametrize("n", [1, 4, 37])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 37, 64])
     def test_blocked_identity_is_bit_equal_to_dense(self, n):
         z = np.random.default_rng(n).standard_normal((23, 2 * n))
         pair_sums = z[:, :n, np.newaxis] + z[:, np.newaxis, n:]
         dense = np.sum(pair_sums * pair_sums, axis=(1, 2))
-        for block in (1, 5, 23, 64):
-            assert _pair_sum_identity(z, n, block).tobytes() == dense.tobytes()
+        assert np.array([_pair_sum_identity(probe, n) for probe in z]).tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("n", [1, 7, 64, 65, 300])
     def test_matvec_matches_dense_hessian(self, n):
@@ -194,10 +192,11 @@ class TestHessian:
     @pytest.mark.parametrize("n", [65, 97])
     def test_row_blocked_pair_sums_match_the_dense_identity(self, monkeypatch, n):
         z = np.random.default_rng(n).standard_normal((3, 2 * n))
-        dense = _pair_sum_identity(z, n, 3)
+        pair_sums = z[:, :n, np.newaxis] + z[:, np.newaxis, n:]
+        dense = np.sum(pair_sums * pair_sums, axis=(1, 2))
         for cells in (n, 7 * n, 50 * n, HESSIAN_BLOCK_CELLS):  # 1, 7, 50 rows and all rows per block
             monkeypatch.setattr(oracle, "HESSIAN_BLOCK_CELLS", cells)
-            blocked = np.array([_pair_sum_identity_rows(probe, n) for probe in z])
+            blocked = np.array([_pair_sum_identity(probe, n) for probe in z])
             np.testing.assert_allclose(blocked, dense, rtol=1e-13)
 
     @pytest.mark.parametrize("n", [65, 300, 2000])
