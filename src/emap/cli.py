@@ -22,7 +22,7 @@ from . import __version__
 from .boosting import AdaBoostConfig
 from .data import SPLIT_NAMES
 from .exceptions import EmapError, InputError, NumericError
-from .grid import build_grid, emap_decompose, emap_predictions
+from .grid import emap_decompose, emap_predictions, project_scorer
 from .logic import (
     MAX_TABLE_N,
     ORACLE_SIDE_LIMIT,
@@ -234,10 +234,11 @@ def _cmd_eval(args) -> int:
         split=args.split,
         metrics=_split_metrics(logits, part.labels),
     )
-    grid = None
+    grid, cells = None, 0
     if args.with_emap:
-        grid = build_grid(model, part.text, part.visual)
-        proj = emap_predictions(emap_decompose(grid))
+        projection = project_scorer(model, part.text, part.visual)
+        grid, cells = projection.grid, projection.cells
+        proj = emap_predictions(projection.decomposition)
         report.emap_metrics = _split_metrics(proj, part.labels)
         report.agreement_rate = agreement(logits, proj)
         report.orig_better_frac = disagreement_advantage(logits, proj, part.labels)
@@ -250,6 +251,7 @@ def _cmd_eval(args) -> int:
         report.subsample = subsampled_emap_metric(
             model, part, k, m, args.metric, seed=args.seed, grid=grid
         )
+        cells += report.subsample.grid_cells
     if args.report.endswith(".csv"):
         Path(args.report).write_text(
             "model,metric,value\n" + "\n".join(report.to_csv_rows()) + "\n",
@@ -257,7 +259,11 @@ def _cmd_eval(args) -> int:
         )
     else:
         emap_io.dump_json(report.to_json_dict(), args.report)
-    _emit_manifest(_manifest(args, [args.data, args.model], started, seed=args.seed), args.report)
+    manifest = _manifest(args, [args.data, args.model], started, seed=args.seed)
+    if args.with_emap or args.subsample:
+        # every grid path scores at least one cell, so the count also names the path
+        manifest.update(emap_path="grid" if cells else "marginals", grid_cells=cells)
+    _emit_manifest(manifest, args.report)
     return EXIT_OK
 
 

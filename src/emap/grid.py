@@ -9,8 +9,15 @@ minimizer of the summed squared error over all cells (uniqueness is up to a
 constant that can be shifted between the two unimodal parts; see
 :mod:`emap.oracle` for an independent check).
 
-``build_grid`` fills a grid with one ``scorer.logits_grid(T, V)`` call, or
-with one call per cell for a plain ``(t, v) -> logits`` callable.
+The projection needs only the grid's row means, column means and grand
+mean: the partial-dependence functions of ``f`` under the empirical
+marginals.  ``project_scorer`` is the one dispatch point.  A scorer with a
+``marginals(T, V)`` method (the linear and poly2 models, which are affine in
+each side) returns its decomposition exactly from O(N) scores, so no grid is
+built and memory grows as O(N * d).  Any other scorer is projected through
+``build_grid``, which fills all N^2 * d cells with one
+``scorer.logits_grid(T, V)`` call, or with one call per cell for a plain
+``(t, v) -> logits`` callable.
 
 All arithmetic is 64-bit.  Grids are stored channel-major: ``values`` has
 the logical shape ``(N_t, N_v, d)``, but its memory is ``(d, N_t, N_v)``, so
@@ -32,9 +39,11 @@ from .exceptions import InputError, NumericError
 __all__ = [
     "ScoreGrid",
     "AdditiveDecomposition",
+    "Projection",
     "build_grid",
     "emap_decompose",
     "emap_predictions",
+    "project_scorer",
     "projection_loss",
 ]
 
@@ -191,14 +200,8 @@ def _per_cell_grid(scorer: Scorer, T: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.array(cells)
 
 
-def build_grid(scorer: Scorer, texts: Sequence, visuals: Sequence) -> ScoreGrid:
-    """Evaluate ``scorer`` on all N^2 text x visual cross-pairings.
-
-    The grid comes from one ``scorer.logits_grid(T, V)`` call, which every
-    bundled model provides; any other pure ``(t, v) -> logits`` callable is
-    invoked once per cell.  Evaluation is single-threaded, so the grid bytes
-    depend only on the scorer and the inputs.
-    """
+def _paired_features(texts: Sequence, visuals: Sequence):
+    """Both sides as feature matrices, refused unless they pair at least one item."""
     t_mat = _as_feature_matrix(texts, "text")
     v_mat = _as_feature_matrix(visuals, "visual")
     if t_mat.shape[0] != v_mat.shape[0]:
@@ -207,6 +210,18 @@ def build_grid(scorer: Scorer, texts: Sequence, visuals: Sequence) -> ScoreGrid:
         )
     if t_mat.shape[0] < 1:
         raise InputError("at least one paired item is required")
+    return t_mat, v_mat
+
+
+def build_grid(scorer: Scorer, texts: Sequence, visuals: Sequence) -> ScoreGrid:
+    """Evaluate ``scorer`` on all N^2 text x visual cross-pairings.
+
+    The grid comes from one ``scorer.logits_grid(T, V)`` call, which every
+    bundled model provides; any other pure ``(t, v) -> logits`` callable is
+    invoked once per cell.  Evaluation is single-threaded, so the grid bytes
+    depend only on the scorer and the inputs.
+    """
+    t_mat, v_mat = _paired_features(texts, visuals)
     logits_grid = getattr(scorer, "logits_grid", None)
     if logits_grid is None:
         return ScoreGrid(values=_per_cell_grid(scorer, t_mat, v_mat))
@@ -226,6 +241,40 @@ def emap_decompose(grid: ScoreGrid) -> AdditiveDecomposition:
     row_means = planes.mean(axis=2).T
     col_means = planes.mean(axis=1).T
     return AdditiveDecomposition(tau=row_means - mu, phi=col_means - mu, mu=mu)
+
+
+@dataclass(frozen=True, eq=False)
+class Projection:
+    """A scorer's additive projection over paired items, and the grid it came from.
+
+    ``grid`` is None when the scorer's ``marginals`` gave the decomposition
+    without scoring any cross-pairing.
+    """
+
+    decomposition: AdditiveDecomposition
+    grid: ScoreGrid | None = None
+
+    @property
+    def cells(self) -> int:
+        """Grid cells scored to reach the projection."""
+        return 0 if self.grid is None else self.grid.n_text * self.grid.n_visual
+
+
+def project_scorer(scorer: Scorer, texts: Sequence, visuals: Sequence) -> Projection:
+    """The EMAP of ``scorer`` over paired items, without a grid when the scorer allows it.
+
+    A scorer with a ``marginals(T, V)`` method returns the decomposition
+    itself; every other scorer is projected by ``emap_decompose`` of its
+    ``build_grid`` grid.  A scorer with ``marginals`` must also provide
+    ``logits_many(T, V)``: with no grid, ``subsampled_emap_metric`` takes
+    the subsample's direct scores from it.
+    """
+    t_mat, v_mat = _paired_features(texts, visuals)
+    marginals = getattr(scorer, "marginals", None)
+    if marginals is not None:
+        return Projection(marginals(t_mat, v_mat))
+    grid = build_grid(scorer, t_mat, v_mat)
+    return Projection(emap_decompose(grid), grid)
 
 
 def emap_predictions(dec: AdditiveDecomposition) -> np.ndarray:

@@ -93,12 +93,19 @@ class BooleanTable:
 
     def __post_init__(self):
         size = table_side(self.n)
-        table = np.asarray(self.table, dtype=np.uint8)
-        if table.shape != (size, size):
-            raise InputError(f"table must be {size} x {size} for n={self.n}, got {table.shape}")
-        if not np.isin(table, (0, 1)).all():
+        raw = np.asarray(self.table)
+        if raw.shape != (size, size):
+            raise InputError(f"table must be {size} x {size} for n={self.n}, got {raw.shape}")
+        # checked before the uint8 cast, which would wrap 256 and truncate 0.5 to 0; an
+        # integer in [0, 1] is a bit, so integers need only min and max (NaN fails both)
+        kind = raw.dtype.kind
+        if kind == "f":
+            bits = bool(np.all((raw == 0) | (raw == 1)))
+        else:
+            bits = kind in "biu" and (kind in "bu" or raw.min() >= 0) and raw.max() <= 1
+        if not bits:
             raise InputError("table entries must be 0 or 1")
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", raw.astype(np.uint8, copy=False))
 
     @property
     def is_constant(self) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import PairedDataset
 from .exceptions import InputError, UndefinedMetricError
-from .grid import ScoreGrid, build_grid, emap_decompose, emap_predictions
+from .grid import Projection, ScoreGrid, emap_decompose, emap_predictions, project_scorer
 
 __all__ = [
     "AUC_CONVENTION_NOTE",
@@ -28,7 +28,7 @@ __all__ = [
     "agreement",
     "disagreement_advantage",
     "SubsampleResult",
-    "subsample_grids",
+    "subsample_projections",
     "subsampled_emap_metric",
     "EvalReport",
     "METRIC_NAMES",
@@ -185,7 +185,12 @@ def disagreement_advantage(preds_a, preds_b, labels) -> float | None:
 
 @dataclass(frozen=True)
 class SubsampleResult:
-    """Mean/std of a metric over repeated subsampled projections."""
+    """Mean/std of a metric over repeated subsampled projections.
+
+    ``grid_cells`` counts the cross-pairings scored for the sub-grids (0 when
+    they were sliced from a full grid or no grid was needed); it is run
+    telemetry, not part of the result's value.
+    """
 
     metric: str
     k: int
@@ -196,23 +201,27 @@ class SubsampleResult:
     emap_std: float
     direct_values: tuple = ()
     emap_values: tuple = ()
+    grid_cells: int = field(default=0, compare=False)
 
 
-def subsample_grids(scorer, dataset: PairedDataset, k: int, m: int, seed: int = 0, grid=None):
-    """Yield ``(subsample, sub_grid)`` for each of the k repetitions.
+def subsample_projections(scorer, dataset: PairedDataset, k: int, m: int, seed: int = 0, grid=None):
+    """Yield ``(subsample, projection)`` for each of the k repetitions.
 
     Repetition r draws m indices without replacement from the r-th child of
-    ``SeedSequence(seed)`` and keeps them in ascending order.  The sub-grid
-    is sliced from ``grid``, the dataset's full grid, when one is given, and
-    scored by ``scorer`` otherwise.
+    ``SeedSequence(seed)`` and keeps them in ascending order.  The
+    projection decomposes a sub-grid sliced from ``grid``, the dataset's
+    full grid, when one is given; otherwise it is ``project_scorer`` of the
+    subsample, which scores an m x m grid only for scorers without
+    ``marginals``.
     """
     for child in np.random.SeedSequence(seed).spawn(k):
         idx = np.sort(np.random.default_rng(child).choice(dataset.n, size=m, replace=False))
         sub = dataset.take(idx)
         if grid is None:
-            yield sub, build_grid(scorer, sub.text, sub.visual)
+            yield sub, project_scorer(scorer, sub.text, sub.visual)
         else:
-            yield sub, ScoreGrid(values=grid.planes[:, idx[:, np.newaxis], idx].transpose(1, 2, 0))
+            sub_grid = ScoreGrid(values=grid.planes[:, idx[:, np.newaxis], idx].transpose(1, 2, 0))
+            yield sub, Projection(emap_decompose(sub_grid), sub_grid)
 
 
 def subsampled_emap_metric(
@@ -228,12 +237,13 @@ def subsampled_emap_metric(
 
     Each subsample is drawn without replacement (independently across the k
     repetitions, from seeds derived per repetition) and kept in ascending
-    index order -- a subsample is a set, so with m = n the grid is exactly
-    the full-dataset grid and the metrics match it bit for bit.  Direct
-    predictions are the grid diagonal; projected predictions come from the
-    additive decomposition of the same grid.  When ``grid`` (the full grid
-    of ``dataset``) is given, each sub-grid is sliced from it instead of
-    being scored again; see ``subsample_grids``.
+    index order -- a subsample is a set, so with m = n the projection is
+    exactly the full-dataset one and the metrics match it bit for bit.
+    Direct predictions are the sub-grid's diagonal, or ``logits_many`` of the
+    subsample when its projection came from the scorer's ``marginals``;
+    projected predictions come from the same projection.  When ``grid`` (the
+    full grid of ``dataset``) is given, each sub-grid is sliced from it
+    instead of being scored again; see ``subsample_projections``.
     """
     if k < 1:
         raise InputError("k must be >= 1")
@@ -243,11 +253,16 @@ def subsampled_emap_metric(
         raise InputError(f"a {grid.n_text} x {grid.n_visual} grid is not the grid of {dataset.n} items")
     direct_vals = np.empty(k)
     emap_vals = np.empty(k)
-    for rep, (sub, sub_grid) in enumerate(subsample_grids(scorer, dataset, k, m, seed, grid)):
-        diag = sub_grid.values[np.arange(m), np.arange(m), :]
-        proj = emap_predictions(emap_decompose(sub_grid))
-        direct_vals[rep] = metric_from_logits(metric, diag, sub.labels)
-        emap_vals[rep] = metric_from_logits(metric, proj, sub.labels)
+    cells = 0
+    for rep, (sub, proj) in enumerate(subsample_projections(scorer, dataset, k, m, seed, grid)):
+        if proj.grid is None:
+            direct = scorer.logits_many(sub.text, sub.visual)
+        else:
+            direct = proj.grid.values[np.arange(m), np.arange(m), :]
+        direct_vals[rep] = metric_from_logits(metric, direct, sub.labels)
+        emap_vals[rep] = metric_from_logits(metric, emap_predictions(proj.decomposition), sub.labels)
+        if grid is None:  # a sub-grid sliced from ``grid`` scores nothing new
+            cells += proj.cells
     return SubsampleResult(
         metric=metric,
         k=k,
@@ -258,6 +273,7 @@ def subsampled_emap_metric(
         emap_std=float(emap_vals.std()),
         direct_values=tuple(float(x) for x in direct_vals),
         emap_values=tuple(float(x) for x in emap_vals),
+        grid_cells=cells,
     )
 
 

@@ -16,6 +16,10 @@ cross-pairings with ``logits_grid(T, V)``, the one batch protocol
 ``grid.build_grid`` calls.  ``logits_grid`` returns an ``(N_t, N_v, d)``
 array whose memory is channel-major, the layout ``grid.ScoreGrid`` keeps,
 and fills each channel plane in place without an N^2 x d temporary.
+The linear and poly2 models are affine in each input side, so they also
+give their exact projection without any grid: ``marginals(T, V)``
+(``_affine_marginals``) scores each side against the other side's mean, in
+O(N * d) memory, and ``grid.project_scorer`` prefers it to the grid.
 ``from_json_dict`` checks every weight's shape and finiteness, so a
 malformed model file fails at load with ``InputError``.
 """
@@ -28,6 +32,7 @@ import numpy as np
 
 from .data import PairedDataset
 from .exceptions import InputError, TrainingError
+from .grid import AdditiveDecomposition
 
 __all__ = [
     "LinearConfig",
@@ -143,6 +148,23 @@ def check_pairs(T: np.ndarray, V: np.ndarray, d1: int, d2: int):
     return T, V
 
 
+def _affine_marginals(logits_many, T: np.ndarray, V: np.ndarray, d1: int, d2: int) -> AdditiveDecomposition:
+    """The exact EMAP of a scorer affine in each input side, from three ``logits_many`` calls.
+
+    For such an ``f`` the grid's row means are ``f(T, v_bar)``, its column
+    means ``f(t_bar, V)`` and its grand mean ``f(t_bar, v_bar)``: the
+    partial-dependence functions under the empirical marginals.  The mean
+    rows are fed as ``np.broadcast_to`` views, so memory stays O(N * d),
+    and ``N_t`` may differ from ``N_v``.
+    """
+    T, V = check_widths(T, V, d1, d2)
+    t_bar, v_bar = T.mean(axis=0), V.mean(axis=0)
+    mu = logits_many(t_bar[np.newaxis], v_bar[np.newaxis])[0]
+    tau = logits_many(T, np.broadcast_to(v_bar, (len(T), d2))) - mu
+    phi = logits_many(np.broadcast_to(t_bar, (len(V), d1)), V) - mu
+    return AdditiveDecomposition(tau=tau, phi=phi, mu=mu)
+
+
 def _fit_softmax_descent(
     forward, adjoint, num_params: int,
     labels: np.ndarray,
@@ -223,6 +245,9 @@ class LinearModel:
         planes = np.empty((self.num_classes, len(T), len(V)))
         np.add(t_part.T[:, :, np.newaxis], v_part.T[:, np.newaxis, :], out=planes)
         return planes.transpose(1, 2, 0)
+
+    def marginals(self, T: np.ndarray, V: np.ndarray) -> AdditiveDecomposition:
+        return _affine_marginals(self.logits_many, T, V, self.w_t.shape[0], self.w_v.shape[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -326,6 +351,9 @@ class Poly2Model:
             for start in range(0, len(T), rows):
                 plane[start : start + rows] += t_part[start : start + rows, c, np.newaxis] + v_part[:, c]
         return planes.transpose(1, 2, 0)
+
+    def marginals(self, T: np.ndarray, V: np.ndarray) -> AdditiveDecomposition:
+        return _affine_marginals(self.logits_many, T, V, self.d1, self.d2)
 
     def to_json_dict(self) -> dict:
         return {

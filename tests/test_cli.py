@@ -6,13 +6,17 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import emap
+from emap import io as emap_io
 from emap.cli import main
+from emap.data import PairedDataset
+from emap.models import LinearModel, Poly2Model
 
 
 def run(capsys, *argv):
@@ -121,10 +125,12 @@ class TestPipeline:
         assert reports[0] == reports[1]
 
     def test_subsample_sliced_from_the_emap_grid_matches_rescoring(self, capsys, tmp_path, data_path):
-        model_path = tmp_path / "poly2.json"
+        # an mlp has no marginals, so its subsample grids are sliced from the --with-emap grid;
+        # linear and poly2 build no grid (see test_marginals_report_equals_the_grid_report)
+        model_path = tmp_path / "mlp.json"
         code, _, _ = run(
-            capsys, "train", "--data", str(data_path), "--model", "poly2", "--epochs", "20",
-            "--out", str(model_path),
+            capsys, "train", "--data", str(data_path), "--model", "mlp", "--epochs", "3", "--hidden", "4",
+            "--proj-width", "3", "--out", str(model_path),
         )
         assert code == 0
         blocks = []
@@ -137,6 +143,80 @@ class TestPipeline:
             assert code == 0
             blocks.append(json.loads(path.read_text())["subsample"])
         assert blocks[0] == blocks[1]
+
+    @pytest.mark.parametrize("kind", ["linear", "poly2"])
+    def test_marginals_report_equals_the_grid_report(self, capsys, tmp_path, data_path, monkeypatch, kind):
+        model_path = tmp_path / f"{kind}.json"
+        code, _, _ = run(
+            capsys, "train", "--data", str(data_path), "--model", kind, "--epochs", "40", "--out", str(model_path),
+        )
+        assert code == 0
+        model_cls = {"linear": LinearModel, "poly2": Poly2Model}[kind]
+
+        def report(name):
+            path = tmp_path / name
+            code, _, _ = run(
+                capsys, "eval", "--data", str(data_path), "--model", str(model_path), "--split", "train",
+                "--with-emap", "--subsample", "4,50", "--metric", "auc", "--report", str(path),
+            )
+            assert code == 0
+            return path.read_bytes(), json.loads(Path(str(path) + ".manifest.json").read_text())
+
+        closed, closed_manifest = report("marginals.json")
+        with monkeypatch.context() as patch:
+            patch.delattr(model_cls, "marginals")
+            scored, scored_manifest = report("grid.json")
+        assert closed == scored
+        assert (closed_manifest["emap_path"], closed_manifest["grid_cells"]) == ("marginals", 0)
+        assert (scored_manifest["emap_path"], scored_manifest["grid_cells"]) == ("grid", 160 * 160)
+
+    def test_eval_manifest_names_the_projection_path(self, capsys, tmp_path, data_path):
+        for model, settings in (("linear", ()), ("mlp", ("--epochs", "2", "--hidden", "3", "--proj-width", "2"))):
+            run(capsys, "train", "--data", str(data_path), "--model", model, *settings,
+                "--out", str(tmp_path / f"{model}.json"))
+        emap, sub = ["--with-emap"], ["--subsample", "3,8"]
+        for model, extra, expected in (
+            ("linear", emap, ("marginals", 0)),
+            ("linear", sub, ("marginals", 0)),
+            ("mlp", emap, ("grid", 20 * 20)),
+            ("mlp", sub, ("grid", 3 * 8 * 8)),
+            ("mlp", emap + sub, ("grid", 20 * 20)),  # the subsample grids are sliced from the full one
+        ):
+            report = tmp_path / "report.json"
+            code, _, _ = run(capsys, "eval", "--data", str(data_path), "--model", str(tmp_path / f"{model}.json"),
+                             *extra, "--report", str(report))
+            assert code == 0
+            manifest = json.loads(Path(str(report) + ".manifest.json").read_text())
+            assert (manifest["emap_path"], manifest["grid_cells"]) == expected, (model, extra)
+        plain = tmp_path / "plain.json"
+        run(capsys, "eval", "--data", str(data_path), "--model", str(tmp_path / "linear.json"), "--report", str(plain))
+        manifest = json.loads(Path(str(plain) + ".manifest.json").read_text())
+        assert "emap_path" not in manifest and "grid_cells" not in manifest
+
+    def test_eval_with_emap_on_poly2_holds_no_grid(self, capsys, tmp_path):
+        """20 000 test pairs: a grid would hold 6.4 GB, the marginals path a few MB."""
+        n, d1, d2 = 20_000, 3, 2
+        rng = np.random.default_rng(11)
+        data_path, model_path, report = tmp_path / "big.bin", tmp_path / "poly2.json", tmp_path / "report.json"
+        emap_io.save_dataset(
+            PairedDataset(
+                text=rng.standard_normal((n, d1)), visual=rng.standard_normal((n, d2)),
+                labels=rng.integers(0, 2, n), split=np.full(n, 2), num_classes=2,
+            ),
+            data_path,
+        )
+        model = Poly2Model(w=rng.standard_normal((d1 + d2 + d1 * d2, 2)), b=rng.standard_normal(2), d1=d1, d2=d2)
+        emap_io.save_model(model, model_path)
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "eval", "--data", str(data_path), "--model", str(model_path),
+                             "--with-emap", "--report", str(report))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 64 * 2**20, peak / 2**20
+        assert json.loads(Path(str(report) + ".manifest.json").read_text())["grid_cells"] == 0
 
     def test_l2_reaches_the_mlp_model(self, capsys, tmp_path):
         data, model_path = tmp_path / "data.json", tmp_path / "mlp.json"

@@ -16,7 +16,7 @@ from emap.grid import (
     emap_predictions,
     projection_loss,
 )
-from emap.metrics import metric_from_logits, subsample_grids, subsampled_emap_metric
+from emap.metrics import metric_from_logits, subsample_projections, subsampled_emap_metric
 from emap.models import FeedForwardConfig, Poly2Config, train_interactive, train_linear
 from emap.synth import SynthParams, generate
 
@@ -165,11 +165,21 @@ class TestSubsampleSlices:
     def test_sliced_subgrids_equal_rescored_ones(self, bundled_models, paired):
         for name, model in bundled_models.items():
             full = build_grid(model, paired.text, paired.visual)
-            sliced = subsample_grids(model, paired, 4, 12, seed=3, grid=full)
-            rescored = subsample_grids(model, paired, 4, 12, seed=3)
-            for (sub_a, grid_a), (sub_b, grid_b) in zip(sliced, rescored, strict=True):
+            sliced = subsample_projections(model, paired, 4, 12, seed=3, grid=full)
+            rescored = subsample_projections(model, paired, 4, 12, seed=3)
+            for (sub_a, proj_a), (sub_b, proj_b) in zip(sliced, rescored, strict=True):
                 assert sub_a.labels.tobytes() == sub_b.labels.tobytes()
-                np.testing.assert_allclose(grid_a.values, grid_b.values, rtol=0, atol=1e-12, err_msg=name)
+                # linear and poly2 project the subsample from their marginals, the others from a new grid
+                assert (proj_b.grid is None) == hasattr(model, "marginals"), name
+                if proj_b.grid is not None:
+                    np.testing.assert_allclose(
+                        proj_a.grid.values, proj_b.grid.values, rtol=0, atol=1e-12, err_msg=name
+                    )
+                for part in ("tau", "phi", "mu"):
+                    np.testing.assert_allclose(
+                        getattr(proj_a.decomposition, part), getattr(proj_b.decomposition, part),
+                        rtol=0, atol=1e-12, err_msg=name,
+                    )
             for metric in ("accuracy", "weighted_f1"):
                 with_grid = subsampled_emap_metric(model, paired, 4, 12, metric, seed=3, grid=full)
                 assert with_grid == subsampled_emap_metric(model, paired, 4, 12, metric, seed=3), (name, metric)
@@ -178,8 +188,8 @@ class TestSubsampleSlices:
         n = paired.n
         for name, model in bundled_models.items():
             full = build_grid(model, paired.text, paired.visual)
-            (_, sub_grid), = subsample_grids(model, paired, 1, n, grid=full)
-            assert sub_grid.values.tobytes() == full.values.tobytes(), name
+            (_, sub_proj), = subsample_projections(model, paired, 1, n, grid=full)
+            assert sub_proj.grid.values.tobytes() == full.values.tobytes(), name
             direct = full.values[np.arange(n), np.arange(n), :]
             proj = emap_predictions(emap_decompose(full))
             for metric in ("accuracy", "weighted_f1"):

@@ -116,6 +116,41 @@ class TestTables:
         with pytest.raises(InputError):
             BooleanTable(1, np.array([[0, 2], [0, 0]]))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[0.5, 1], [0, 1]],
+            [[2, 1], [0, 1]],
+            np.array([[256, 1], [0, 1]]),
+            np.array([[-1, 1], [0, 1]]),
+            np.array([[0, 1], [0, 2]], dtype=np.uint8),
+            np.array([[0, 1], [0, -1.0]]),
+            np.array([[0, 1], [0, np.nan]]),
+            np.array([["0", "1"], ["1", "0"]]),
+        ],
+        ids=["half", "two", "256", "minus-one", "uint8-two", "float-minus-one", "nan", "strings"],
+    )
+    def test_entries_are_checked_before_the_uint8_cast(self, bad):
+        # a cast first would truncate 0.5 to 0 and wrap 256 to 0
+        with pytest.raises(InputError, match="0 or 1"):
+            BooleanTable(1, bad)
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            np.array([[False, True], [True, False]]),
+            np.array([[0, 1], [1, 0]], dtype=np.uint8),
+            np.array([[0, 1], [1, 0]], dtype=np.int64),
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+            [[0, 1], [1, 0]],
+        ],
+        ids=["bool", "uint8", "int64", "float", "list"],
+    )
+    def test_every_bit_dtype_becomes_the_same_uint8_table(self, bits):
+        table = BooleanTable(1, bits)
+        assert table.table.dtype == np.uint8
+        assert table.table.tobytes() == XOR.table.tobytes()
+
 
 class TestRepresentability:
     def test_census_is_14_of_16(self):

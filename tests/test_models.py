@@ -7,7 +7,7 @@ import pytest
 
 from emap.data import PairedDataset
 from emap.exceptions import InputError
-from emap.grid import build_grid, emap_decompose, projection_loss
+from emap.grid import ScoreGrid, build_grid, emap_decompose, projection_loss
 from emap.models import (
     FeedForwardConfig,
     FeedForwardModel,
@@ -337,24 +337,25 @@ class TestFeedForward:
             train_interactive(ds, "svm")
 
 
+def random_affine_model(kind, rng, d1, d2, classes):
+    """A linear or poly2 model with random weights: both are affine in each input side."""
+    if kind == "linear":
+        return LinearModel(
+            w_t=rng.standard_normal((d1, classes)),
+            w_v=rng.standard_normal((d2, classes)),
+            b=rng.standard_normal(classes),
+        )
+    return Poly2Model(
+        w=rng.standard_normal((d1 + d2 + d1 * d2, classes)), b=rng.standard_normal(classes), d1=d1, d2=d2
+    )
+
+
 @pytest.mark.parametrize("kind", ["linear", "poly2"])
 def test_grid_peak_memory_stays_below_one_and_a_half_grids(kind):
     """logits_grid fills its planes in place: no second N^2 x d array at its peak."""
     rng = np.random.default_rng(8)
     n, d1, d2, classes = 600, 6, 5, 2
-    if kind == "linear":
-        model = LinearModel(
-            w_t=rng.standard_normal((d1, classes)),
-            w_v=rng.standard_normal((d2, classes)),
-            b=rng.standard_normal(classes),
-        )
-    else:
-        model = Poly2Model(
-            w=rng.standard_normal((d1 + d2 + d1 * d2, classes)),
-            b=rng.standard_normal(classes),
-            d1=d1,
-            d2=d2,
-        )
+    model = random_affine_model(kind, rng, d1, d2, classes)
     T, V = rng.standard_normal((n, d1)), rng.standard_normal((n, d2))
     grid_bytes = n * n * classes * 8
     tracemalloc.start()
@@ -365,6 +366,25 @@ def test_grid_peak_memory_stays_below_one_and_a_half_grids(kind):
         tracemalloc.stop()
     assert values.shape == (n, n, classes)
     assert peak < 1.5 * grid_bytes, peak / grid_bytes
+
+
+@pytest.mark.parametrize("kind", ["linear", "poly2"])
+@pytest.mark.parametrize("classes", [2, 3])
+@pytest.mark.parametrize("n_t, n_v", [(9, 9), (5, 11), (12, 4), (1, 6), (7, 1), (1, 1)])
+def test_marginals_equal_the_decomposition_of_the_grid(kind, classes, n_t, n_v):
+    """Model-level criterion 04: the closed-form marginals are the grid's EMAP, rectangular grids too."""
+    rng = np.random.default_rng([n_t, n_v, classes])
+    d1, d2 = 4, 3
+    model = random_affine_model(kind, rng, d1, d2, classes)
+    T, V = 2.0 * rng.standard_normal((n_t, d1)), rng.standard_normal((n_v, d2)) + 1.0
+    values = model.logits_grid(T, V)
+    grid_dec = emap_decompose(ScoreGrid(values=values))
+    dec = model.marginals(T, V)
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(values))))
+    assert dec.tau.shape == (n_t, classes) and dec.phi.shape == (n_v, classes)
+    for part in ("tau", "phi", "mu"):
+        np.testing.assert_allclose(getattr(dec, part), getattr(grid_dec, part), rtol=0, atol=tol, err_msg=part)
+    assert dec.gauge_residual() <= 1e-12
 
 
 @pytest.mark.parametrize("config", [LinearConfig, Poly2Config, FeedForwardConfig])
