@@ -3,15 +3,15 @@
 Labels are the sign of a latent dot product between the two modalities, so
 no function of the form f_T(t) + f_V(v) carries signal.  A linear model
 stays at chance; interaction-capable models solve the task; projecting an
-interactive model's grid drops it back to chance.  The subsampled protocol
-at the end shows how to estimate projection quality when the full grid is
-too large.
+interactive model (``project_scorer``) drops it back to chance.  The
+subsampled protocol at the end shows how to estimate projection quality when
+the full grid is too large.
 
 Runs at a reduced scale (~1 minute); the full desk-scale numbers live in
 tests/test_acceptance.py (criterion 5).
 """
 
-from emap.grid import build_grid, emap_decompose, emap_predictions
+from emap.grid import emap_predictions, project_scorer
 from emap.metrics import accuracy, agreement, subsampled_emap_metric
 from emap.models import FeedForwardConfig, Poly2Config, train_interactive, train_linear
 from emap.synth import SynthParams, generate
@@ -33,8 +33,8 @@ models = {
 print(f"\n{'model':10s} {'test acc':>9s} {'projected':>10s} {'agreement':>10s}")
 for name, model in models.items():
     direct = model.logits_many(test.text, test.visual)
-    grid = build_grid(model, test.text, test.visual)
-    projected = emap_predictions(emap_decompose(grid))
+    # linear and poly2 project from their marginals, the mlp through its full grid
+    projected = emap_predictions(project_scorer(model, test.text, test.visual).decomposition)
     print(
         f"{name:10s} {accuracy(direct, test.labels):9.3f} "
         f"{accuracy(projected, test.labels):10.3f} "

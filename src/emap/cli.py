@@ -225,19 +225,18 @@ def _split_metrics(logits, labels) -> dict:
 
 def _cmd_eval(args) -> int:
     started = time.monotonic()
-    dataset = emap_io.load_dataset(args.data)
+    part = emap_io.load_dataset(args.data).subset(args.split)  # the full dataset is freed at once
     model = emap_io.load_model(args.model)
-    part = dataset.subset(args.split)
     logits = model.logits_many(part.text, part.visual)
     report = EvalReport(
         model=Path(args.model).stem,
         split=args.split,
         metrics=_split_metrics(logits, part.labels),
     )
-    grid, cells = None, 0
+    projection, cells = None, 0
     if args.with_emap:
         projection = project_scorer(model, part.text, part.visual)
-        grid, cells = projection.grid, projection.cells
+        cells = projection.cells
         proj = emap_predictions(projection.decomposition)
         report.emap_metrics = _split_metrics(proj, part.labels)
         report.agreement_rate = agreement(logits, proj)
@@ -249,7 +248,7 @@ def _cmd_eval(args) -> int:
         except ValueError:
             raise InputError("--subsample expects 'k,m' with two integers") from None
         report.subsample = subsampled_emap_metric(
-            model, part, k, m, args.metric, seed=args.seed, grid=grid
+            model, part, k, m, args.metric, seed=args.seed, full=projection
         )
         cells += report.subsample.grid_cells
     if args.report.endswith(".csv"):

@@ -80,16 +80,10 @@ class PairedDataset:
         mask = self.split == _SPLIT_CODES[split]
         if not mask.any():
             raise InputError(f"split {split!r} is empty")
-        return PairedDataset(
-            text=self.text[mask],
-            visual=self.visual[mask],
-            labels=self.labels[mask],
-            split=self.split[mask],
-            num_classes=self.num_classes,
-            meta=dict(self.meta),
-        )
+        return self.take(mask)
 
     def take(self, indices: np.ndarray) -> "PairedDataset":
+        """Items at ``indices`` (positions or a boolean mask), in that order."""
         return PairedDataset(
             text=self.text[indices],
             visual=self.visual[indices],

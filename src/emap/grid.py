@@ -17,7 +17,9 @@ each side) returns its decomposition exactly from O(N) scores, so no grid is
 built and memory grows as O(N * d).  Any other scorer is projected through
 ``build_grid``, which fills all N^2 * d cells with one
 ``scorer.logits_grid(T, V)`` call, or with one call per cell for a plain
-``(t, v) -> logits`` callable.
+``(t, v) -> logits`` callable.  Either way the result is one ``Projection``,
+with the paired items' direct scores, the grid or None, and the cells scored;
+``Projection.take`` cuts a subset's projection from the grid, scoring nothing.
 
 All arithmetic is 64-bit.  Grids are stored channel-major: ``values`` has
 the logical shape ``(N_t, N_v, d)``, but its memory is ``(d, N_t, N_v)``, so
@@ -243,38 +245,52 @@ def emap_decompose(grid: ScoreGrid) -> AdditiveDecomposition:
     return AdditiveDecomposition(tau=row_means - mu, phi=col_means - mu, mu=mu)
 
 
+def _diagonal(grid: ScoreGrid) -> np.ndarray:
+    """Scores of the originally paired items, ``grid.values[i, i]``, of a square grid."""
+    return grid.values[np.arange(grid.n), np.arange(grid.n)]
+
+
 @dataclass(frozen=True, eq=False)
 class Projection:
-    """A scorer's additive projection over paired items, and the grid it came from.
+    """A scorer's additive projection over paired items, with its direct scores.
 
-    ``grid`` is None when the scorer's ``marginals`` gave the decomposition
-    without scoring any cross-pairing.
+    ``direct[i]`` is the scorer's output on the i-th pair: the grid's diagonal,
+    or ``logits_many`` when ``marginals`` gave the decomposition and ``grid``
+    is None.  ``cells`` counts the cross-pairings scored to reach it.
     """
 
     decomposition: AdditiveDecomposition
+    direct: np.ndarray
     grid: ScoreGrid | None = None
+    cells: int = 0
 
-    @property
-    def cells(self) -> int:
-        """Grid cells scored to reach the projection."""
-        return 0 if self.grid is None else self.grid.n_text * self.grid.n_visual
+    def take(self, idx: np.ndarray) -> "Projection":
+        """The projection of items ``idx``, from the sub-grid sliced out of ``grid``; scores nothing."""
+        if self.grid is None:
+            raise InputError("only a projection that holds its grid can be sliced")
+        idx = np.asarray(idx)
+        sub = ScoreGrid(values=self.grid.planes[:, idx[:, np.newaxis], idx].transpose(1, 2, 0))
+        return Projection(emap_decompose(sub), _diagonal(sub), sub)
 
 
 def project_scorer(scorer: Scorer, texts: Sequence, visuals: Sequence) -> Projection:
     """The EMAP of ``scorer`` over paired items, without a grid when the scorer allows it.
 
     A scorer with a ``marginals(T, V)`` method returns the decomposition
-    itself; every other scorer is projected by ``emap_decompose`` of its
-    ``build_grid`` grid.  A scorer with ``marginals`` must also provide
-    ``logits_many(T, V)``: with no grid, ``subsampled_emap_metric`` takes
-    the subsample's direct scores from it.
+    itself, and its direct scores come from ``logits_many(T, V)``, which it
+    must therefore also provide; every other scorer is projected by
+    ``emap_decompose`` of its ``build_grid`` grid, whose diagonal holds the
+    direct scores.
     """
     t_mat, v_mat = _paired_features(texts, visuals)
     marginals = getattr(scorer, "marginals", None)
     if marginals is not None:
-        return Projection(marginals(t_mat, v_mat))
+        logits_many = getattr(scorer, "logits_many", None)
+        if logits_many is None:
+            raise InputError("a scorer with marginals must also provide logits_many for its direct scores")
+        return Projection(marginals(t_mat, v_mat), logits_many(t_mat, v_mat))
     grid = build_grid(scorer, t_mat, v_mat)
-    return Projection(emap_decompose(grid), grid)
+    return Projection(emap_decompose(grid), _diagonal(grid), grid, grid.n_text * grid.n_visual)
 
 
 def emap_predictions(dec: AdditiveDecomposition) -> np.ndarray:

@@ -15,15 +15,18 @@ file extension (anything but ``.json``).  Binary layouts are little-endian:
 All writers produce byte-identical output for identical inputs.  Every
 loader turns a malformed file into ``InputError``; binary readers check each
 length a header claims against the bytes left in the file before reading or
-allocating anything, and reject bytes left over after the payload.  A
-binary grid is read in blocks of whole rows straight into channel-major
-planes.  A JSON grid file above ``JSON_GRID_MAX_BYTES`` is refused, at load
-and before a save whose file could exceed it.
+allocating anything, and reject bytes left over after the payload.  Each
+array is read straight into its own buffer (``_read_array``), never held as
+file bytes plus a copy; a binary grid is read so in blocks of whole rows,
+each moved into channel-major planes.  A JSON grid file above
+``JSON_GRID_MAX_BYTES`` is refused, at load and before a save whose file
+could exceed it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -102,12 +105,18 @@ def _check_left(fh, count: int, what: str) -> None:
         raise InputError(f"truncated file while reading {what}: need {count} bytes, {left} left")
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
+def _read_array(fh, dtype, shape: tuple, what: str) -> np.ndarray:
+    """A fresh ``dtype`` array of ``shape`` read straight from the file, its length checked first."""
+    count = np.dtype(dtype).itemsize * math.prod(shape)
     _check_left(fh, count, what)
-    data = fh.read(count)
-    if len(data) != count:
+    out = np.empty(shape, dtype=dtype)
+    if fh.readinto(out) != count:
         raise InputError(f"truncated file while reading {what}")
-    return data
+    return out
+
+
+def _read_exact(fh, count: int, what: str) -> bytes:
+    return _read_array(fh, np.uint8, (count,), what).tobytes()
 
 
 def _read_header(fh, path, magic: bytes, fmt: str, what: str) -> list[int]:
@@ -196,8 +205,8 @@ def load_grid(path) -> ScoreGrid:
         rows = max(1, GRID_READ_BLOCK_BYTES // row_bytes)
         for start in range(0, n, rows):
             count = min(rows, n - start)
-            block = np.frombuffer(_read_exact(fh, row_bytes * count, "values"), dtype="<f8")
-            planes[:, start : start + count] = block.reshape(count, n, d).transpose(2, 0, 1)
+            block = _read_array(fh, "<f8", (count, n, d), "values")
+            planes[:, start : start + count] = block.transpose(2, 0, 1)
         _expect_end(fh, path)
     return ScoreGrid(values=planes.transpose(1, 2, 0))
 
@@ -239,11 +248,11 @@ def load_decomposition(path) -> AdditiveDecomposition:
             )
     with open(path, "rb") as fh:
         n, d = _read_header(fh, path, DECOMP_MAGIC, "<IQQ", "decomposition")
-        tau = np.frombuffer(_read_exact(fh, 8 * n * d, "tau"), dtype="<f8").reshape(n, d)
-        phi = np.frombuffer(_read_exact(fh, 8 * n * d, "phi"), dtype="<f8").reshape(n, d)
-        mu = np.frombuffer(_read_exact(fh, 8 * d, "mu"), dtype="<f8")
+        tau = _read_array(fh, "<f8", (n, d), "tau")
+        phi = _read_array(fh, "<f8", (n, d), "phi")
+        mu = _read_array(fh, "<f8", (d,), "mu")
         _expect_end(fh, path)
-    return AdditiveDecomposition(tau=tau.copy(), phi=phi.copy(), mu=mu.copy())
+    return AdditiveDecomposition(tau=tau, phi=phi, mu=mu)
 
 
 # -- datasets ----------------------------------------------------------------
@@ -305,10 +314,10 @@ def load_dataset(path) -> PairedDataset:
             )
     with open(path, "rb") as fh:
         n, d1, d2, num_classes = _read_header(fh, path, DATA_MAGIC, "<IQQQQ", "dataset")
-        split = np.frombuffer(_read_exact(fh, n, "split"), dtype=np.uint8).astype(np.int8)
-        labels = np.frombuffer(_read_exact(fh, 4 * n, "labels"), dtype="<u4").astype(np.int64)
-        text = np.frombuffer(_read_exact(fh, 8 * n * d1, "text"), dtype="<f8").reshape(n, d1)
-        visual = np.frombuffer(_read_exact(fh, 8 * n * d2, "visual"), dtype="<f8").reshape(n, d2)
+        split = _read_array(fh, np.int8, (n,), "split")  # the u8 codes; any above 127 fail as negative
+        labels = _read_array(fh, "<u4", (n,), "labels")
+        text = _read_array(fh, "<f8", (n, d1), "text")
+        visual = _read_array(fh, "<f8", (n, d2), "visual")
         (config_len,) = struct.unpack("<Q", _read_exact(fh, 8, "config length"))
         config = _read_exact(fh, config_len, "config")
         _expect_end(fh, path)
@@ -317,8 +326,8 @@ def load_dataset(path) -> PairedDataset:
     if not isinstance(meta, dict):
         raise InputError(f"{path}: dataset config is not a JSON object")
     return PairedDataset(
-        text=text.copy(),
-        visual=visual.copy(),
+        text=text,
+        visual=visual,
         labels=labels,
         split=split,
         num_classes=int(num_classes),

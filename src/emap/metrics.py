@@ -5,6 +5,10 @@ toward the lowest class index; binary AUC is the Mann-Whitney rank
 statistic with average ranks for ties; multi-class AUC is macro one-vs-rest
 (the unweighted mean of per-class binary AUCs); weighted F1 is the
 support-weighted mean of per-class F1.
+
+The subsampled protocol takes direct and projected predictions, and the
+cells scored, from one ``grid.Projection`` per repetition: ``take`` of the
+full projection's grid when it has one, else ``grid.project_scorer``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from .data import PairedDataset
 from .exceptions import InputError, UndefinedMetricError
-from .grid import Projection, ScoreGrid, emap_decompose, emap_predictions, project_scorer
+from .grid import Projection, emap_predictions, project_scorer
 
 __all__ = [
     "AUC_CONVENTION_NOTE",
@@ -28,7 +32,6 @@ __all__ = [
     "agreement",
     "disagreement_advantage",
     "SubsampleResult",
-    "subsample_projections",
     "subsampled_emap_metric",
     "EvalReport",
     "METRIC_NAMES",
@@ -204,26 +207,6 @@ class SubsampleResult:
     grid_cells: int = field(default=0, compare=False)
 
 
-def subsample_projections(scorer, dataset: PairedDataset, k: int, m: int, seed: int = 0, grid=None):
-    """Yield ``(subsample, projection)`` for each of the k repetitions.
-
-    Repetition r draws m indices without replacement from the r-th child of
-    ``SeedSequence(seed)`` and keeps them in ascending order.  The
-    projection decomposes a sub-grid sliced from ``grid``, the dataset's
-    full grid, when one is given; otherwise it is ``project_scorer`` of the
-    subsample, which scores an m x m grid only for scorers without
-    ``marginals``.
-    """
-    for child in np.random.SeedSequence(seed).spawn(k):
-        idx = np.sort(np.random.default_rng(child).choice(dataset.n, size=m, replace=False))
-        sub = dataset.take(idx)
-        if grid is None:
-            yield sub, project_scorer(scorer, sub.text, sub.visual)
-        else:
-            sub_grid = ScoreGrid(values=grid.planes[:, idx[:, np.newaxis], idx].transpose(1, 2, 0))
-            yield sub, Projection(emap_decompose(sub_grid), sub_grid)
-
-
 def subsampled_emap_metric(
     scorer,
     dataset: PairedDataset,
@@ -231,38 +214,37 @@ def subsampled_emap_metric(
     m: int,
     metric: str,
     seed: int = 0,
-    grid: ScoreGrid | None = None,
+    full: Projection | None = None,
 ) -> SubsampleResult:
     """Projection quality on k random size-m subsamples of a dataset.
 
-    Each subsample is drawn without replacement (independently across the k
-    repetitions, from seeds derived per repetition) and kept in ascending
-    index order -- a subsample is a set, so with m = n the projection is
-    exactly the full-dataset one and the metrics match it bit for bit.
-    Direct predictions are the sub-grid's diagonal, or ``logits_many`` of the
-    subsample when its projection came from the scorer's ``marginals``;
-    projected predictions come from the same projection.  When ``grid`` (the
-    full grid of ``dataset``) is given, each sub-grid is sliced from it
-    instead of being scored again; see ``subsample_projections``.
+    Repetition r draws m indices without replacement from the r-th child of
+    ``SeedSequence(seed)`` and keeps them in ascending order -- a subsample
+    is a set, so with m = n the projection is exactly the full-dataset one
+    and the metrics match it bit for bit.  Each repetition's projection is
+    ``full.take(idx)`` when ``full``, the projection of ``dataset``, holds a
+    grid, and ``project_scorer`` of the subsample otherwise; its direct and
+    projected predictions are compared on the same items.
     """
     if k < 1:
         raise InputError("k must be >= 1")
     if m < 1 or m > dataset.n:
         raise InputError(f"subsample size m={m} must lie in [1, {dataset.n}]")
-    if grid is not None and (grid.n_text, grid.n_visual) != (dataset.n, dataset.n):
-        raise InputError(f"a {grid.n_text} x {grid.n_visual} grid is not the grid of {dataset.n} items")
+    if full is not None and len(full.direct) != dataset.n:
+        raise InputError(f"a projection of {len(full.direct)} items is not the projection of {dataset.n} items")
     direct_vals = np.empty(k)
     emap_vals = np.empty(k)
     cells = 0
-    for rep, (sub, proj) in enumerate(subsample_projections(scorer, dataset, k, m, seed, grid)):
-        if proj.grid is None:
-            direct = scorer.logits_many(sub.text, sub.visual)
+    for rep, child in enumerate(np.random.SeedSequence(seed).spawn(k)):
+        idx = np.sort(np.random.default_rng(child).choice(dataset.n, size=m, replace=False))
+        sub = dataset.take(idx)
+        if full is not None and full.grid is not None:
+            proj = full.take(idx)
         else:
-            direct = proj.grid.values[np.arange(m), np.arange(m), :]
-        direct_vals[rep] = metric_from_logits(metric, direct, sub.labels)
+            proj = project_scorer(scorer, sub.text, sub.visual)
+        direct_vals[rep] = metric_from_logits(metric, proj.direct, sub.labels)
         emap_vals[rep] = metric_from_logits(metric, emap_predictions(proj.decomposition), sub.labels)
-        if grid is None:  # a sub-grid sliced from ``grid`` scores nothing new
-            cells += proj.cells
+        cells += proj.cells
     return SubsampleResult(
         metric=metric,
         k=k,

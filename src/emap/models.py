@@ -43,7 +43,6 @@ __all__ = [
     "FeedForwardModel",
     "train_linear",
     "train_interactive",
-    "predict",
 ]
 
 
@@ -634,8 +633,3 @@ def train_interactive(data: PairedDataset, kind: str, cfg=None):
 
         return train_adaboost(data, cfg or AdaBoostConfig())
     raise InputError(f"unknown interactive model kind {kind!r}")
-
-
-def predict(model, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Logits of any trained model for a single (text, visual) pair."""
-    return np.asarray(model.logits(np.asarray(t, dtype=np.float64), np.asarray(v, dtype=np.float64)))

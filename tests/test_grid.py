@@ -14,9 +14,10 @@ from emap.grid import (
     build_grid,
     emap_decompose,
     emap_predictions,
+    project_scorer,
     projection_loss,
 )
-from emap.metrics import metric_from_logits, subsample_projections, subsampled_emap_metric
+from emap.metrics import metric_from_logits, subsampled_emap_metric
 from emap.models import FeedForwardConfig, Poly2Config, train_interactive, train_linear
 from emap.synth import SynthParams, generate
 
@@ -155,53 +156,99 @@ class TestLayout:
         assert dec.phi.tobytes() == (values.mean(axis=0) - mu).tobytes()
 
 
+class _GridOnly:
+    """A bundled model seen through ``logits_grid`` alone, so ``project_scorer`` builds its grid."""
+
+    def __init__(self, model):
+        self.logits_grid = model.logits_grid
+
+
 class TestSubsampleSlices:
-    """A sub-grid sliced from the full grid stands in for scoring the subsample again."""
+    """``Projection.take`` of the full grid stands in for projecting the subsample again."""
 
     @pytest.fixture(scope="class")
     def paired(self):
         return generate(SynthParams(n=30, d=4, d1=6, d2=5, seed=2))
 
     def test_sliced_subgrids_equal_rescored_ones(self, bundled_models, paired):
+        rng = np.random.default_rng(3)
         for name, model in bundled_models.items():
-            full = build_grid(model, paired.text, paired.visual)
-            sliced = subsample_projections(model, paired, 4, 12, seed=3, grid=full)
-            rescored = subsample_projections(model, paired, 4, 12, seed=3)
-            for (sub_a, proj_a), (sub_b, proj_b) in zip(sliced, rescored, strict=True):
-                assert sub_a.labels.tobytes() == sub_b.labels.tobytes()
+            full = project_scorer(_GridOnly(model), paired.text, paired.visual)
+            assert full.cells == paired.n**2, name
+            for _ in range(4):
+                idx = np.sort(rng.choice(paired.n, size=12, replace=False))
+                sub = paired.take(idx)
+                taken = full.take(idx)
+                rescored = project_scorer(model, sub.text, sub.visual)
                 # linear and poly2 project the subsample from their marginals, the others from a new grid
-                assert (proj_b.grid is None) == hasattr(model, "marginals"), name
-                if proj_b.grid is not None:
+                assert (rescored.grid is None) == hasattr(model, "marginals"), name
+                assert taken.cells == 0, name
+                assert rescored.cells == (0 if rescored.grid is None else 12 * 12), name
+                if rescored.grid is not None:
                     np.testing.assert_allclose(
-                        proj_a.grid.values, proj_b.grid.values, rtol=0, atol=1e-12, err_msg=name
+                        taken.grid.values, rescored.grid.values, rtol=0, atol=1e-12, err_msg=name
                     )
+                np.testing.assert_allclose(taken.direct, rescored.direct, rtol=0, atol=1e-12, err_msg=name)
                 for part in ("tau", "phi", "mu"):
                     np.testing.assert_allclose(
-                        getattr(proj_a.decomposition, part), getattr(proj_b.decomposition, part),
+                        getattr(taken.decomposition, part), getattr(rescored.decomposition, part),
                         rtol=0, atol=1e-12, err_msg=name,
                     )
+            own = project_scorer(model, paired.text, paired.visual)  # no grid for linear and poly2
             for metric in ("accuracy", "weighted_f1"):
-                with_grid = subsampled_emap_metric(model, paired, 4, 12, metric, seed=3, grid=full)
-                assert with_grid == subsampled_emap_metric(model, paired, 4, 12, metric, seed=3), (name, metric)
+                rescored = subsampled_emap_metric(model, paired, 4, 12, metric, seed=3)
+                for given in (full, own):
+                    result = subsampled_emap_metric(model, paired, 4, 12, metric, seed=3, full=given)
+                    assert result == rescored, (name, metric)
 
     def test_full_size_subsample_reproduces_the_full_grid(self, bundled_models, paired):
         n = paired.n
         for name, model in bundled_models.items():
-            full = build_grid(model, paired.text, paired.visual)
-            (_, sub_proj), = subsample_projections(model, paired, 1, n, grid=full)
-            assert sub_proj.grid.values.tobytes() == full.values.tobytes(), name
-            direct = full.values[np.arange(n), np.arange(n), :]
-            proj = emap_predictions(emap_decompose(full))
+            full = project_scorer(_GridOnly(model), paired.text, paired.visual)
+            taken = full.take(np.arange(n))
+            assert taken.grid.values.tobytes() == full.grid.values.tobytes(), name
+            assert taken.direct.tobytes() == full.direct.tobytes(), name
+            direct = full.grid.values[np.arange(n), np.arange(n), :]
+            assert full.direct.tobytes() == direct.tobytes(), name
+            proj = emap_predictions(emap_decompose(full.grid))
             for metric in ("accuracy", "weighted_f1"):
-                result = subsampled_emap_metric(model, paired, 1, n, metric, grid=full)
+                result = subsampled_emap_metric(model, paired, 1, n, metric, full=full)
                 assert result.direct_mean == metric_from_logits(metric, direct, paired.labels), name
                 assert result.emap_mean == metric_from_logits(metric, proj, paired.labels), name
+                assert result.grid_cells == 0, name
 
     def test_grid_of_another_size_rejected(self, bundled_models, paired):
+        for name in ("linear", "feedforward"):  # a projection without and with its grid
+            model = bundled_models[name]
+            other = project_scorer(model, paired.text[:10], paired.visual[:10])
+            with pytest.raises(InputError, match="not the projection of 30 items"):
+                subsampled_emap_metric(model, paired, 2, 5, "accuracy", full=other)
+
+    def test_projection_without_a_grid_cannot_be_sliced(self, bundled_models, paired):
+        proj = project_scorer(bundled_models["poly2"], paired.text, paired.visual)
+        assert proj.grid is None
+        with pytest.raises(InputError, match="holds its grid"):
+            proj.take(np.arange(3))
+
+
+class TestProjectScorer:
+    def test_direct_scores_are_the_paired_logits(self, bundled_models, items):
+        texts, visuals = items
+        for name, model in bundled_models.items():
+            proj = project_scorer(model, texts, visuals)
+            np.testing.assert_allclose(
+                proj.direct, model.logits_many(texts, visuals), rtol=0, atol=1e-12, err_msg=name
+            )
+            assert proj.cells == (0 if hasattr(model, "marginals") else len(texts) ** 2), name
+
+    def test_marginals_without_logits_many_refused(self, bundled_models, items):
         model = bundled_models["linear"]
-        other = build_grid(model, paired.text[:10], paired.visual[:10])
-        with pytest.raises(InputError, match="not the grid of 30 items"):
-            subsampled_emap_metric(model, paired, 2, 5, "accuracy", grid=other)
+
+        class MarginalsOnly:
+            marginals = model.marginals
+
+        with pytest.raises(InputError, match="logits_many"):
+            project_scorer(MarginalsOnly(), *items)
 
 
 class TestDecompose:

@@ -279,6 +279,38 @@ class TestDatasetFiles:
         if loaded is not None:
             assert loaded.n == header[0] >= 1
 
+    def test_binary_load_holds_the_features_once(self, tmp_path):
+        """Each array is read straight into its own buffer, never as file bytes plus a copy."""
+        rng = np.random.default_rng(9)
+        n = 4000
+        dataset = PairedDataset(
+            text=rng.standard_normal((n, 60)), visual=rng.standard_normal((n, 40)),
+            labels=rng.integers(0, 3, n), split=rng.integers(0, 3, n), num_classes=3,
+        )
+        path = tmp_path / "data.bin"
+        emap_io.save_dataset(dataset, path)
+        features = dataset.text.nbytes + dataset.visual.nbytes
+        tracemalloc.start()
+        try:
+            loaded = emap_io.load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1] / features
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25, peak
+        assert loaded.text.tobytes() + loaded.visual.tobytes() == dataset.text.tobytes() + dataset.visual.tobytes()
+        assert loaded.labels.tobytes() == dataset.labels.tobytes()
+        assert loaded.split.tobytes() == dataset.split.tobytes()
+
+    @pytest.mark.parametrize("code", [3, 127, 128, 255])
+    def test_unknown_split_code_is_input_error(self, dataset, tmp_path, code):
+        path = tmp_path / "data.bin"
+        emap_io.save_dataset(dataset, path)
+        raw = bytearray(path.read_bytes())
+        raw[8 + struct.calcsize("<IQQQQ")] = code  # the first item's split code
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InputError, match="split codes"):
+            emap_io.load_dataset(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "data.bin"
         path.write_bytes(b"WRONGMAG" + b"\x00" * 64)

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from emap.data import PairedDataset
 from emap.exceptions import InputError, UndefinedMetricError
+from emap.grid import project_scorer
 from emap.metrics import (
     accuracy,
     agreement,
@@ -291,6 +292,24 @@ class TestSubsampleProtocol:
         a = subsampled_emap_metric(scorer, ds, k=4, m=8, metric="accuracy", seed=42)
         b = subsampled_emap_metric(scorer, ds, k=4, m=8, metric="accuracy", seed=42)
         assert a == b
+
+    def test_full_projection_with_a_grid_is_sliced_not_rescored(self):
+        rng = np.random.default_rng(8)
+        ds = toy_dataset(rng, n=16)
+        scorer = linear_scorer(rng, 3, 2)
+        calls = []
+
+        def counted(t, v):
+            calls.append(1)
+            return scorer(t, v)
+
+        full = project_scorer(counted, ds.text, ds.visual)
+        assert (len(calls), full.cells) == (16 * 16, 16 * 16)
+        sliced = subsampled_emap_metric(counted, ds, k=3, m=6, metric="accuracy", seed=2, full=full)
+        assert (len(calls), sliced.grid_cells) == (16 * 16, 0)
+        rescored = subsampled_emap_metric(counted, ds, k=3, m=6, metric="accuracy", seed=2)
+        assert (len(calls), rescored.grid_cells) == (16 * 16 + 3 * 6 * 6, 3 * 6 * 6)
+        assert sliced == rescored
 
     def test_unknown_metric(self):
         with pytest.raises(InputError):

@@ -21,7 +21,6 @@ from emap.models import (
     _fit_softmax_descent,
     _poly2_adjoint,
     _poly2_logits,
-    predict,
     train_interactive,
     train_linear,
 )
@@ -77,7 +76,7 @@ def sign_product_dataset(n=500, seed=0):
 class TestLinear:
     def test_zero_weights_give_zero_logits(self):
         model = LinearModel(w_t=np.zeros((3, 2)), w_v=np.zeros((2, 2)), b=np.zeros(2))
-        np.testing.assert_array_equal(predict(model, np.ones(3), np.ones(2)), 0.0)
+        np.testing.assert_array_equal(model.logits(np.ones(3), np.ones(2)), 0.0)
 
     def test_logits_decompose_additively(self):
         rng = np.random.default_rng(1)
@@ -88,9 +87,9 @@ class TestLinear:
         )
         t, v = rng.standard_normal(3), rng.standard_normal(4)
         recombined = (
-            predict(model, t, np.zeros(4)) + predict(model, np.zeros(3), v) - model.b
+            model.logits(t, np.zeros(4)) + model.logits(np.zeros(3), v) - model.b
         )
-        np.testing.assert_allclose(predict(model, t, v), recombined, atol=1e-12)
+        np.testing.assert_allclose(model.logits(t, v), recombined, atol=1e-12)
 
     def test_separable_toy_reaches_perfect_train_accuracy(self):
         T = np.array([[-2.0], [-1.5], [1.5], [2.0]])
