@@ -11,52 +11,39 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+from . import MAX_TABLE_N, METRIC_NAMES, SPLIT_NAMES, __version__
+from .exceptions import EmapError, InputError, NumericError, UndefinedMetricError
 
-from . import __version__
-from .boosting import AdaBoostConfig
-from .data import SPLIT_NAMES
-from .exceptions import EmapError, InputError, NumericError
-from .grid import emap_decompose, emap_predictions, project_scorer
-from .logic import (
-    MAX_TABLE_N,
-    ORACLE_SIDE_LIMIT,
-    additive_fit_auc,
-    all_tables,
-    is_representable,
-    is_representable_many,
-    parse_formula,
-    representable_oracle,
-    representable_oracle_many,
-    run_size_sweep,
-    table_from_formula,
-    table_side,
-    write_sweep_csv,
+
+def _lazy(name: str):
+    """``emap.<name>``, whose code runs on its first attribute access.
+
+    Each subcommand thus runs only the modules it calls into, and ``--help``
+    loads no numpy.  The module is put in ``sys.modules`` and bound on the
+    package at once, as an import would, so code that looks it up there right
+    after ``import emap.cli`` (the benchmark's tracer does) finds it.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+boosting, grid, logic, metrics, models, oracle, synth = map(
+    _lazy, ("boosting", "grid", "logic", "metrics", "models", "oracle", "synth")
 )
-from .metrics import (
-    METRIC_NAMES,
-    EvalReport,
-    UndefinedMetricError,
-    agreement,
-    disagreement_advantage,
-    metric_from_logits,
-    subsampled_emap_metric,
-)
-from .models import (
-    FeedForwardConfig,
-    LinearConfig,
-    Poly2Config,
-    train_interactive,
-    train_linear,
-)
-from .oracle import verify_projection
-from .synth import SynthParams, generate
-from . import io as emap_io
+emap_io = _lazy("io")
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -117,8 +104,8 @@ def _emit_manifest(manifest: dict, artifact_path=None) -> None:
 def _cmd_project(args) -> int:
     started = time.monotonic()
     grid_path = _resolve_fixture(args.grid)
-    grid = emap_io.load_grid(grid_path)
-    dec = emap_decompose(grid)
+    score_grid = emap_io.load_grid(grid_path)
+    dec = grid.emap_decompose(score_grid)
     emap_io.save_decomposition(dec, args.out)
     _emit_manifest(_manifest(args, [grid_path], started), args.out)
     return EXIT_OK
@@ -127,8 +114,8 @@ def _cmd_project(args) -> int:
 def _cmd_verify(args) -> int:
     started = time.monotonic()
     grid_path = _resolve_fixture(args.grid)
-    grid = emap_io.load_grid(grid_path)
-    report, passed = verify_projection(grid, tolerance=args.tolerance, seed=args.seed)
+    score_grid = emap_io.load_grid(grid_path)
+    report, passed = oracle.verify_projection(score_grid, tolerance=args.tolerance, seed=args.seed)
     payload = report.to_json_dict()
     payload["passed"] = passed
     payload["tolerance"] = args.tolerance
@@ -143,7 +130,7 @@ def _cmd_synth(args) -> int:
         fractions = tuple(float(x) for x in args.split.split(","))
     except ValueError:
         raise InputError(f"--split expects three comma-separated fractions, got {args.split!r}") from None
-    params = SynthParams(
+    params = synth.SynthParams(
         d=args.latent_dim,
         d1=args.text_dim,
         d2=args.visual_dim,
@@ -152,7 +139,7 @@ def _cmd_synth(args) -> int:
         split=fractions,
         seed=args.seed,
     )
-    dataset = generate(params)
+    dataset = synth.generate(params)
     emap_io.save_dataset(dataset, args.out)
     _emit_manifest(_manifest(args, [], started, seed=args.seed), args.out)
     return EXIT_OK
@@ -198,14 +185,15 @@ def _cmd_train(args) -> int:
     started = time.monotonic()
     settings = _train_settings(args)
     dataset = emap_io.load_dataset(args.data)
+    settings["seed"] = args.seed
     if args.model == "linear":
-        model = train_linear(dataset, LinearConfig(**settings, seed=args.seed))
+        model = models.train_linear(dataset, models.LinearConfig(**settings))
     elif args.model == "poly2":
-        model = train_interactive(dataset, "poly2", Poly2Config(**settings, seed=args.seed))
+        model = models.train_interactive(dataset, "poly2", models.Poly2Config(**settings))
     elif args.model == "mlp":
-        model = train_interactive(dataset, "feedforward", FeedForwardConfig(**settings, seed=args.seed))
+        model = models.train_interactive(dataset, "feedforward", models.FeedForwardConfig(**settings))
     elif args.model == "adaboost":
-        model = train_interactive(dataset, "adaboost", AdaBoostConfig(**settings, seed=args.seed))
+        model = models.train_interactive(dataset, "adaboost", boosting.AdaBoostConfig(**settings))
     else:  # pragma: no cover - argparse choices guard this
         raise InputError(f"unknown model {args.model!r}")
     emap_io.save_model(model, args.out)
@@ -217,7 +205,7 @@ def _split_metrics(logits, labels) -> dict:
     out = {}
     for name in METRIC_NAMES:
         try:
-            out[name] = metric_from_logits(name, logits, labels)
+            out[name] = metrics.metric_from_logits(name, logits, labels)
         except (UndefinedMetricError, InputError):
             continue
     return out
@@ -227,27 +215,31 @@ def _cmd_eval(args) -> int:
     started = time.monotonic()
     part = emap_io.load_dataset(args.data).subset(args.split)  # the full dataset is freed at once
     model = emap_io.load_model(args.model)
-    logits = model.logits_many(part.text, part.visual)
-    report = EvalReport(
+    projection, cells = None, 0
+    if args.with_emap:
+        # the projection's direct scores equal logits_many bit for bit (tests/test_grid.py)
+        projection = grid.project_scorer(model, part.text, part.visual)
+        cells = projection.cells
+        logits = projection.direct
+    else:
+        logits = model.logits_many(part.text, part.visual)
+    report = metrics.EvalReport(
         model=Path(args.model).stem,
         split=args.split,
         metrics=_split_metrics(logits, part.labels),
     )
-    projection, cells = None, 0
-    if args.with_emap:
-        projection = project_scorer(model, part.text, part.visual)
-        cells = projection.cells
-        proj = emap_predictions(projection.decomposition)
+    if projection is not None:
+        proj = grid.emap_predictions(projection.decomposition)
         report.emap_metrics = _split_metrics(proj, part.labels)
-        report.agreement_rate = agreement(logits, proj)
-        report.orig_better_frac = disagreement_advantage(logits, proj, part.labels)
+        report.agreement_rate = metrics.agreement(logits, proj)
+        report.orig_better_frac = metrics.disagreement_advantage(logits, proj, part.labels)
     if args.subsample:
         try:
             k_str, m_str = args.subsample.split(",")
             k, m = int(k_str), int(m_str)
         except ValueError:
             raise InputError("--subsample expects 'k,m' with two integers") from None
-        report.subsample = subsampled_emap_metric(
+        report.subsample = metrics.subsampled_emap_metric(
             model, part, k, m, args.metric, seed=args.seed, full=projection
         )
         cells += report.subsample.grid_cells
@@ -268,11 +260,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_logic_census(args) -> int:
     started = time.monotonic()
-    tables = all_tables(args.n)
-    fast = is_representable_many(tables)
+    tables = logic.all_tables(args.n)
+    fast = logic.is_representable_many(tables)
     print(f"{int(fast.sum())}/{len(tables)} representable")
     if args.cross_check:
-        disagreements = int(np.sum(representable_oracle_many(tables) != fast))
+        disagreements = int((logic.representable_oracle_many(tables) != fast).sum())
         if disagreements:
             print(f"checker/oracle disagreements: {disagreements}", file=sys.stderr)
             return EXIT_NUMERIC
@@ -282,20 +274,20 @@ def _cmd_logic_census(args) -> int:
 
 def _cmd_logic_check(args) -> int:
     started = time.monotonic()
-    ast = parse_formula(args.formula)
-    table = table_from_formula(ast, args.n)
-    fast = is_representable(table)
-    oracle = representable_oracle(table) if table.table.shape[0] <= ORACLE_SIDE_LIMIT else None
+    ast = logic.parse_formula(args.formula)
+    table = logic.table_from_formula(ast, args.n)
+    fast = logic.is_representable(table)
+    verdict = logic.representable_oracle(table) if table.table.shape[0] <= logic.ORACLE_SIDE_LIMIT else None
     payload = {
         "formula": args.formula,
         "n": args.n,
         "representable": fast,
-        "oracle": oracle,
-        "emap_auc": None if table.is_constant else additive_fit_auc(table, "emap"),
+        "oracle": verdict,
+        "emap_auc": None if table.is_constant else logic.additive_fit_auc(table, "emap"),
     }
     print(json.dumps(payload, indent=2))
     _emit_manifest(_manifest(args, [], started))
-    if oracle is not None and oracle != fast:
+    if verdict is not None and verdict != fast:
         return EXIT_NUMERIC
     return EXIT_OK
 
@@ -308,9 +300,9 @@ def _cmd_logic_sweep(args) -> int:
         raise InputError("--n-range expects 'A..B'") from None
     if lo > hi:
         raise InputError(f"--n-range {args.n_range} is empty; it needs A <= B")
-    cfg = AdaBoostConfig(max_depth=args.max_depth, n_stages=args.stages)
+    cfg = boosting.AdaBoostConfig(max_depth=args.max_depth, n_stages=args.stages)
     for n in (lo, hi):
-        table_side(n)  # an out-of-reach range is refused before any warning
+        logic.table_side(n)  # an out-of-reach range is refused before any warning
     if cfg.max_depth < 2 * hi:
         slow = max(lo, cfg.max_depth // 2 + 1)
         print(
@@ -318,8 +310,8 @@ def _cmd_logic_sweep(args) -> int:
             f"greedy trees on all 4^n cells there, which is slow at large n (--max-depth {2 * hi} avoids it)",
             file=sys.stderr,
         )
-    rows = run_size_sweep(range(lo, hi + 1), args.samples, args.seed, cfg=cfg, sampler=args.sampler)
-    write_sweep_csv(rows, args.out)
+    rows = logic.run_size_sweep(range(lo, hi + 1), args.samples, args.seed, cfg=cfg, sampler=args.sampler)
+    logic.write_sweep_csv(rows, args.out)
     print(f"sampler={args.sampler}", file=sys.stderr)
     _emit_manifest(_manifest(args, [], started, seed=args.seed), args.out)
     return EXIT_OK
@@ -383,8 +375,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--threads", type=int, help="accepted; grid evaluation runs single-threaded")
     p.set_defaults(func=_cmd_eval)
 
-    logic = sub.add_parser("logic", help="boolean representability experiments")
-    logic_sub = logic.add_subparsers(dest="logic_command", required=True)
+    p = sub.add_parser("logic", help="boolean representability experiments")
+    logic_sub = p.add_subparsers(dest="logic_command", required=True)
 
     p = logic_sub.add_parser("census", help="count representable tables at size n")
     p.add_argument("--n", type=int, default=1)

@@ -6,11 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import SPLIT_NAMES
 from .exceptions import InputError
 
 __all__ = ["SPLIT_NAMES", "PairedDataset"]
 
-SPLIT_NAMES = ("train", "val", "test")
 _SPLIT_CODES = {name: i for i, name in enumerate(SPLIT_NAMES)}
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import MAX_TABLE_N
 from .boosting import AdaBoostConfig, boost_batch
 from .boosting import full_boost_round, unimodal_restricted_boost_round
 from .exceptions import (
@@ -70,7 +71,6 @@ __all__ = [
 ORACLE_SIDE_LIMIT = 16
 SWEEP_METHODS = ("emap", "adaboost_unimodal", "adaboost_full")
 BOOSTED_METHODS = ("adaboost_unimodal", "adaboost_full")
-MAX_TABLE_N = 10  # a 1024 x 1024 table: about a million cells
 # cells of the tables one sweep batch boosts together; a larger table boosts
 # alone.  At 2^16 cells (512 KB per float64 array) the 2000-sample n = 1..4
 # sweep ran in 13 s against 14.5 s at 2^20 and 15 s at 2^14 (2 vCPUs).

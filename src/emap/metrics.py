@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import METRIC_NAMES
 from .data import PairedDataset
 from .exceptions import InputError, UndefinedMetricError
 from .grid import Projection, emap_predictions, project_scorer
@@ -143,9 +144,6 @@ def auc_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
     if logits.shape[1] == 2:
         return auc_binary(logits[:, 1] - logits[:, 0], labels)
     return auc_macro_ovr(logits, labels)
-
-
-METRIC_NAMES = ("accuracy", "auc", "weighted_f1")
 
 
 def metric_from_logits(name: str, logits: np.ndarray, labels: np.ndarray) -> float:

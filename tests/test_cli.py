@@ -111,18 +111,25 @@ class TestPipeline:
         assert any(line.startswith("lin,accuracy,") for line in lines)
 
     def test_eval_threads_do_not_change_artifact(self, capsys, tmp_path, data_path):
-        model_path = tmp_path / "lin.json"
-        run(capsys, "train", "--data", str(data_path), "--model", "linear", "--out", str(model_path))
-        reports = []
-        for threads, name in ((1, "r1.json"), (4, "r4.json")):
-            path = tmp_path / name
-            code, _, _ = run(
-                capsys, "eval", "--data", str(data_path), "--model", str(model_path),
-                "--with-emap", "--threads", str(threads), "--report", str(path),
-            )
-            assert code == 0
-            reports.append(path.read_bytes())
-        assert reports[0] == reports[1]
+        # linear projects from its marginals; the mlp and unimodal AdaBoost build a grid
+        trained = {
+            "lin": ["--model", "linear"],
+            "mlp": ["--model", "mlp", "--epochs", "3", "--hidden", "4", "--proj-width", "3"],
+            "ada": ["--model", "adaboost", "--stages", "3", "--max-depth", "2", "--restriction", "unimodal"],
+        }
+        for stem, flags in trained.items():
+            model_path = tmp_path / f"{stem}.json"
+            run(capsys, "train", "--data", str(data_path), *flags, "--out", str(model_path))
+            reports = []
+            for threads, name in ((1, "r1.json"), (4, "r4.json")):
+                path = tmp_path / f"{stem}_{name}"
+                code, _, _ = run(
+                    capsys, "eval", "--data", str(data_path), "--model", str(model_path),
+                    "--with-emap", "--threads", str(threads), "--report", str(path),
+                )
+                assert code == 0
+                reports.append(path.read_bytes())
+            assert reports[0] == reports[1]
 
     def test_subsample_sliced_from_the_emap_grid_matches_rescoring(self, capsys, tmp_path, data_path):
         # an mlp has no marginals, so its subsample grids are sliced from the --with-emap grid;
@@ -554,6 +561,19 @@ class TestInputContract:
         assert not out.exists()
 
 
+def run_fresh(script: str) -> str:
+    """Run ``script`` in a fresh interpreter that imports this checkout's ``emap``; its stdout."""
+    src = str(Path(emap.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def assert_runs_without_scipy(*argvs):
     """Run ``emap.cli.main`` on each argv in a fresh interpreter; no ``scipy`` module may load."""
     script = (
@@ -565,18 +585,74 @@ def assert_runs_without_scipy(*argvs):
         "    assert code == 0, (argv, code)\n"
         "    assert not [m for m in sys.modules if m.startswith('scipy')], argv\n"
     )
-    src = str(Path(emap.__file__).resolve().parent.parent)
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
+    run_fresh(script)
+
+
+# a name each module defines: it is in the module's own __dict__ once the module's code ran
+_DEFINES = {
+    "boosting": "train_adaboost",
+    "data": "PairedDataset",
+    "grid": "emap_decompose",
+    "io": "load_grid",
+    "logic": "run_size_sweep",
+    "metrics": "metric_from_logits",
+    "models": "train_linear",
+    "oracle": "verify_projection",
+    "synth": "generate",
+}
+
+
+def modules_run_by(argv) -> tuple[set, bool]:
+    """The emap modules whose code ran during ``emap.cli.main(argv)`` in a fresh
+    interpreter, and whether numpy was imported.  Looking through
+    ``object.__getattribute__`` does not trigger a lazily registered module's load."""
+    script = (
+        "import json, sys\n"
+        "import emap.cli\n"
+        "try:\n"
+        f"    emap.cli.main({list(argv)!r})\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        f"defines = {_DEFINES!r}\n"
+        "ran = [name for name, attr in defines.items() if 'emap.' + name in sys.modules\n"
+        "       and attr in object.__getattribute__(sys.modules['emap.' + name], '__dict__')]\n"
+        "print(json.dumps([ran, 'numpy' in sys.modules]))\n"
     )
-    assert result.returncode == 0, result.stderr
+    ran, numpy = json.loads(run_fresh(script).splitlines()[-1])
+    return set(ran), numpy
 
 
 class TestImportCost:
-    """scipy is loaded only by gelu models, never at start-up or by the oracles."""
+    """Each subcommand runs only the modules it needs; scipy is loaded only by gelu models."""
+
+    @pytest.mark.parametrize(
+        "argv", [["--version"], ["--help"], ["eval", "--help"], ["verify", "--grids", "x.json"]]
+    )
+    def test_version_help_and_usage_errors_load_no_numpy(self, argv):
+        ran, numpy = modules_run_by(argv)
+        assert ran == set() and not numpy
+
+    @pytest.mark.parametrize("command", ["project", "verify"])
+    def test_project_and_verify_run_only_grid_io_and_the_oracle(self, command, tmp_path):
+        argv = [command, "--grid", "fixture:worked_example_grid.json"]
+        ran, _ = modules_run_by(argv + (["--out", str(tmp_path / "dec.json")] if command == "project" else []))
+        assert ran <= {"data", "grid", "io", "oracle"}
+        assert "grid" in ran
+
+    def test_eval_runs_no_lab_synth_or_oracle_code(self, capsys, tmp_path):
+        data, model = tmp_path / "d.json", tmp_path / "m.json"
+        run(capsys, "synth", "--out", str(data), "--n", "60")
+        run(capsys, "train", "--data", str(data), "--model", "linear", "--out", str(model))
+        ran, _ = modules_run_by(
+            ["eval", "--data", str(data), "--model", str(model), "--with-emap", "--report", str(tmp_path / "r.json")]
+        )
+        assert not ran & {"logic", "synth", "oracle"}
+        assert {"grid", "metrics", "models"} <= ran
+
+    def test_synth_runs_no_model_metric_lab_or_oracle_code(self, tmp_path):
+        ran, _ = modules_run_by(["synth", "--out", str(tmp_path / "d.json"), "--n", "60"])
+        assert not ran & {"logic", "metrics", "models", "boosting", "oracle"}
+        assert "synth" in ran
 
     def test_verify_never_imports_scipy(self):
         assert_runs_without_scipy(["verify", "--grid", "fixture:worked_example_grid.json"])
@@ -604,6 +680,58 @@ class TestImportCost:
             ["logic", "census", "--n", "1"],
             ["logic", "check", "--formula", formula, "--n", "2"],
         )
+
+
+class TestLazyModules:
+    """``emap.cli`` registers the modules it calls into lazily; they still import and resolve as usual."""
+
+    def test_benchmark_shim_targets_resolve_after_importing_the_cli(self):
+        # every (module, name) pair that TARGETS in perfbench/shim.py wraps; its install looks
+        # each module up in sys.modules right after importing emap.cli, then calls getattr
+        wrapped = {
+            "emap.io": ["load_dataset", "load_model", "load_grid", "save_dataset", "save_model",
+                        "save_grid", "save_decomposition", "dump_json"],
+            "emap.synth": ["generate", "generate_with_audit"],
+            "emap.models": ["train_linear", "train_interactive", "LinearModel.logits_many",
+                            "LinearModel.logits_grid", "Poly2Model.logits_many", "Poly2Model.logits_grid",
+                            "FeedForwardModel.logits_many"],
+            "emap.boosting": ["full_boost_round", "unimodal_restricted_boost_round", "train_adaboost",
+                              "AdaBoostModel.logits_many"],
+            "emap.grid": ["build_grid", "emap_decompose"],
+            "emap.metrics": ["metric_from_logits", "auc_binary", "agreement", "disagreement_advantage",
+                             "subsampled_emap_metric"],
+            "emap.oracle": ["solve_exact", "check_stationarity", "check_hessian"],
+            "emap.logic": ["sample_table", "additive_fit_auc", "is_representable", "representable_oracle"],
+        }
+        script = (
+            "import functools, sys\n"
+            "import emap.cli\n"
+            f"wrapped = {wrapped!r}\n"
+            "print(sorted(set(wrapped) - set(sys.modules)))\n"
+            "for module, names in wrapped.items():\n"
+            "    for name in names:\n"
+            "        assert callable(functools.reduce(getattr, name.split('.'), sys.modules[module])), name\n"
+        )
+        assert run_fresh(script).strip() == "[]"
+
+    def test_a_lazily_registered_module_imports_as_usual(self):
+        script = (
+            "import emap.cli\n"
+            "import emap.logic\n"
+            "from emap import grid\n"
+            "print(emap.logic.run_size_sweep.__module__, grid.emap_decompose.__module__)\n"
+        )
+        assert run_fresh(script).split() == ["emap.logic", "emap.grid"]
+
+    def test_every_public_name_resolves_and_is_listed(self):
+        script = (
+            "import emap\n"
+            "names = {}\n"
+            "exec('from emap import *', names)\n"
+            "print([n for n in emap.__all__ if n not in names or n not in dir(emap)])\n"
+            "print(emap.verify_projection.__module__, emap.PairedDataset.__module__)\n"
+        )
+        assert run_fresh(script).splitlines() == ["[]", "emap.oracle emap.data"]
 
 
 class TestUsageErrors:

@@ -232,14 +232,17 @@ class TestSubsampleSlices:
 
 
 class TestProjectScorer:
-    def test_direct_scores_are_the_paired_logits(self, bundled_models, items):
-        texts, visuals = items
-        for name, model in bundled_models.items():
-            proj = project_scorer(model, texts, visuals)
-            np.testing.assert_allclose(
-                proj.direct, model.logits_many(texts, visuals), rtol=0, atol=1e-12, err_msg=name
-            )
-            assert proj.cells == (0 if hasattr(model, "marginals") else len(texts) ** 2), name
+    def test_direct_scores_are_the_paired_logits(self, bundled_models):
+        # bit for bit: eval --with-emap reports the metrics of projection.direct in place of logits_many's
+        ds = generate(SynthParams(n=500, d=4, d1=6, d2=5, seed=3))
+        for n in (1, 7, 64, 500):
+            texts, visuals = ds.text[:n], ds.visual[:n]
+            for name, model in bundled_models.items():
+                proj = project_scorer(model, texts, visuals)
+                expected = model.logits_many(texts, visuals)
+                assert proj.direct.shape == expected.shape, (name, n)
+                assert proj.direct.tobytes() == expected.tobytes(), (name, n)
+                assert proj.cells == (0 if hasattr(model, "marginals") else n * n), (name, n)
 
     def test_marginals_without_logits_many_refused(self, bundled_models, items):
         model = bundled_models["linear"]
