@@ -21,11 +21,15 @@ unchanged.  ``train_adaboost`` boosts one dataset through ``boost``; the
 boolean lab (``logic.py``) boosts many truth tables at once through
 ``boost_batch``.
 
-A trained model scores all text x visual cross-pairings with
-``logits_grid``: a text or visual stage predicts each item once and is
-broadcast, and only a full stage is evaluated per cell, one text row at a
-time.  The two class planes accumulate channel-major, the layout
-``grid.ScoreGrid`` keeps, so the grid is never copied.
+A trained model's logits are its per-class stage-weight sums: the
+stages whose tree votes +1 add their weight to class 1, the others to
+class 0, so ``logits[:, 1] - logits[:, 0]`` is the signed score
+``sum(alpha * h)`` that ``boost`` fits.  ``logits_many`` scores paired
+rows and ``logits_grid`` all text x visual cross-pairings: a text or
+visual stage predicts each item once and is broadcast, and only a full
+stage is evaluated per cell, one text row at a time.  The two class
+planes accumulate channel-major, the layout ``grid.ScoreGrid`` keeps, so
+the grid is never copied.
 """
 
 from __future__ import annotations
@@ -384,19 +388,6 @@ class AdaBoostModel:
     def num_classes(self) -> int:
         return 2
 
-    def _side_inputs(self, T: np.ndarray, V: np.ndarray) -> dict:
-        """The features each stage side reads, after checking their widths and row counts."""
-        T, V = check_pairs(T, V, self.d1, self.d2)
-        return {"full": np.hstack([T, V]), "text": T, "visual": V}
-
-    def decision_scores(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Signed staged score sum(alpha * h) per item."""
-        inputs = self._side_inputs(T, V)
-        scores = np.zeros(inputs["text"].shape[0])
-        for tree, alpha, side in self.stages:
-            scores += alpha * tree.predict(inputs[side])
-        return scores
-
     def logits(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
 
@@ -413,8 +404,9 @@ class AdaBoostModel:
         return np.moveaxis(per_class, 0, -1)
 
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-        inputs = self._side_inputs(T, V)
-        return self._per_class(inputs["text"].shape[:1], lambda tree, side: tree.predict(inputs[side]))
+        T, V = check_pairs(T, V, self.d1, self.d2)
+        inputs = {"full": np.hstack([T, V]), "text": T, "visual": V}
+        return self._per_class(T.shape[:1], lambda tree, side: tree.predict(inputs[side]))
 
     def logits_grid(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Per-class sums over all cross-pairings, as a channel-major ``(N_t, N_v, 2)`` view."""

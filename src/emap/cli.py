@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -113,6 +114,8 @@ def _cmd_project(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.monotonic()
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise InputError(f"--tolerance must be finite and > 0, got {args.tolerance}")
     grid_path = _resolve_fixture(args.grid)
     score_grid = emap_io.load_grid(grid_path)
     report, passed = oracle.verify_projection(score_grid, tolerance=args.tolerance, seed=args.seed)
@@ -146,8 +149,9 @@ def _cmd_synth(args) -> int:
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
+    """``--hidden``'s widths; an empty string means no hidden layer, an empty entry is refused."""
     try:
-        return tuple(int(x) for x in text.split(",") if x)
+        return tuple(int(x) for x in text.split(",")) if text else ()
     except ValueError:
         raise InputError(f"--hidden expects comma-separated integer widths, got {text!r}") from None
 

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SPLIT_NAMES, PairedDataset
+from .data import _SPLIT_CODES, PairedDataset
 from .exceptions import InputError
 from .grid import AdditiveDecomposition, ScoreGrid
 
@@ -64,8 +64,6 @@ JSON_GRID_MAX_BYTES = 256 << 20
 # cell add 17 bytes, those around each row 13, and the keys, sizes and brackets of the
 # object at most 128.
 JSON_VALUE_MAX_BYTES = 34
-
-_SPLIT_CODES = {name: i for i, name in enumerate(SPLIT_NAMES)}
 
 
 def dump_json(payload: dict, path) -> None:

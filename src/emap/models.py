@@ -6,9 +6,12 @@ exact fixed point of the additive projection.  The two interactive families
 can represent multiplicative cross-modal structure: a logistic model trained
 on a bilinear cross term (never expanded into product features), and a
 feed-forward network over projected features ``[t'; v'; v' - t'; v' * t']``.
-Training and scoring share one first-layer formula split by input side:
-three quarters of it is affine in one side at a time, so a grid computes
-that part once per item and only the product block once per cell.
+Each model trains through its own scoring code: the linear model on
+``T w_t + V w_v`` and poly2 on ``_poly2_logits``, the forms ``logits_many``
+scores, and the network through its ``_project`` and ``_head``.  The
+network's first layer is one formula split by input side: three quarters
+of it is affine in one side at a time, so a grid computes that part once
+per item and only the product block once per cell.
 
 All training is full-batch and deterministic given the config seed.  Each
 model scores paired rows with ``logits_many(T, V)`` and all text x visual
@@ -273,16 +276,11 @@ def train_linear(data: PairedDataset, cfg: LinearConfig | None = None) -> Linear
     """Fit the additive linear baseline on the train split."""
     cfg = cfg or LinearConfig()
     train = data.subset("train")
-    features = np.hstack([train.text, train.visual])
+    T, V, d1 = train.text, train.visual, train.d1
     w, b, _ = _fit_softmax_descent(
-        lambda w: features @ w, lambda g: features.T @ g, features.shape[1],
+        lambda w: T @ w[:d1] + V @ w[d1:], lambda g: np.vstack([T.T @ g, V.T @ g]), d1 + train.d2,
         train.labels, data.num_classes, cfg.l2, cfg.lr, cfg.epochs)
-    return LinearModel(
-        w_t=w[: train.d1],
-        w_v=w[train.d1 :],
-        b=b,
-        config={**asdict(cfg), "kind": "linear"},
-    )
+    return LinearModel(w_t=w[:d1], w_v=w[d1:], b=b, config={**asdict(cfg), "kind": "linear"})
 
 
 def _poly2_split(w: np.ndarray, d1: int, d2: int):
@@ -427,10 +425,11 @@ class FeedForwardModel:
     Both inputs are first mapped by affine layers to a common width, then
     the comparison features feed a plain multi-layer network.  The
     elementwise product channel is what gives the family its capacity for
-    multiplicative interactions.  Training (``_ffn_forward``) and scoring
-    (``_head``) evaluate the first layer with one formula split by input
-    side (``_split_first_layer``), so the comparison features are never
-    concatenated and the two give the same logits bit for bit.
+    multiplicative interactions.  Training (``_ffn_loss_and_grads``) runs
+    the model's own ``_project`` and ``_head`` and back-propagates from the
+    buffers ``_head`` fills, so it scores with the code ``logits_many`` and
+    ``logits_grid`` run.  The first layer is one formula split by input side
+    (``_split_first_layer``): the comparison features are never concatenated.
     """
 
     proj_t: np.ndarray
@@ -453,11 +452,14 @@ class FeedForwardModel:
         """A scorer of projected features whose first layer is ``_split_first_layer``'s formula.
 
         The two terms that depend on one side each are computed here once
-        per item.  The returned ``score(rows)`` gives the logits of the text
-        items ``rows`` against ``vp``: row-paired for a slice of all items,
-        or one text item against every visual item for an integer.  It sums
-        the terms in that formula's order, and writes each layer into a
-        buffer of ``len(vp)`` rows that the next call overwrites.
+        per item.  Returns ``(score, prod, pre, post)``: ``score(rows)`` gives
+        the logits of the text items ``rows`` against ``vp``, row-paired for a
+        slice of all items, or one text item against every visual item for an
+        integer.  It sums the terms in that formula's order and writes into
+        buffers of ``len(vp)`` rows that the next call overwrites: ``prod``
+        holds ``v' * t'``, ``pre[k]`` layer k's output (``pre[-1]`` the
+        logits) and ``post[k] = act(pre[k])``, which training back-propagates
+        through.
         """
         act, _ = _activation(self.activation)
         (w1, b1), rest = self.layers[0], self.layers[1:]
@@ -467,32 +469,33 @@ class FeedForwardModel:
         # one buffer per layer for every call: fresh per-row arrays made a process's first
         # N = 2000 grid about 1.5x slower (glibc mmap churn; 2 vCPU, BLAS on 1 thread)
         prod = np.empty_like(vp)
-        outs = [np.empty((len(vp), w.shape[1])) for w, _ in self.layers]
+        pre = [np.empty((len(vp), w.shape[1])) for w, _ in self.layers]
+        post = [np.empty_like(z) for z in pre[:-1]]
 
         def score(rows) -> np.ndarray:
-            z = np.matmul(np.multiply(vp, tp[rows], out=prod), w_prod, out=outs[0])
+            z = np.matmul(np.multiply(vp, tp[rows], out=prod), w_prod, out=pre[0])
             z += v_part
             z += t_part[rows]
-            for (w, b), out in zip(rest, outs[1:]):
-                z = np.matmul(act(z, out=z), w, out=out)
+            for (w, b), a, out in zip(rest, post, pre[1:]):
+                z = np.matmul(act(z, out=a), w, out=out)
                 z += b
             return z
 
-        return score
+        return score, prod, pre, post
 
     def logits(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
 
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
         check_pairs(T, V, self.proj_t.shape[0], self.proj_v.shape[0])
-        return self._head(*self._project(T, V))(slice(None))
+        return self._head(*self._project(T, V))[0](slice(None))
 
     def logits_grid(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Both sides projected and their first-layer parts computed once; then
         one gemm per layer per text row, that row against all of V.  Each row
         equals ``logits_many`` of the text item tiled against V."""
         tp, vp = self._project(T, V)
-        score = self._head(tp, vp)
+        score = self._head(tp, vp)[0]
         planes = np.empty((self.num_classes, tp.shape[0], vp.shape[0]))
         for i in range(tp.shape[0]):
             planes[:, i, :] = score(i).T
@@ -534,35 +537,17 @@ class FeedForwardModel:
         )
 
 
-def _ffn_forward(params: list, T: np.ndarray, V: np.ndarray, act):
-    """Training's forward ``(tp, vp, prod, pre, post)``: ``pre[-1]`` is the logits, ``post[k] = act(pre[k])``.
-
-    The first layer sums ``_split_first_layer``'s terms in ``_head``'s order, so ``pre[-1]`` equals
-    ``logits_many`` of the same rows bit for bit.  ``params`` is ``_train_feedforward``'s list.
-    """
-    p_t, b_t, p_v, b_v, w1, b1, *rest = params
-    tp, vp = T @ p_t + b_t, V @ p_v + b_v
-    w_t, w_v, w_prod = _split_first_layer(w1)
-    prod = vp * tp
-    z = prod @ w_prod
-    z += vp @ w_v + b1
-    z += tp @ w_t
-    pre, post = [z], []
-    for w, b in zip(rest[::2], rest[1::2]):
-        post.append(act(pre[-1]))
-        pre.append(post[-1] @ w + b)
-    return tp, vp, prod, pre, post
-
-
 def _ffn_loss_and_grads(params: list, T: np.ndarray, V: np.ndarray, y: np.ndarray, activation: str, l2: float):
     """Mean cross-entropy plus ``l2 / 2`` times each weight matrix's squared norm, and its gradients.
 
     With ``g_t = t'^T delta``, ``g_v = v'^T delta`` and ``g_p = (v' * t')^T delta`` at the first
     layer, ``dW1 = [g_t; g_v; g_v - g_t; g_p]``.
     """
-    act, act_grad = _activation(activation)
-    tp, vp, prod, pre, post = _ffn_forward(params, T, V, act)
-    probs = _softmax(pre[-1])
+    _, act_grad = _activation(activation)
+    model = FeedForwardModel(*params[:4], tuple(zip(params[4::2], params[5::2])), activation)
+    tp, vp = model._project(T, V)
+    score, prod, pre, post = model._head(tp, vp)
+    probs = _softmax(score(slice(None)))
     loss = _cross_entropy(probs, y)
     if l2 > 0.0:
         loss += 0.5 * l2 * sum(float(np.sum(p * p)) for p in params[::2])

@@ -13,8 +13,10 @@ from emap.boosting import (
     boost,
     boost_batch,
     fit_tree,
+    full_boost_round,
     masked_row_sums,
     train_adaboost,
+    unimodal_restricted_boost_round,
 )
 from emap.data import PairedDataset
 from emap.exceptions import InputError
@@ -42,6 +44,12 @@ def cell_dataset(table: np.ndarray) -> PairedDataset:
         split=np.zeros(len(y), dtype=np.int8),
         num_classes=2,
     )
+
+
+def boosted_scores(ds: PairedDataset, boost_round, max_depth: int, n_stages: int) -> np.ndarray:
+    """The signed stage sums ``sum(alpha * h)`` that ``boost`` fits on ``ds`` with greedy ``boost_round`` trees."""
+    y = ds.labels
+    return boost(np.where(y == 1, 1.0, -1.0), lambda w: boost_round(w, ds.text, ds.visual, y, max_depth), n_stages)[1]
 
 
 class TestTree:
@@ -81,13 +89,14 @@ class TestTree:
 
     def test_complete_tree_fast_path_matches_greedy(self):
         """The lab's tree-free table boosting gives the greedy trees' AUC, bit for bit."""
+        cfg = AdaBoostConfig()
+        rounds = {"full": full_boost_round, "unimodal": unimodal_restricted_boost_round}
         for n, samples in ((1, 60), (2, 12), (3, 3)):
             for i in range(samples):
                 table = sample_table(n, np.random.SeedSequence([2, n, i]), require_nonconstant=True)
                 ds = cell_dataset(table.table)
-                for restriction in ("full", "unimodal"):
-                    model = train_adaboost(ds, AdaBoostConfig(restriction=restriction))
-                    greedy = auc_binary(model.decision_scores(ds.text, ds.visual), ds.labels)
+                for restriction, round_ in rounds.items():
+                    greedy = auc_binary(boosted_scores(ds, round_, cfg.max_depth, cfg.n_stages), ds.labels)
                     got = additive_fit_auc(table, f"adaboost_{restriction}")
                     assert got == greedy, (n, i, restriction)
 
@@ -217,8 +226,8 @@ class TestBoostRounds:
         ds = cell_dataset(np.array([[0, 1], [1, 0]]))
         model = train_adaboost(ds, AdaBoostConfig(restriction="full"))
         assert (model.stop_reason, model.rounds_run) == ("perfect_fit", 1)
-        scores = model.decision_scores(ds.text, ds.visual)
-        np.testing.assert_array_equal(np.sign(scores), np.where(ds.labels == 1, 1.0, -1.0))
+        logits = model.logits_many(ds.text, ds.visual)
+        np.testing.assert_array_equal(np.sign(logits[:, 1] - logits[:, 0]), np.where(ds.labels == 1, 1.0, -1.0))
 
 
 class TestTrainAdaboost:
@@ -237,8 +246,8 @@ class TestTrainAdaboost:
             ds = cell_dataset(table)
             model = train_adaboost(ds, AdaBoostConfig(restriction="full"))
             assert model.stop_reason == "perfect_fit"
-            scores = model.decision_scores(ds.text, ds.visual)
-            np.testing.assert_array_equal(np.sign(scores), np.where(ds.labels == 1, 1.0, -1.0))
+            logits = model.logits_many(ds.text, ds.visual)
+            np.testing.assert_array_equal(np.sign(logits[:, 1] - logits[:, 0]), np.where(ds.labels == 1, 1.0, -1.0))
 
     def test_multiclass_rejected(self):
         ds = PairedDataset(
@@ -251,13 +260,14 @@ class TestTrainAdaboost:
         with pytest.raises(InputError):
             train_adaboost(ds)
 
-    def test_per_class_logits_match_decision_scores(self):
+    def test_per_class_logits_match_boosted_scores(self):
+        """The per-class logits differ by the signed stage sum that boosting fitted."""
         rng = np.random.default_rng(6)
         table = rng.integers(0, 2, size=(4, 4))
         ds = cell_dataset(table)
         model = train_adaboost(ds, AdaBoostConfig(restriction="unimodal", n_stages=20))
+        scores = boosted_scores(ds, unimodal_restricted_boost_round, model.config["max_depth"], 20)
         logits = model.logits_many(ds.text, ds.visual)
-        scores = model.decision_scores(ds.text, ds.visual)
         np.testing.assert_allclose(logits[:, 1] - logits[:, 0], scores, atol=1e-12)
 
     def test_serialization_roundtrip(self):
@@ -266,8 +276,5 @@ class TestTrainAdaboost:
         ds = cell_dataset(table)
         model = train_adaboost(ds, AdaBoostConfig(restriction="unimodal", n_stages=15))
         clone = AdaBoostModel.from_json_dict(model.to_json_dict())
-        np.testing.assert_array_equal(
-            clone.decision_scores(ds.text, ds.visual),
-            model.decision_scores(ds.text, ds.visual),
-        )
+        np.testing.assert_array_equal(clone.logits_many(ds.text, ds.visual), model.logits_many(ds.text, ds.visual))
         assert clone.restriction == model.restriction

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, manifests, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -234,6 +235,17 @@ class TestPipeline:
         )
         assert code == 0
         assert json.loads(model_path.read_text())["config"]["l2"] == 5.0
+
+    def test_empty_hidden_trains_a_network_without_hidden_layers(self, capsys, tmp_path):
+        data, model_path = tmp_path / "data.json", tmp_path / "mlp.json"
+        run(capsys, "synth", "--out", str(data), "--n", "40", "--text-dim", "3", "--visual-dim", "2")
+        code, _, _ = run(
+            capsys, "train", "--data", str(data), "--model", "mlp", "--out", str(model_path),
+            "--epochs", "2", "--hidden", "", "--proj-width", "2",
+        )
+        assert code == 0
+        payload = json.loads(model_path.read_text())
+        assert payload["config"]["hidden"] == [] and len(payload["layers"]) == 1
 
     def test_adaboost_training_via_cli(self, capsys, tmp_path):
         data_path = tmp_path / "tiny.json"
@@ -501,6 +513,9 @@ class TestInputContract:
             ("train", "--model", "mlp", "--hidden", "a,b"),
             ("train", "--model", "mlp", "--hidden", "-3"),
             ("train", "--model", "mlp", "--hidden", "0,5"),
+            ("train", "--model", "mlp", "--hidden", "4,,3"),
+            ("train", "--model", "mlp", "--hidden", "4,3,"),
+            ("train", "--model", "mlp", "--hidden", ","),
             ("train", "--model", "mlp", "--proj-width", "0"),
             ("train", "--model", "linear", "--lr", "nan"),
             ("train", "--model", "poly2", "--lr", "-1"),
@@ -508,7 +523,8 @@ class TestInputContract:
             ("train", "--model", "mlp", "--l2", "-1"),
         ],
         ids=["synth-bad-split", "synth-nan-split", "synth-two-splits", "train-bad-hidden",
-             "train-negative-hidden", "train-zero-hidden", "train-zero-proj-width", "train-nan-lr",
+             "train-negative-hidden", "train-zero-hidden", "train-empty-inner-hidden",
+             "train-trailing-comma-hidden", "train-comma-hidden", "train-zero-proj-width", "train-nan-lr",
              "train-negative-lr", "train-negative-epochs", "train-negative-l2"],
     )
     def test_unusable_training_config_refused(self, capsys, tmp_path, argv):
@@ -539,6 +555,13 @@ class TestInputContract:
                            "--max-depth", "3", "--out", str(out))
         assert code == 1
         assert err.strip() == "error: --max-depth does not apply to --model linear"
+
+    @pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan", "-1", "0"])
+    def test_verify_tolerance_must_be_finite_and_positive(self, capsys, tolerance):
+        # the grid does not exist: the tolerance is refused before any grid is read
+        code, out, err = run(capsys, "verify", "--grid", "nope.json", f"--tolerance={tolerance}")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: --tolerance must be finite and > 0")
 
     @pytest.mark.parametrize(
         "argv",
@@ -686,23 +709,19 @@ class TestLazyModules:
     """``emap.cli`` registers the modules it calls into lazily; they still import and resolve as usual."""
 
     def test_benchmark_shim_targets_resolve_after_importing_the_cli(self):
-        # every (module, name) pair that TARGETS in perfbench/shim.py wraps; its install looks
-        # each module up in sys.modules right after importing emap.cli, then calls getattr
-        wrapped = {
-            "emap.io": ["load_dataset", "load_model", "load_grid", "save_dataset", "save_model",
-                        "save_grid", "save_decomposition", "dump_json"],
-            "emap.synth": ["generate", "generate_with_audit"],
-            "emap.models": ["train_linear", "train_interactive", "LinearModel.logits_many",
-                            "LinearModel.logits_grid", "Poly2Model.logits_many", "Poly2Model.logits_grid",
-                            "FeedForwardModel.logits_many"],
-            "emap.boosting": ["full_boost_round", "unimodal_restricted_boost_round", "train_adaboost",
-                              "AdaBoostModel.logits_many"],
-            "emap.grid": ["build_grid", "emap_decompose"],
-            "emap.metrics": ["metric_from_logits", "auc_binary", "agreement", "disagreement_advantage",
-                             "subsampled_emap_metric"],
-            "emap.oracle": ["solve_exact", "check_stationarity", "check_hessian"],
-            "emap.logic": ["sample_table", "additive_fit_auc", "is_representable", "representable_oracle"],
-        }
+        # every (module, name) pair that TARGETS in perfbench/shim.py wraps, read from that file;
+        # its install looks each module up in sys.modules right after importing emap.cli, then
+        # calls getattr
+        shim = Path(__file__).resolve().parent.parent / "perfbench" / "shim.py"
+        (targets,) = [
+            node.value for node in ast.parse(shim.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+        ]
+        wrapped = {}
+        for target in targets.elts:
+            module, name = (ast.literal_eval(field) for field in target.elts[:2])
+            wrapped.setdefault(module, []).append(name)
+        assert wrapped
         script = (
             "import functools, sys\n"
             "import emap.cli\n"

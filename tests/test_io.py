@@ -342,10 +342,7 @@ class TestModelFiles:
         path = tmp_path / "boost.json"
         emap_io.save_model(model, path)
         loaded = emap_io.load_model(path)
-        np.testing.assert_array_equal(
-            loaded.decision_scores(ds.text, ds.visual),
-            model.decision_scores(ds.text, ds.visual),
-        )
+        np.testing.assert_array_equal(loaded.logits_many(ds.text, ds.visual), model.logits_many(ds.text, ds.visual))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(

@@ -16,11 +16,12 @@ from emap.models import (
     Poly2Config,
     Poly2Model,
     _activation,
-    _ffn_forward,
+    _cross_entropy,
     _ffn_loss_and_grads,
     _fit_softmax_descent,
     _poly2_adjoint,
     _poly2_logits,
+    _softmax,
     train_interactive,
     train_linear,
 )
@@ -326,9 +327,20 @@ class TestFeedForward:
         params = ffn_params(rng, d1, d2, width, hidden, classes)
         model = FeedForwardModel(*params[:4], tuple(zip(params[4::2], params[5::2])), activation)
         T, V = rng.standard_normal((n, d1)), rng.standard_normal((n, d2))
+        y = rng.integers(0, classes, n)
         act, _ = _activation(activation)
-        logits = _ffn_forward(params, T, V, act)[3][-1]
+        tp, vp = model._project(T, V)
+        score, prod, pre, post = model._head(tp, vp)
+        logits = score(slice(None))
+        assert logits is pre[-1]
         assert logits.tobytes() == model.logits_many(T, V).tobytes()
+        # the buffers training back-propagates from: each activation's input is kept beside it
+        assert prod.tobytes() == (vp * tp).tobytes()
+        assert len(post) == len(pre) - 1
+        for z, a in zip(pre, post):
+            assert a.tobytes() == act(z).tobytes()
+        loss, _ = _ffn_loss_and_grads(params, T, V, y, activation, 0.0)
+        assert loss == _cross_entropy(_softmax(model.logits_many(T, V)), y)
 
     def test_unknown_kind_rejected(self):
         ds = sign_product_dataset(n=40)
