@@ -25,7 +25,7 @@ A trained model's logits are its per-class stage-weight sums: the
 stages whose tree votes +1 add their weight to class 1, the others to
 class 0, so ``logits[:, 1] - logits[:, 0]`` is the signed score
 ``sum(alpha * h)`` that ``boost`` fits.  ``logits_many`` scores paired
-rows and ``logits_grid`` all text x visual cross-pairings: a text or
+rows (one pair is one row) and ``logits_grid`` all cross-pairings: a text or
 visual stage predicts each item once and is broadcast, and only a full
 stage is evaluated per cell, one text row at a time.  The two class
 planes accumulate channel-major, the layout ``grid.ScoreGrid`` keeps, so
@@ -387,9 +387,6 @@ class AdaBoostModel:
     @property
     def num_classes(self) -> int:
         return 2
-
-    def logits(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
 
     def _per_class(self, shape: tuple, predict) -> np.ndarray:
         """Per-class stage-weight sums, stage by stage; ``predict(tree, side)`` gives h.

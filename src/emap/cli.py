@@ -59,6 +59,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _at_least(low: int):
+    """An argparse ``type=`` for an integer >= ``low``: a smaller one is refused before any work."""
+    def parse(text: str) -> int:
+        value = int(text)  # a non-integer is argparse's "invalid int value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -221,7 +232,7 @@ def _cmd_eval(args) -> int:
     model = emap_io.load_model(args.model)
     projection, cells = None, 0
     if args.with_emap:
-        # the projection's direct scores equal logits_many bit for bit (tests/test_grid.py)
+        # the projection's direct scores equal logits_many bit for bit (tests/test_paths.py, "direct")
         projection = grid.project_scorer(model, part.text, part.visual)
         cells = projection.cells
         logits = projection.direct
@@ -337,7 +348,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="numerically verify projection optimality")
     p.add_argument("--grid", required=True)
     p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("synth", help="generate the interaction-requiring synthetic task")
@@ -348,14 +359,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--visual-dim", type=int, default=40)
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--split", default="0.8,0.1,0.1")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train a reference model on a dataset file")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True, choices=["linear", "poly2", "mlp", "adaboost"])
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--l2", type=float, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
@@ -375,8 +386,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--with-emap", action="store_true")
     p.add_argument("--subsample", default=None, help="k,m")
     p.add_argument("--metric", default="accuracy", choices=METRIC_NAMES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, help="accepted; grid evaluation runs single-threaded")
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--threads", type=_at_least(1), help="accepted; grid evaluation runs single-threaded")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("logic", help="boolean representability experiments")
@@ -395,12 +406,12 @@ def _build_parser() -> _Parser:
     p = logic_sub.add_parser("sweep", help="additive-fit AUC vs problem size, to CSV")
     p.add_argument("--n-range", required=True, help=f"A..B inclusive, 1 <= A <= B <= {MAX_TABLE_N}")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--sampler", default="uniform", choices=["uniform", "circuit"])
     p.add_argument("--stages", type=int, default=200)
     p.add_argument("--max-depth", type=int, default=15)
-    p.add_argument("--threads", type=int, help="accepted; the sweep runs single-threaded")
+    p.add_argument("--threads", type=_at_least(1), help="accepted; the sweep runs single-threaded")
     p.set_defaults(func=_cmd_logic_sweep)
 
     return parser

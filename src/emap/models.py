@@ -14,11 +14,11 @@ of it is affine in one side at a time, so a grid computes that part once
 per item and only the product block once per cell.
 
 All training is full-batch and deterministic given the config seed.  Each
-model scores paired rows with ``logits_many(T, V)`` and all text x visual
-cross-pairings with ``logits_grid(T, V)``, the one batch protocol
-``grid.build_grid`` calls.  ``logits_grid`` returns an ``(N_t, N_v, d)``
-array whose memory is channel-major, the layout ``grid.ScoreGrid`` keeps,
-and fills each channel plane in place without an N^2 x d temporary.
+model scores paired rows with ``logits_many(T, V)`` (one pair is one row)
+and all text x visual cross-pairings with ``logits_grid(T, V)``, which
+``grid.build_grid`` calls: an ``(N_t, N_v, d)`` array whose memory is
+channel-major, the layout ``grid.ScoreGrid`` keeps, with each channel plane
+filled in place without an N^2 x d temporary.
 The linear and poly2 models are affine in each input side, so they also
 give their exact projection without any grid: ``marginals(T, V)``
 (``_affine_marginals``) scores each side against the other side's mean, in
@@ -232,9 +232,6 @@ class LinearModel:
     def num_classes(self) -> int:
         return self.b.shape[0]
 
-    def logits(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
-
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
         T, V = check_pairs(T, V, self.w_t.shape[0], self.w_v.shape[0])
         return T @ self.w_t + V @ self.w_v + self.b
@@ -326,9 +323,6 @@ class Poly2Model:
     @property
     def num_classes(self) -> int:
         return self.b.shape[0]
-
-    def logits(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
 
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
         return _poly2_logits(self.w, *check_pairs(T, V, self.d1, self.d2)) + self.b
@@ -482,9 +476,6 @@ class FeedForwardModel:
             return z
 
         return score, prod, pre, post
-
-    def logits(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.logits_many(np.atleast_2d(t), np.atleast_2d(v))[0]
 
     def logits_many(self, T: np.ndarray, V: np.ndarray) -> np.ndarray:
         check_pairs(T, V, self.proj_t.shape[0], self.proj_v.shape[0])

@@ -8,7 +8,6 @@ import pytest
 
 from emap.boosting import (
     AdaBoostConfig,
-    AdaBoostModel,
     DecisionTree,
     boost,
     boost_batch,
@@ -22,6 +21,8 @@ from emap.data import PairedDataset
 from emap.exceptions import InputError
 from emap.logic import additive_fit_auc, sample_table
 from emap.metrics import auc_binary
+
+import test_paths as paths
 
 
 def cells_of(table: np.ndarray):
@@ -271,10 +272,4 @@ class TestTrainAdaboost:
         np.testing.assert_allclose(logits[:, 1] - logits[:, 0], scores, atol=1e-12)
 
     def test_serialization_roundtrip(self):
-        rng = np.random.default_rng(7)
-        table = rng.integers(0, 2, size=(4, 4))
-        ds = cell_dataset(table)
-        model = train_adaboost(ds, AdaBoostConfig(restriction="unimodal", n_stages=15))
-        clone = AdaBoostModel.from_json_dict(model.to_json_dict())
-        np.testing.assert_array_equal(clone.logits_many(ds.text, ds.visual), model.logits_many(ds.text, ds.visual))
-        assert clone.restriction == model.restriction
+        paths.run("model_file", "adaboost_unimodal")

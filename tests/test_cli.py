@@ -566,6 +566,32 @@ class TestInputContract:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("synth", "--out", "OUT", "--seed", "-1"),
+            ("train", "--data", "DATA", "--model", "mlp", "--out", "OUT", "--seed", "-1"),
+            ("eval", "--data", "DATA", "--model", "MODEL", "--report", "OUT", "--subsample", "2,5", "--seed", "-1"),
+            ("logic", "sweep", "--n-range", "1..1", "--samples", "2", "--out", "OUT", "--seed", "-1"),
+            ("verify", "--grid", "fixture:worked_example_grid.json", "--seed", "-1"),
+            ("eval", "--data", "DATA", "--model", "MODEL", "--report", "OUT", "--threads", "0"),
+            ("eval", "--data", "DATA", "--model", "MODEL", "--report", "OUT", "--threads", "-2"),
+            ("logic", "sweep", "--n-range", "1..1", "--samples", "2", "--out", "OUT", "--threads", "-2"),
+        ],
+        ids=["synth-seed", "train-seed", "eval-seed", "sweep-seed", "verify-seed",
+             "eval-zero-threads", "eval-negative-threads", "sweep-negative-threads"],
+    )
+    def test_negative_seed_and_threads_below_one_refused(self, capsys, tmp_path, argv):
+        """Refused by the parser, before any file is read or written; the error names the flag."""
+        data, model, out = tmp_path / "data.json", tmp_path / "model.json", tmp_path / "out"
+        run(capsys, "synth", "--out", str(data), "--n", "40")
+        run(capsys, "train", "--data", str(data), "--model", "linear", "--epochs", "2", "--out", str(model))
+        files = {"DATA": str(data), "MODEL": str(model), "OUT": str(out)}
+        code, stdout, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+        assert code == 1 and stdout == ""
+        assert err.splitlines()[-1].startswith(f"error: argument {argv[-2]}: must be >= ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("sweep", "--n-range", "3..1"),
             ("sweep", "--n-range", "0..2"),
             ("sweep", "--n-range", "20..20"),

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emap import grid as grid_module
-from emap.boosting import AdaBoostConfig, train_adaboost
 from emap.exceptions import InputError, NumericError
 from emap.grid import (
     AdditiveDecomposition,
@@ -17,9 +16,9 @@ from emap.grid import (
     project_scorer,
     projection_loss,
 )
-from emap.metrics import metric_from_logits, subsampled_emap_metric
-from emap.models import FeedForwardConfig, Poly2Config, train_interactive, train_linear
-from emap.synth import SynthParams, generate
+from emap.metrics import subsampled_emap_metric
+
+import test_paths as paths
 
 # 3x3 single-logit worked example with hand-checkable means
 GOLDEN = np.array([[-1.3, 0.3, -0.2], [0.8, 3.0, 1.1], [1.1, -0.1, 0.7]])
@@ -36,29 +35,6 @@ def random_grid(rng, n_t=None, n_v=None, d=None) -> ScoreGrid:
     return ScoreGrid(values=rng.standard_normal((n_t, n_v, d)) * 3.0)
 
 
-@pytest.fixture(scope="module")
-def bundled_models():
-    """One small seeded model of each bundled kind; AdaBoost both full and unimodal."""
-    ds = generate(SynthParams(n=120, d=4, d1=6, d2=5, seed=1))
-    return {
-        "linear": train_linear(ds),
-        "poly2": train_interactive(ds, "poly2", Poly2Config(epochs=30)),
-        "feedforward": train_interactive(
-            ds, "feedforward", FeedForwardConfig(proj_width=8, hidden=(16, 12), epochs=20)
-        ),
-        "adaboost_full": train_adaboost(ds, AdaBoostConfig(max_depth=3, n_stages=12)),
-        "adaboost_unimodal": train_adaboost(
-            ds, AdaBoostConfig(max_depth=2, n_stages=12, restriction="unimodal")
-        ),
-    }
-
-
-@pytest.fixture(scope="module")
-def items():
-    ds = generate(SynthParams(n=30, d=4, d1=6, d2=5, seed=2))
-    return ds.text, ds.visual
-
-
 class TestBuildGrid:
     def test_constant_scorer(self):
         grid = build_grid(lambda t, v: np.array([1.0]), [[0.0], [1.0]], [[2.0], [3.0]])
@@ -69,28 +45,12 @@ class TestBuildGrid:
         grid = build_grid(lambda t, v: np.array([t @ v]), [[1.0], [2.0]], [[3.0], [4.0]])
         np.testing.assert_allclose(grid.values[:, :, 0], [[3.0, 4.0], [6.0, 8.0]])
 
-    def test_batched_scorer_matches_per_cell_loop(self, bundled_models, items):
-        """Each bundled model's one ``logits_grid`` call agrees with per-cell evaluation."""
-        texts, visuals = items
-        n = len(texts)
-        for name, model in bundled_models.items():
-            grid = build_grid(model, texts, visuals)
-            per_cell = np.array([[model.logits(t, v) for v in visuals] for t in texts])
-            np.testing.assert_allclose(grid.values, per_cell, rtol=0, atol=1e-12, err_msg=name)
-            # row means are the empirical text-side partial dependence
-            manual = np.stack([per_cell[i].mean(axis=0) for i in range(n)])
-            np.testing.assert_allclose(grid.values.mean(axis=1), manual, rtol=0, atol=1e-12, err_msg=name)
+    def test_batched_scorer_matches_per_cell_loop(self):
+        paths.run("build_grid")
 
-    def test_grid_rows_equal_the_old_row_path(self, bundled_models, items):
-        """FFN and AdaBoost grid rows are bit-equal to tiling one text row through logits_many."""
-        texts, visuals = items
-        assert {side for *_, side in bundled_models["adaboost_unimodal"].stages} == {"text", "visual"}
-        for name in ("feedforward", "adaboost_full", "adaboost_unimodal"):
-            model = bundled_models[name]
-            grid = model.logits_grid(texts, visuals)
-            for i, t in enumerate(texts):
-                row = model.logits_many(np.broadcast_to(t, texts.shape), visuals)
-                assert grid[i].tobytes() == row.tobytes(), (name, i)
+    def test_grid_rows_equal_the_old_row_path(self):
+        """Each ``logits_grid`` row is one text item tiled through ``logits_many``."""
+        paths.run("grid_rows")
 
     def test_changing_output_length_rejected(self):
         with pytest.raises(InputError, match=r"i=1, j=0"):
@@ -156,102 +116,42 @@ class TestLayout:
         assert dec.phi.tobytes() == (values.mean(axis=0) - mu).tobytes()
 
 
-class _GridOnly:
-    """A bundled model seen through ``logits_grid`` alone, so ``project_scorer`` builds its grid."""
-
-    def __init__(self, model):
-        self.logits_grid = model.logits_grid
-
-
 class TestSubsampleSlices:
     """``Projection.take`` of the full grid stands in for projecting the subsample again."""
 
-    @pytest.fixture(scope="class")
-    def paired(self):
-        return generate(SynthParams(n=30, d=4, d1=6, d2=5, seed=2))
+    def test_sliced_subgrids_equal_rescored_ones(self):
+        paths.run("take")
 
-    def test_sliced_subgrids_equal_rescored_ones(self, bundled_models, paired):
-        rng = np.random.default_rng(3)
-        for name, model in bundled_models.items():
-            full = project_scorer(_GridOnly(model), paired.text, paired.visual)
-            assert full.cells == paired.n**2, name
-            for _ in range(4):
-                idx = np.sort(rng.choice(paired.n, size=12, replace=False))
-                sub = paired.take(idx)
-                taken = full.take(idx)
-                rescored = project_scorer(model, sub.text, sub.visual)
-                # linear and poly2 project the subsample from their marginals, the others from a new grid
-                assert (rescored.grid is None) == hasattr(model, "marginals"), name
-                assert taken.cells == 0, name
-                assert rescored.cells == (0 if rescored.grid is None else 12 * 12), name
-                if rescored.grid is not None:
-                    np.testing.assert_allclose(
-                        taken.grid.values, rescored.grid.values, rtol=0, atol=1e-12, err_msg=name
-                    )
-                np.testing.assert_allclose(taken.direct, rescored.direct, rtol=0, atol=1e-12, err_msg=name)
-                for part in ("tau", "phi", "mu"):
-                    np.testing.assert_allclose(
-                        getattr(taken.decomposition, part), getattr(rescored.decomposition, part),
-                        rtol=0, atol=1e-12, err_msg=name,
-                    )
-            own = project_scorer(model, paired.text, paired.visual)  # no grid for linear and poly2
-            for metric in ("accuracy", "weighted_f1"):
-                rescored = subsampled_emap_metric(model, paired, 4, 12, metric, seed=3)
-                for given in (full, own):
-                    result = subsampled_emap_metric(model, paired, 4, 12, metric, seed=3, full=given)
-                    assert result == rescored, (name, metric)
+    def test_full_size_subsample_reproduces_the_full_grid(self):
+        paths.run("take_all")
 
-    def test_full_size_subsample_reproduces_the_full_grid(self, bundled_models, paired):
-        n = paired.n
-        for name, model in bundled_models.items():
-            full = project_scorer(_GridOnly(model), paired.text, paired.visual)
-            taken = full.take(np.arange(n))
-            assert taken.grid.values.tobytes() == full.grid.values.tobytes(), name
-            assert taken.direct.tobytes() == full.direct.tobytes(), name
-            direct = full.grid.values[np.arange(n), np.arange(n), :]
-            assert full.direct.tobytes() == direct.tobytes(), name
-            proj = emap_predictions(emap_decompose(full.grid))
-            for metric in ("accuracy", "weighted_f1"):
-                result = subsampled_emap_metric(model, paired, 1, n, metric, full=full)
-                assert result.direct_mean == metric_from_logits(metric, direct, paired.labels), name
-                assert result.emap_mean == metric_from_logits(metric, proj, paired.labels), name
-                assert result.grid_cells == 0, name
-
-    def test_grid_of_another_size_rejected(self, bundled_models, paired):
+    def test_grid_of_another_size_rejected(self):
+        paired = paths.labelled(30, 2)
         for name in ("linear", "feedforward"):  # a projection without and with its grid
-            model = bundled_models[name]
+            model = paths.scorer(name, 2)
             other = project_scorer(model, paired.text[:10], paired.visual[:10])
             with pytest.raises(InputError, match="not the projection of 30 items"):
                 subsampled_emap_metric(model, paired, 2, 5, "accuracy", full=other)
 
-    def test_projection_without_a_grid_cannot_be_sliced(self, bundled_models, paired):
-        proj = project_scorer(bundled_models["poly2"], paired.text, paired.visual)
+    def test_projection_without_a_grid_cannot_be_sliced(self):
+        paired = paths.labelled(30, 2)
+        proj = project_scorer(paths.scorer("poly2", 2), paired.text, paired.visual)
         assert proj.grid is None
         with pytest.raises(InputError, match="holds its grid"):
             proj.take(np.arange(3))
 
 
 class TestProjectScorer:
-    def test_direct_scores_are_the_paired_logits(self, bundled_models):
+    def test_direct_scores_are_the_paired_logits(self):
         # bit for bit: eval --with-emap reports the metrics of projection.direct in place of logits_many's
-        ds = generate(SynthParams(n=500, d=4, d1=6, d2=5, seed=3))
-        for n in (1, 7, 64, 500):
-            texts, visuals = ds.text[:n], ds.visual[:n]
-            for name, model in bundled_models.items():
-                proj = project_scorer(model, texts, visuals)
-                expected = model.logits_many(texts, visuals)
-                assert proj.direct.shape == expected.shape, (name, n)
-                assert proj.direct.tobytes() == expected.tobytes(), (name, n)
-                assert proj.cells == (0 if hasattr(model, "marginals") else n * n), (name, n)
+        paths.run("direct")
 
-    def test_marginals_without_logits_many_refused(self, bundled_models, items):
-        model = bundled_models["linear"]
-
+    def test_marginals_without_logits_many_refused(self):
         class MarginalsOnly:
-            marginals = model.marginals
+            marginals = paths.scorer("linear", 2).marginals
 
         with pytest.raises(InputError, match="logits_many"):
-            project_scorer(MarginalsOnly(), *items)
+            project_scorer(MarginalsOnly(), *paths.items(5, 5))
 
 
 class TestDecompose:

@@ -12,18 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emap import io as emap_io
-from emap.boosting import AdaBoostConfig, AdaBoostModel, DecisionTree, train_adaboost
+from emap.boosting import AdaBoostModel, DecisionTree
 from emap.data import PairedDataset
 from emap.exceptions import InputError
 from emap.grid import ScoreGrid, emap_decompose
-from emap.models import (
-    FeedForwardModel,
-    LinearConfig,
-    LinearModel,
-    Poly2Model,
-    train_linear,
-)
+from emap.models import FeedForwardModel, LinearModel, Poly2Model
 from emap.synth import SynthParams, generate
+
+import test_paths as paths
 
 
 def fuzz_load(load, content: bytes):
@@ -319,30 +315,11 @@ class TestDatasetFiles:
 
 
 class TestModelFiles:
-    def test_linear_roundtrip(self, dataset, tmp_path):
-        model = train_linear(dataset, LinearConfig(epochs=40))
-        path = tmp_path / "model.json"
-        emap_io.save_model(model, path)
-        loaded = emap_io.load_model(path)
-        np.testing.assert_array_equal(
-            loaded.logits_many(dataset.text, dataset.visual),
-            model.logits_many(dataset.text, dataset.visual),
-        )
+    def test_linear_roundtrip(self):
+        paths.run("model_file", "linear")
 
-    def test_adaboost_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        ds = PairedDataset(
-            text=rng.integers(0, 2, (32, 3)).astype(float),
-            visual=rng.integers(0, 2, (32, 3)).astype(float),
-            labels=rng.integers(0, 2, 32),
-            split=np.zeros(32, dtype=np.int8),
-            num_classes=2,
-        )
-        model = train_adaboost(ds, AdaBoostConfig(n_stages=10, restriction="unimodal"))
-        path = tmp_path / "boost.json"
-        emap_io.save_model(model, path)
-        loaded = emap_io.load_model(path)
-        np.testing.assert_array_equal(loaded.logits_many(ds.text, ds.visual), model.logits_many(ds.text, ds.visual))
+    def test_adaboost_roundtrip(self):
+        paths.run("model_file", "adaboost")
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -375,18 +352,18 @@ class TestModelFiles:
             assert model.logits_many(T, V).shape == (3, model.num_classes)
             assert model.logits_grid(T, V).shape == (3, 3, model.num_classes)
 
-    @pytest.mark.parametrize("kind", ["linear", "poly2", "feedforward", "adaboost"])
-    @pytest.mark.parametrize("n_t, n_v", [(1, 5), (5, 1)])
-    def test_paired_logits_refuse_unequal_row_counts(self, kind, n_t, n_v, tmp_path):
-        """logits_many pairs rows, so unequal counts are an InputError; logits_grid crosses them."""
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(model_payload(kind)))
-        model = emap_io.load_model(path)
-        rng = np.random.default_rng(2)
-        T, V = rng.standard_normal((n_t, 3)), rng.standard_normal((n_v, 2))
-        with pytest.raises(InputError, match="rows"):
-            model.logits_many(T, V)
-        assert model.logits_grid(T, V).shape == (n_t, n_v, 2)
+    @pytest.mark.parametrize(
+        "kind, n_t, n_v",
+        [
+            pytest.param(kind, n_t, n_v, id=f"{n_t}-{n_v}-{kind}")
+            for kind in paths.SCORERS
+            if paths.applies(kind, "unequal_rows")
+            for n_t, n_v in paths.PATHS["unequal_rows"].sizes
+        ],
+    )
+    def test_paired_logits_refuse_unequal_row_counts(self, kind, n_t, n_v):
+        for classes in paths.SCORERS[kind].classes:
+            paths.check_unequal_rows(kind, classes, n_t, n_v)
 
     def test_poly2_file_with_the_retired_budget_field_scores_the_same(self, tmp_path):
         """Files written while poly2 had a ``max_features`` budget keep their config and scores."""

@@ -7,7 +7,7 @@ import pytest
 
 from emap.data import PairedDataset
 from emap.exceptions import InputError
-from emap.grid import ScoreGrid, build_grid, emap_decompose, projection_loss
+from emap.grid import build_grid, emap_decompose, projection_loss
 from emap.models import (
     FeedForwardConfig,
     FeedForwardModel,
@@ -25,6 +25,8 @@ from emap.models import (
     train_interactive,
     train_linear,
 )
+
+import test_paths as paths
 
 
 def make_dataset(text, visual, labels, num_classes=2, split=None):
@@ -77,7 +79,7 @@ def sign_product_dataset(n=500, seed=0):
 class TestLinear:
     def test_zero_weights_give_zero_logits(self):
         model = LinearModel(w_t=np.zeros((3, 2)), w_v=np.zeros((2, 2)), b=np.zeros(2))
-        np.testing.assert_array_equal(model.logits(np.ones(3), np.ones(2)), 0.0)
+        np.testing.assert_array_equal(model.logits_many(np.ones((1, 3)), np.ones((1, 2))), 0.0)
 
     def test_logits_decompose_additively(self):
         rng = np.random.default_rng(1)
@@ -86,11 +88,11 @@ class TestLinear:
             w_v=rng.standard_normal((4, 2)),
             b=rng.standard_normal(2),
         )
-        t, v = rng.standard_normal(3), rng.standard_normal(4)
+        t, v = rng.standard_normal((1, 3)), rng.standard_normal((1, 4))
         recombined = (
-            model.logits(t, np.zeros(4)) + model.logits(np.zeros(3), v) - model.b
+            model.logits_many(t, np.zeros((1, 4))) + model.logits_many(np.zeros((1, 3)), v) - model.b
         )
-        np.testing.assert_allclose(model.logits(t, v), recombined, atol=1e-12)
+        np.testing.assert_allclose(model.logits_many(t, v), recombined, atol=1e-12)
 
     def test_separable_toy_reaches_perfect_train_accuracy(self):
         T = np.array([[-2.0], [-1.5], [1.5], [2.0]])
@@ -141,16 +143,6 @@ class TestPoly2:
         T, V = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
         grid = build_grid(model, T, V)
         assert projection_loss(grid, emap_decompose(grid)) > 1e-3
-
-    def test_grid_fast_path_matches_per_cell(self):
-        rng = np.random.default_rng(4)
-        w = rng.standard_normal((2 + 3 + 6, 2))
-        model = Poly2Model(w=w, b=rng.standard_normal(2), d1=2, d2=3)
-        T, V = rng.standard_normal((5, 2)), rng.standard_normal((5, 3))
-        grid = model.logits_grid(T, V)
-        for i in range(5):
-            for j in range(5):
-                np.testing.assert_allclose(grid[i, j], model.logits(T[i], V[j]), atol=1e-12)
 
     def test_direct_logits_match_the_einsum_and_the_grid_diagonal(self):
         rng = np.random.default_rng(5)
@@ -348,26 +340,11 @@ class TestFeedForward:
             train_interactive(ds, "svm")
 
 
-def random_affine_model(kind, rng, d1, d2, classes):
-    """A linear or poly2 model with random weights: both are affine in each input side."""
-    if kind == "linear":
-        return LinearModel(
-            w_t=rng.standard_normal((d1, classes)),
-            w_v=rng.standard_normal((d2, classes)),
-            b=rng.standard_normal(classes),
-        )
-    return Poly2Model(
-        w=rng.standard_normal((d1 + d2 + d1 * d2, classes)), b=rng.standard_normal(classes), d1=d1, d2=d2
-    )
-
-
 @pytest.mark.parametrize("kind", ["linear", "poly2"])
 def test_grid_peak_memory_stays_below_one_and_a_half_grids(kind):
     """logits_grid fills its planes in place: no second N^2 x d array at its peak."""
-    rng = np.random.default_rng(8)
-    n, d1, d2, classes = 600, 6, 5, 2
-    model = random_affine_model(kind, rng, d1, d2, classes)
-    T, V = rng.standard_normal((n, d1)), rng.standard_normal((n, d2))
+    n, classes = 600, 2
+    model, (T, V) = paths.scorer(kind, classes), paths.items(n, n)
     grid_bytes = n * n * classes * 8
     tracemalloc.start()
     try:
@@ -379,23 +356,17 @@ def test_grid_peak_memory_stays_below_one_and_a_half_grids(kind):
     assert peak < 1.5 * grid_bytes, peak / grid_bytes
 
 
-@pytest.mark.parametrize("kind", ["linear", "poly2"])
-@pytest.mark.parametrize("classes", [2, 3])
-@pytest.mark.parametrize("n_t, n_v", [(9, 9), (5, 11), (12, 4), (1, 6), (7, 1), (1, 1)])
+@pytest.mark.parametrize(
+    "kind, classes, n_t, n_v",
+    [
+        pytest.param(kind, classes, n_t, n_v, id=f"{n_t}-{n_v}-{classes}-{kind}")
+        for kind, classes in paths.cases("marginals")
+        for n_t, n_v in paths.PATHS["marginals"].sizes
+    ],
+)
 def test_marginals_equal_the_decomposition_of_the_grid(kind, classes, n_t, n_v):
     """Model-level criterion 04: the closed-form marginals are the grid's EMAP, rectangular grids too."""
-    rng = np.random.default_rng([n_t, n_v, classes])
-    d1, d2 = 4, 3
-    model = random_affine_model(kind, rng, d1, d2, classes)
-    T, V = 2.0 * rng.standard_normal((n_t, d1)), rng.standard_normal((n_v, d2)) + 1.0
-    values = model.logits_grid(T, V)
-    grid_dec = emap_decompose(ScoreGrid(values=values))
-    dec = model.marginals(T, V)
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(values))))
-    assert dec.tau.shape == (n_t, classes) and dec.phi.shape == (n_v, classes)
-    for part in ("tau", "phi", "mu"):
-        np.testing.assert_allclose(getattr(dec, part), getattr(grid_dec, part), rtol=0, atol=tol, err_msg=part)
-    assert dec.gauge_residual() <= 1e-12
+    paths.check_marginals(kind, classes, n_t, n_v)
 
 
 @pytest.mark.parametrize("config", [LinearConfig, Poly2Config, FeedForwardConfig])
@@ -418,18 +389,8 @@ def test_feedforward_config_refuses_empty_layers():
 
 class TestSerialization:
     def test_linear_roundtrip(self):
-        ds = additive_labels_dataset(n=150)
-        model = train_linear(ds)
-        clone = LinearModel.from_json_dict(model.to_json_dict())
-        np.testing.assert_array_equal(clone.w_t, model.w_t)
-        np.testing.assert_array_equal(clone.b, model.b)
+        """Linear, and poly2: a linear model of the expanded features."""
+        paths.run("model_file", "linear", "poly2")
 
     def test_feedforward_roundtrip_preserves_predictions(self):
-        ds = sign_product_dataset(n=100)
-        model = train_interactive(
-            ds, "feedforward", FeedForwardConfig(proj_width=4, hidden=(8,), epochs=20)
-        )
-        clone = FeedForwardModel.from_json_dict(model.to_json_dict())
-        np.testing.assert_array_equal(
-            clone.logits_many(ds.text, ds.visual), model.logits_many(ds.text, ds.visual)
-        )
+        paths.run("model_file", "feedforward", "feedforward_flat")
