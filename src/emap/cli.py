@@ -52,10 +52,9 @@ EXIT_NUMERIC = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems on stderr and exits 1."""
+    """argparse that reports a usage problem in one stderr line and exits 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise InputError(message)
 
 
@@ -87,44 +86,38 @@ def _resolve_fixture(path: str) -> str:
     return path
 
 
-def _manifest(args: argparse.Namespace, inputs: list[str], started: float, seed=None) -> dict:
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "argv") and v is not None
-    }
-    return {
-        "command": list(getattr(args, "argv", [])),
-        "config": config,
-        "seed": seed,
+def _write_manifest(args, command: list, started: float, inputs: list, extras: dict | None = None) -> None:
+    """The run's manifest, beside its ``--out`` or ``--report`` file, else on stderr."""
+    manifest = {
+        "command": command,
+        "config": {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None},
+        "seed": getattr(args, "seed", None),
         "inputs": {path: _sha256(path) for path in inputs},
         "tool_version": __version__,
         "wall_time_s": round(time.monotonic() - started, 6),
+        **(extras or {}),
     }
-
-
-def _emit_manifest(manifest: dict, artifact_path=None) -> None:
-    if artifact_path is not None:
-        emap_io.dump_json(manifest, str(artifact_path) + ".manifest.json")
-    else:
+    artifact = getattr(args, "out", None) or getattr(args, "report", None)
+    if artifact is None:
         print(json.dumps(manifest), file=sys.stderr)
+    else:
+        emap_io.dump_json(manifest, artifact + ".manifest.json")
 
 
 # -- subcommands -------------------------------------------------------------
+# each returns its exit code, the input files it read and, optionally, extra
+# manifest fields; ``main`` times the run and writes its manifest
 
 
-def _cmd_project(args) -> int:
-    started = time.monotonic()
+def _cmd_project(args) -> tuple:
     grid_path = _resolve_fixture(args.grid)
     score_grid = emap_io.load_grid(grid_path)
     dec = grid.emap_decompose(score_grid)
     emap_io.save_decomposition(dec, args.out)
-    _emit_manifest(_manifest(args, [grid_path], started), args.out)
-    return EXIT_OK
+    return EXIT_OK, [grid_path]
 
 
-def _cmd_verify(args) -> int:
-    started = time.monotonic()
+def _cmd_verify(args) -> tuple:
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise InputError(f"--tolerance must be finite and > 0, got {args.tolerance}")
     grid_path = _resolve_fixture(args.grid)
@@ -134,12 +127,10 @@ def _cmd_verify(args) -> int:
     payload["passed"] = passed
     payload["tolerance"] = args.tolerance
     print(json.dumps(payload, indent=2))
-    _emit_manifest(_manifest(args, [grid_path], started, seed=args.seed))
-    return EXIT_OK if passed else EXIT_NUMERIC
+    return (EXIT_OK if passed else EXIT_NUMERIC), [grid_path]
 
 
-def _cmd_synth(args) -> int:
-    started = time.monotonic()
+def _cmd_synth(args) -> tuple:
     try:
         fractions = tuple(float(x) for x in args.split.split(","))
     except ValueError:
@@ -155,8 +146,7 @@ def _cmd_synth(args) -> int:
     )
     dataset = synth.generate(params)
     emap_io.save_dataset(dataset, args.out)
-    _emit_manifest(_manifest(args, [], started, seed=args.seed), args.out)
-    return EXIT_OK
+    return EXIT_OK, []
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
@@ -167,53 +157,38 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
         raise InputError(f"--hidden expects comma-separated integer widths, got {text!r}") from None
 
 
-# model-specific train flags: (config field, models that read it); a flag left
-# out keeps the config's default, and one the chosen model does not read is refused
-_DESCENT_MODELS = ("linear", "poly2", "mlp")
-_TRAIN_FLAGS = {
-    "l2": ("l2", _DESCENT_MODELS),
-    "lr": ("lr", _DESCENT_MODELS),
-    "epochs": ("epochs", _DESCENT_MODELS),
-    "hidden": ("hidden", ("mlp",)),
-    "proj_width": ("proj_width", ("mlp",)),
-    "activation": ("activation", ("mlp",)),
-    "stages": ("n_stages", ("adaboost",)),
-    "max_depth": ("max_depth", ("adaboost",)),
-    "restriction": ("restriction", ("adaboost",)),
-}
+# train's model flags: each sets the config field of its name (--stages sets n_stages);
+# a flag left out keeps the config's default, and one whose field the chosen model's
+# config lacks is refused
+_TRAIN_FLAGS = ("l2", "lr", "epochs", "hidden", "proj_width", "activation", "stages", "max_depth", "restriction")
 
 
-def _train_settings(args) -> dict:
-    """The config fields set on the command line for the chosen model."""
-    settings = {}
-    for flag, (field, models) in _TRAIN_FLAGS.items():
+def _cmd_train(args) -> tuple:
+    import dataclasses
+
+    if args.model == "adaboost":
+        config_cls = boosting.AdaBoostConfig
+    else:
+        configs = {"linear": models.LinearConfig, "poly2": models.Poly2Config, "mlp": models.FeedForwardConfig}
+        config_cls = configs[args.model]
+    fields = {field.name for field in dataclasses.fields(config_cls)}
+    settings = {"seed": args.seed}
+    for flag in _TRAIN_FLAGS:
         value = getattr(args, flag)
         if value is None:
             continue
-        if args.model not in models:
+        field = "n_stages" if flag == "stages" else flag
+        if field not in fields:
             raise InputError(f"--{flag.replace('_', '-')} does not apply to --model {args.model}")
         settings[field] = _parse_hidden(value) if flag == "hidden" else value
-    return settings
-
-
-def _cmd_train(args) -> int:
-    started = time.monotonic()
-    settings = _train_settings(args)
     dataset = emap_io.load_dataset(args.data)
-    settings["seed"] = args.seed
+    cfg = config_cls(**settings)
     if args.model == "linear":
-        model = models.train_linear(dataset, models.LinearConfig(**settings))
-    elif args.model == "poly2":
-        model = models.train_interactive(dataset, "poly2", models.Poly2Config(**settings))
-    elif args.model == "mlp":
-        model = models.train_interactive(dataset, "feedforward", models.FeedForwardConfig(**settings))
-    elif args.model == "adaboost":
-        model = models.train_interactive(dataset, "adaboost", boosting.AdaBoostConfig(**settings))
-    else:  # pragma: no cover - argparse choices guard this
-        raise InputError(f"unknown model {args.model!r}")
+        model = models.train_linear(dataset, cfg)
+    else:
+        model = models.train_interactive(dataset, "feedforward" if args.model == "mlp" else args.model, cfg)
     emap_io.save_model(model, args.out)
-    _emit_manifest(_manifest(args, [args.data], started, seed=args.seed), args.out)
-    return EXIT_OK
+    return EXIT_OK, [args.data]
 
 
 def _split_metrics(logits, labels) -> dict:
@@ -226,8 +201,28 @@ def _split_metrics(logits, labels) -> dict:
     return out
 
 
-def _cmd_eval(args) -> int:
-    started = time.monotonic()
+_SUBSAMPLE_STATS = ("direct_mean", "direct_std", "emap_mean", "emap_std")
+
+
+def _csv_rows(report: dict) -> list[str]:
+    """An eval report's numbers as CSV rows, in the report's order.  A number
+    under a key that starts with ``emap`` (the projection's) is labelled
+    ``<model>+emap``."""
+    numbers = []  # (the key the number is under, its CSV name, the number)
+    for key, value in report.items():
+        if key in ("metrics", "emap_metrics"):
+            numbers += [(key, name, number) for name, number in value.items()]
+        elif key in ("agreement_rate", "orig_better_frac"):
+            numbers.append((key, key, value))
+        elif key == "subsample":
+            numbers += [(stat, f"subsample_{stat}_{value['metric']}", value[stat]) for stat in _SUBSAMPLE_STATS]
+    model = report["model"]
+    return [
+        f"{model}{'+emap' if key.startswith('emap') else ''},{name},{number!r}" for key, name, number in numbers
+    ]
+
+
+def _cmd_eval(args) -> tuple:
     part = emap_io.load_dataset(args.data).subset(args.split)  # the full dataset is freed at once
     model = emap_io.load_model(args.model)
     projection, cells = None, 0
@@ -238,43 +233,47 @@ def _cmd_eval(args) -> int:
         logits = projection.direct
     else:
         logits = model.logits_many(part.text, part.visual)
-    report = metrics.EvalReport(
-        model=Path(args.model).stem,
-        split=args.split,
-        metrics=_split_metrics(logits, part.labels),
-    )
+    report = {
+        "model": Path(args.model).stem,
+        "split": args.split,
+        "metrics": _split_metrics(logits, part.labels),
+        "notes": [metrics.AUC_CONVENTION_NOTE],
+    }
     if projection is not None:
         proj = grid.emap_predictions(projection.decomposition)
-        report.emap_metrics = _split_metrics(proj, part.labels)
-        report.agreement_rate = metrics.agreement(logits, proj)
-        report.orig_better_frac = metrics.disagreement_advantage(logits, proj, part.labels)
+        report["emap_metrics"] = _split_metrics(proj, part.labels)
+        report["agreement_rate"] = metrics.agreement(logits, proj)
+        orig_better_frac = metrics.disagreement_advantage(logits, proj, part.labels)
+        if orig_better_frac is not None:
+            report["orig_better_frac"] = orig_better_frac
     if args.subsample:
         try:
             k_str, m_str = args.subsample.split(",")
             k, m = int(k_str), int(m_str)
         except ValueError:
             raise InputError("--subsample expects 'k,m' with two integers") from None
-        report.subsample = metrics.subsampled_emap_metric(
+        result = metrics.subsampled_emap_metric(
             model, part, k, m, args.metric, seed=args.seed, full=projection
         )
-        cells += report.subsample.grid_cells
+        cells += result.grid_cells
+        report["subsample"] = {key: getattr(result, key) for key in ("metric", "k", "m", *_SUBSAMPLE_STATS)}
     if args.report.endswith(".csv"):
         Path(args.report).write_text(
-            "model,metric,value\n" + "\n".join(report.to_csv_rows()) + "\n",
+            "model,metric,value\n" + "\n".join(_csv_rows(report)) + "\n",
             encoding="utf-8",
         )
     else:
-        emap_io.dump_json(report.to_json_dict(), args.report)
-    manifest = _manifest(args, [args.data, args.model], started, seed=args.seed)
-    if args.with_emap or args.subsample:
-        # every grid path scores at least one cell, so the count also names the path
-        manifest.update(emap_path="grid" if cells else "marginals", grid_cells=cells)
-    _emit_manifest(manifest, args.report)
-    return EXIT_OK
+        emap_io.dump_json(report, args.report)
+    if not (args.with_emap or args.subsample):
+        return EXIT_OK, [args.data, args.model]
+    # every grid path scores at least one cell, so the count also names the path
+    return EXIT_OK, [args.data, args.model], {
+        "emap_path": "grid" if cells else "marginals",
+        "grid_cells": cells,
+    }
 
 
-def _cmd_logic_census(args) -> int:
-    started = time.monotonic()
+def _cmd_logic_census(args) -> tuple:
     tables = logic.all_tables(args.n)
     fast = logic.is_representable_many(tables)
     print(f"{int(fast.sum())}/{len(tables)} representable")
@@ -282,13 +281,11 @@ def _cmd_logic_census(args) -> int:
         disagreements = int((logic.representable_oracle_many(tables) != fast).sum())
         if disagreements:
             print(f"checker/oracle disagreements: {disagreements}", file=sys.stderr)
-            return EXIT_NUMERIC
-    _emit_manifest(_manifest(args, [], started))
-    return EXIT_OK
+            return EXIT_NUMERIC, []
+    return EXIT_OK, []
 
 
-def _cmd_logic_check(args) -> int:
-    started = time.monotonic()
+def _cmd_logic_check(args) -> tuple:
     ast = logic.parse_formula(args.formula)
     table = logic.table_from_formula(ast, args.n)
     fast = logic.is_representable(table)
@@ -301,14 +298,12 @@ def _cmd_logic_check(args) -> int:
         "emap_auc": None if table.is_constant else logic.additive_fit_auc(table, "emap"),
     }
     print(json.dumps(payload, indent=2))
-    _emit_manifest(_manifest(args, [], started))
     if verdict is not None and verdict != fast:
-        return EXIT_NUMERIC
-    return EXIT_OK
+        return EXIT_NUMERIC, []
+    return EXIT_OK, []
 
 
-def _cmd_logic_sweep(args) -> int:
-    started = time.monotonic()
+def _cmd_logic_sweep(args) -> tuple:
     try:
         lo, hi = (int(x) for x in args.n_range.split(".."))
     except ValueError:
@@ -328,8 +323,7 @@ def _cmd_logic_sweep(args) -> int:
     rows = logic.run_size_sweep(range(lo, hi + 1), args.samples, args.seed, cfg=cfg, sampler=args.sampler)
     logic.write_sweep_csv(rows, args.out)
     print(f"sampler={args.sampler}", file=sys.stderr)
-    _emit_manifest(_manifest(args, [], started, seed=args.seed), args.out)
-    return EXIT_OK
+    return EXIT_OK, []
 
 
 # -- parser ------------------------------------------------------------------
@@ -422,8 +416,10 @@ def main(argv=None) -> int:
     raw = list(argv) if argv is not None else sys.argv[1:]
     try:
         args = parser.parse_args(raw)
-        args.argv = raw
-        return args.func(args)
+        started = time.monotonic()
+        code, *manifest_fields = args.func(args)
+        _write_manifest(args, raw, started, *manifest_fields)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -34,7 +34,6 @@ __all__ = [
     "disagreement_advantage",
     "SubsampleResult",
     "subsampled_emap_metric",
-    "EvalReport",
     "METRIC_NAMES",
     "metric_from_logits",
 ]
@@ -255,62 +254,3 @@ def subsampled_emap_metric(
         emap_values=tuple(float(x) for x in emap_vals),
         grid_cells=cells,
     )
-
-
-@dataclass
-class EvalReport:
-    """Metrics for a model and, optionally, its additive projection."""
-
-    model: str
-    split: str
-    metrics: dict = field(default_factory=dict)
-    emap_metrics: dict | None = None
-    agreement_rate: float | None = None
-    orig_better_frac: float | None = None
-    subsample: SubsampleResult | None = None
-    notes: tuple = (AUC_CONVENTION_NOTE,)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "model": self.model,
-            "split": self.split,
-            "metrics": dict(self.metrics),
-            "notes": list(self.notes),
-        }
-        if self.emap_metrics is not None:
-            out["emap_metrics"] = dict(self.emap_metrics)
-        if self.agreement_rate is not None:
-            out["agreement_rate"] = self.agreement_rate
-        if self.orig_better_frac is not None:
-            out["orig_better_frac"] = self.orig_better_frac
-        if self.subsample is not None:
-            s = self.subsample
-            out["subsample"] = {
-                "metric": s.metric,
-                "k": s.k,
-                "m": s.m,
-                "direct_mean": s.direct_mean,
-                "direct_std": s.direct_std,
-                "emap_mean": s.emap_mean,
-                "emap_std": s.emap_std,
-            }
-        return out
-
-    def to_csv_rows(self) -> list[str]:
-        rows = [f"{self.model},{name},{value!r}" for name, value in self.metrics.items()]
-        if self.emap_metrics:
-            rows += [
-                f"{self.model}+emap,{name},{value!r}"
-                for name, value in self.emap_metrics.items()
-            ]
-        if self.agreement_rate is not None:
-            rows.append(f"{self.model},agreement_rate,{self.agreement_rate!r}")
-        if self.orig_better_frac is not None:
-            rows.append(f"{self.model},orig_better_frac,{self.orig_better_frac!r}")
-        if self.subsample is not None:
-            s = self.subsample
-            rows.append(f"{self.model},subsample_direct_mean_{s.metric},{s.direct_mean!r}")
-            rows.append(f"{self.model},subsample_direct_std_{s.metric},{s.direct_std!r}")
-            rows.append(f"{self.model}+emap,subsample_emap_mean_{s.metric},{s.emap_mean!r}")
-            rows.append(f"{self.model}+emap,subsample_emap_std_{s.metric},{s.emap_std!r}")
-        return rows

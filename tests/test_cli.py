@@ -63,6 +63,57 @@ class TestProject:
         assert len(digest) == 64
 
 
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# one run of each subcommand: argv (GRID, DATA, MODEL and OUT stand for files), its input
+# files, its seed and its exit code
+MANIFEST_RUNS = {
+    "project": (("project", "--grid", "GRID", "--out", "OUT"), ("GRID",), None, 0),
+    "verify": (("verify", "--grid", "GRID", "--seed", "4"), ("GRID",), 4, 0),
+    "synth": (("synth", "--out", "OUT", "--n", "40", "--seed", "3"), (), 3, 0),
+    "train": (("train", "--data", "DATA", "--model", "linear", "--epochs", "2", "--out", "OUT"), ("DATA",), 0, 0),
+    "eval": (("eval", "--data", "DATA", "--model", "MODEL", "--with-emap", "--report", "OUT"), ("DATA", "MODEL"), 0, 0),
+    "logic-census": (("logic", "census", "--n", "1"), (), None, 0),
+    "logic-census-disagreeing": (("logic", "census", "--n", "1"), (), None, 2),
+    "logic-check": (("logic", "check", "--formula", "t1 & v1", "--n", "1"), (), None, 0),
+    "logic-sweep": (("logic", "sweep", "--n-range", "1..1", "--samples", "2", "--seed", "5", "--out", "OUT"), (), 5, 0),
+}
+
+
+class TestManifests:
+    @pytest.mark.parametrize("name", sorted(MANIFEST_RUNS))
+    def test_every_run_writes_one_manifest(self, capsys, tmp_path, monkeypatch, name):
+        """Beside its artifact, or on stderr without one; a census whose oracle disagrees writes one too."""
+        argv, inputs, seed, exit_code = MANIFEST_RUNS[name]
+        given, written = tmp_path / "in", tmp_path / "out"
+        given.mkdir()
+        written.mkdir()
+        files = {"GRID": given / "grid.json", "DATA": given / "data.json", "MODEL": given / "model.json"}
+        files["GRID"].write_bytes((Path(emap.__file__).parent / "fixtures" / "worked_example_grid.json").read_bytes())
+        run(capsys, "synth", "--out", str(files["DATA"]), "--n", "40")
+        run(capsys, "train", "--data", str(files["DATA"]), "--model", "linear", "--epochs", "2",
+            "--out", str(files["MODEL"]))
+        files = {key: str(path) for key, path in files.items()} | {"OUT": str(written / "artifact")}
+        if name == "logic-census-disagreeing":
+            monkeypatch.setattr("emap.logic.representable_oracle_many", lambda tables: np.zeros(len(tables), bool))
+        argv = [files.get(arg, arg) for arg in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == exit_code
+        manifests = [json.loads(path.read_text()) for path in written.glob("*.manifest.json")]
+        manifests += [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert len(manifests) == 1
+        (manifest,) = manifests
+        assert list(manifest)[:6] == ["command", "config", "seed", "inputs", "tool_version", "wall_time_s"]
+        assert manifest["command"] == argv
+        assert manifest["config"]["command"] == argv[0]
+        assert manifest["seed"] == seed
+        assert manifest["inputs"] == {files[key]: sha256_of(files[key]) for key in inputs}
+        assert manifest["tool_version"] == emap.__version__
+        assert manifest["wall_time_s"] >= 0
+
+
 class TestPipeline:
     @pytest.fixture
     def data_path(self, tmp_path, capsys):
@@ -110,6 +161,37 @@ class TestPipeline:
         lines = report_path.read_text().strip().splitlines()
         assert lines[0] == "model,metric,value"
         assert any(line.startswith("lin,accuracy,") for line in lines)
+
+    @pytest.mark.parametrize("extra", [(), ("--with-emap", "--subsample", "2,20")], ids=["plain", "emap-subsample"])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_csv_report_holds_the_json_report_values(self, capsys, tmp_path, data_path, kind, extra):
+        """Each CSV row is one number of the JSON report of the same run, and every number has a row."""
+        model_path = tmp_path / f"{kind}.json"
+        settings = ("--epochs", "3", "--hidden", "4", "--proj-width", "3") if kind == "mlp" else ()
+        run(capsys, "train", "--data", str(data_path), "--model", kind, *settings, "--out", str(model_path))
+        reports = {}
+        for ext in ("json", "csv"):
+            reports[ext] = tmp_path / f"report.{ext}"
+            code, _, _ = run(capsys, "eval", "--data", str(data_path), "--model", str(model_path), *extra,
+                             "--report", str(reports[ext]))
+            assert code == 0
+        report = json.loads(reports["json"].read_text())
+        model = report["model"]
+        expected = {(model, name): value for name, value in report["metrics"].items()}
+        expected |= {(model + "+emap", name): value for name, value in report.get("emap_metrics", {}).items()}
+        expected |= {(model, key): report[key] for key in ("agreement_rate", "orig_better_frac") if key in report}
+        if "subsample" in report:
+            sub = report["subsample"]
+            for stat in ("direct_mean", "direct_std", "emap_mean", "emap_std"):
+                label = model + "+emap" if stat.startswith("emap") else model
+                expected[label, f"subsample_{stat}_{sub['metric']}"] = sub[stat]
+        header, *lines = reports["csv"].read_text().splitlines()
+        assert header == "model,metric,value"
+        rows = [tuple(line.split(",")) for line in lines]
+        assert len({row[:2] for row in rows}) == len(rows)
+        assert {row[:2]: float(row[2]) for row in rows} == expected
+        assert all(row[2] == repr(expected[row[:2]]) for row in rows)
+        assert len(rows) == (3 if not extra else 12 if "orig_better_frac" in report else 11)
 
     def test_eval_threads_do_not_change_artifact(self, capsys, tmp_path, data_path):
         # linear projects from its marginals; the mlp and unimodal AdaBoost build a grid
@@ -651,10 +733,11 @@ _DEFINES = {
 }
 
 
-def modules_run_by(argv) -> tuple[set, bool]:
+def modules_run_by(argv) -> tuple[set, set]:
     """The emap modules whose code ran during ``emap.cli.main(argv)`` in a fresh
-    interpreter, and whether numpy was imported.  Looking through
-    ``object.__getattribute__`` does not trigger a lazily registered module's load."""
+    interpreter, and which of numpy, ``dataclasses`` and ``inspect`` were imported.
+    Looking through ``object.__getattribute__`` does not trigger a lazily
+    registered module's load."""
     script = (
         "import json, sys\n"
         "import emap.cli\n"
@@ -665,10 +748,10 @@ def modules_run_by(argv) -> tuple[set, bool]:
         f"defines = {_DEFINES!r}\n"
         "ran = [name for name, attr in defines.items() if 'emap.' + name in sys.modules\n"
         "       and attr in object.__getattribute__(sys.modules['emap.' + name], '__dict__')]\n"
-        "print(json.dumps([ran, 'numpy' in sys.modules]))\n"
+        "print(json.dumps([ran, [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]]))\n"
     )
-    ran, numpy = json.loads(run_fresh(script).splitlines()[-1])
-    return set(ran), numpy
+    ran, loaded = json.loads(run_fresh(script).splitlines()[-1])
+    return set(ran), set(loaded)
 
 
 class TestImportCost:
@@ -678,8 +761,9 @@ class TestImportCost:
         "argv", [["--version"], ["--help"], ["eval", "--help"], ["verify", "--grids", "x.json"]]
     )
     def test_version_help_and_usage_errors_load_no_numpy(self, argv):
-        ran, numpy = modules_run_by(argv)
-        assert ran == set() and not numpy
+        """Nor ``dataclasses`` or ``inspect``: the parser's build imports neither."""
+        ran, loaded = modules_run_by(argv)
+        assert ran == set() and loaded == set()
 
     @pytest.mark.parametrize("command", ["project", "verify"])
     def test_project_and_verify_run_only_grid_io_and_the_oracle(self, command, tmp_path):
@@ -702,6 +786,13 @@ class TestImportCost:
         ran, _ = modules_run_by(["synth", "--out", str(tmp_path / "d.json"), "--n", "60"])
         assert not ran & {"logic", "metrics", "models", "boosting", "oracle"}
         assert "synth" in ran
+
+    def test_linear_training_runs_no_boosting_code(self, capsys, tmp_path):
+        data = tmp_path / "d.json"
+        run(capsys, "synth", "--out", str(data), "--n", "60")
+        ran, _ = modules_run_by(["train", "--data", str(data), "--model", "linear", "--out", str(tmp_path / "m.json")])
+        assert "boosting" not in ran
+        assert "models" in ran
 
     def test_verify_never_imports_scipy(self):
         assert_runs_without_scipy(["verify", "--grid", "fixture:worked_example_grid.json"])
@@ -781,9 +872,10 @@ class TestLazyModules:
 
 class TestUsageErrors:
     def test_unknown_flag_exits_one(self, capsys):
-        code, _, err = run(capsys, "verify", "--grids", "x.json")
+        # --grid is given, so the refusal is about the unknown flag; it is one line, with no usage block
+        code, _, err = run(capsys, "verify", "--grid", "x.json", "--grids", "x.json")
         assert code == 1
-        assert "usage" in err
+        assert err == "error: unrecognized arguments: --grids x.json\n"
 
     def test_unknown_command_exits_one(self, capsys):
         code, _, err = run(capsys, "transmogrify")
