@@ -15,11 +15,11 @@ unimodal-restricted boosting differ only in the weak learners that compete
 in a round: a full round fits one tree on both modalities concatenated, and
 a restricted round one tree per modality, keeping the one with lower
 weighted error, so every stage reads only text features or only visual
-features.  Identical feature rows are aggregated into weighted
-pseudo-samples before each fit, which leaves every split statistic
-unchanged.  ``train_adaboost`` boosts one dataset through ``boost``; the
-boolean lab (``logic.py``) boosts many truth tables at once through
-``boost_batch``.
+features.  ``presort`` prepares each side once per fit: identical rows
+become weighted pseudo-samples, which leaves every split unchanged, and
+each column is sorted once for all the fit's trees.  ``train_adaboost``
+boosts one dataset through ``boost``; the boolean lab (``logic.py``)
+boosts many truth tables at once through ``boost_batch``.
 
 A trained model's logits are its per-class stage-weight sums: the
 stages whose tree votes +1 add their weight to class 1, the others to
@@ -51,6 +51,7 @@ __all__ = [
     "boost_batch",
     "unimodal_restricted_boost_round",
     "full_boost_round",
+    "presort",
     "train_adaboost",
     "class_sums",
     "masked_row_sums",
@@ -91,21 +92,14 @@ class DecisionTree:
     value: np.ndarray
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Each row's leaf value; every row still at a split node moves down one level per step."""
         X = np.atleast_2d(X)
-        out = np.empty(X.shape[0], dtype=np.float64)
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            f = self.feature[node]
-            if f < 0:
-                out[idx] = self.value[node]
-                continue
-            go_left = X[idx, f] <= self.threshold[node]
-            stack.append((self.left[node], idx[go_left]))
-            stack.append((self.right[node], idx[~go_left]))
-        return out
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        while (live := np.flatnonzero(self.feature[node] >= 0)).size:
+            at = node[live]
+            go_left = X[live, self.feature[at]] <= self.threshold[at]
+            node[live] = np.where(go_left, self.left[at], self.right[at])
+        return self.value[node]
 
     def to_json_dict(self) -> dict:
         return {name: array.tolist() for name, array in vars(self).items()}
@@ -132,47 +126,76 @@ class DecisionTree:
         return tree
 
 
-def _best_split(X: np.ndarray, wp: np.ndarray, wn: np.ndarray, idx: np.ndarray):
+def _best_split(cols: np.ndarray, wp: np.ndarray, wn: np.ndarray, total_p, total_n, ranked: np.ndarray):
     """Best (feature, threshold) by weighted Gini decrease; None if unsplittable.
 
-    Ties resolve to the lowest feature index, then the lowest threshold
-    (np.argmax keeps the first maximum; thresholds are scanned ascending).
+    ``ranked[f]`` holds the node's rows in stable ascending order of ``cols[f]``
+    and ``total_p``, ``total_n`` their class weights.  Ties resolve to the lowest
+    feature, then the lowest threshold (np.argmax keeps the first maximum).
     """
-    total_p = wp[idx].sum()
-    total_n = wn[idx].sum()
     total = total_p + total_n
     parent_gini = total - (total_p * total_p + total_n * total_n) / total
-    best_gain = -1.0
-    best = None
-    for f in range(X.shape[1]):
-        vals = X[idx, f]
-        order = np.argsort(vals, kind="stable")
-        v_sorted = vals[order]
-        distinct = v_sorted[1:] != v_sorted[:-1]
-        if not distinct.any():
-            continue
-        cut = np.nonzero(distinct)[0]
-        cp = np.cumsum(wp[idx][order])[cut]
-        cn = np.cumsum(wn[idx][order])[cut]
-        left_tot = cp + cn
-        right_p = total_p - cp
-        right_n = total_n - cn
-        right_tot = total - left_tot
-        # a zero-weight child contributes zero impurity (weights can
-        # underflow to exact 0 late in boosting)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            left_imp = np.where(left_tot > 0.0, (cp * cp + cn * cn) / left_tot, 0.0)
-            right_imp = np.where(
-                right_tot > 0.0, (right_p * right_p + right_n * right_n) / right_tot, 0.0
-            )
-        child_gini = left_tot - left_imp + right_tot - right_imp
-        gains = parent_gini - child_gini
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            thr = 0.5 * (v_sorted[cut[k]] + v_sorted[cut[k] + 1])
-            best = (f, float(thr))
-    return best
+    # each feature's sorted values end to end; no cut joins one feature to the next
+    rows = ranked.shape[1]
+    v_sorted = cols.take(ranked + np.arange(0, cols.size, cols.shape[1])[:, np.newaxis]).ravel()
+    distinct = v_sorted[1:] != v_sorted[:-1]
+    distinct[rows - 1 :: rows] = False
+    at = np.flatnonzero(distinct)
+    if not at.size:
+        return None
+    cp, cn = (np.cumsum(w.take(ranked), axis=1).ravel()[at] for w in (wp, wn))
+    left_tot, right_p, right_n = cp + cn, total_p - cp, total_n - cn
+    right_tot = total - left_tot
+    # a zero-weight child adds zero impurity (weights can underflow to exact 0 late in boosting)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left_imp = np.where(left_tot > 0.0, (cp * cp + cn * cn) / left_tot, 0.0)
+        right_imp = np.where(right_tot > 0.0, (right_p * right_p + right_n * right_n) / right_tot, 0.0)
+    gains = parent_gini - (left_tot - left_imp + right_tot - right_imp)
+    k = int(np.argmax(gains))
+    if not gains[k] > -1.0:
+        return None
+    cut = int(at[k])
+    return cut // rows, float(0.5 * (v_sorted[cut] + v_sorted[cut + 1]))
+
+
+def _grow(side: tuple, y: np.ndarray, w: np.ndarray, max_depth: int):
+    """``fit_tree`` on a ``presort``-ed side; returns the tree and its prediction on the side's rows.
+
+    A node keeps its rows ascending (``idx``: its weight sums get a plain sum's bits) and ranked
+    by each feature: its parent's ranks filtered by the split, which keeps ties in row order.
+    """
+    inverse, cols, order = side
+    if inverse is not None:  # the distinct rows twice: class 1 with its summed weights, then class 0
+        y, w = np.repeat([1, 0], cols.shape[1] // 2), np.concatenate(class_sums(inverse, y, w))
+    wp, wn = np.where(y == 1, w, 0.0), np.where(y == 1, 0.0, w)
+    h, nodes = np.empty(cols.shape[1]), []  # nodes: [feature, threshold, left, right, value] in preorder
+
+    def build(idx: np.ndarray, ranked: np.ndarray, depth: int) -> int:
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, 0.0])
+        p, q = wp[idx].sum(), wn[idx].sum()
+        split = None if depth >= max_depth or p == 0.0 or q == 0.0 else _best_split(cols, wp, wn, p, q, ranked)
+        if split is None:
+            nodes[node][4] = h[idx] = 1.0 if p > q else -1.0
+            return node
+        f, thr = split
+        go_left = cols[f] <= thr
+        ranked_left = go_left.take(ranked).ravel()
+        left = build(idx[go_left[idx]], np.compress(ranked_left, ranked).reshape(len(ranked), -1), depth + 1)
+        right = build(idx[~go_left[idx]], np.compress(~ranked_left, ranked).reshape(len(ranked), -1), depth + 1)
+        nodes[node][:4] = f, thr, left, right
+        return node
+
+    build(np.arange(cols.shape[1]), order, 0)
+    dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64)
+    tree = DecisionTree(*(np.asarray(column, dtype=t) for column, t in zip(zip(*nodes), dtypes)))
+    return tree, (h if inverse is None else h[inverse])
+
+
+def _columns(X: np.ndarray):
+    """``X``'s columns as the rows of a float64 array, and the stable ascending order of each."""
+    cols = np.ascontiguousarray(np.atleast_2d(X).T, dtype=np.float64)
+    return cols, np.argsort(cols, axis=1, kind="stable")
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, w: np.ndarray, max_depth: int) -> DecisionTree:
@@ -180,55 +203,27 @@ def fit_tree(X: np.ndarray, y: np.ndarray, w: np.ndarray, max_depth: int) -> Dec
 
     Leaves predict the weighted majority class (ties go to class 0 / -1).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y)
-    w = np.asarray(w, dtype=np.float64)
-    wp = np.where(y == 1, w, 0.0)
-    wn = np.where(y == 1, 0.0, w)
-
-    nodes = []  # [feature, threshold, left, right, value], numbered in preorder
-
-    def build(idx: np.ndarray, depth: int) -> int:
-        node = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, 0.0])
-        p, q = wp[idx].sum(), wn[idx].sum()
-        split = None if depth >= max_depth or p == 0.0 or q == 0.0 else _best_split(X, wp, wn, idx)
-        if split is None:
-            nodes[node][4] = 1.0 if p > q else -1.0
-            return node
-        f, thr = split
-        mask = X[idx, f] <= thr
-        left = build(idx[mask], depth + 1)
-        right = build(idx[~mask], depth + 1)
-        nodes[node][:4] = f, thr, left, right
-        return node
-
-    build(np.arange(X.shape[0]), 0)
-    feature, threshold, left, right, value = zip(*nodes)
-    return DecisionTree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=np.asarray(value, dtype=np.float64),
-    )
+    return _grow((None, *_columns(X)), np.asarray(y), np.asarray(w, dtype=np.float64), max_depth)[0]
 
 
-def _tree_candidate(X: np.ndarray, side: str, y: np.ndarray, w: np.ndarray, max_depth: int):
-    """Fit a tree after aggregating identical feature rows: ``(h, (tree, side))``.
+def presort(X_t: np.ndarray, X_v: np.ndarray, restriction: str) -> dict:
+    """The sides a ``restriction``'s trees read, each prepared once per fit as ``(inverse, cols, order)``.
 
-    Rows with equal features are merged into one pseudo-sample per class
-    with summed weights; every node's weighted class sums -- hence every
-    split decision -- are unchanged.  ``h`` is the tree's prediction on the
-    original rows.
+    Equal rows merge into one pseudo-sample per class with summed weights, which leaves every
+    split unchanged: the trees fit the distinct rows stacked twice, and ``inverse`` maps each
+    row to its distinct row (None when the rows are distinct and fit as they are).
     """
-    uniq, inverse = np.unique(X, axis=0, return_inverse=True)
-    if uniq.shape[0] == X.shape[0]:
-        tree = fit_tree(X, y, w, max_depth)
-        return tree.predict(X), (tree, side)
-    pseudo_y = np.repeat(np.array([1, 0], dtype=np.int64), uniq.shape[0])
-    tree = fit_tree(np.vstack([uniq, uniq]), pseudo_y, np.concatenate(class_sums(inverse, y, w)), max_depth)
-    return tree.predict(uniq)[inverse], (tree, side)
+    sides = {"full": np.hstack([X_t, X_v])} if restriction == "full" else {"text": X_t, "visual": X_v}
+    for side, X in sides.items():
+        uniq, inverse = np.unique(X, axis=0, return_inverse=True)
+        sides[side] = (None, *_columns(X)) if len(uniq) == len(X) else (inverse, *_columns(np.vstack([uniq, uniq])))
+    return sides
+
+
+def _tree_candidate(sides: dict, side: str, y: np.ndarray, w: np.ndarray, max_depth: int):
+    """A tree fit on one ``presort``-ed side: ``(h, (tree, side))``, ``h`` its prediction on the rows."""
+    tree, h = _grow(sides[side], y, w, max_depth)
+    return h, (tree, side)
 
 
 def class_sums(groups: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -354,22 +349,19 @@ def boost(y_sign: np.ndarray, candidates, n_stages: int):
     return stages, scores, rounds_run, stop_reason
 
 
-def full_boost_round(weights, X_t, X_v, y, max_depth: int) -> list:
-    """One unrestricted round's candidate: a tree on both modalities concatenated."""
-    return [_tree_candidate(np.hstack([X_t, X_v]), "full", y, weights, max_depth)]
+def full_boost_round(weights, sides: dict, y, max_depth: int) -> list:
+    """One unrestricted round's candidate: a tree on both modalities concatenated (``presort``'s "full")."""
+    return [_tree_candidate(sides, "full", y, weights, max_depth)]
 
 
-def unimodal_restricted_boost_round(weights, X_t, X_v, y, max_depth: int) -> list:
-    """One restricted round's candidates: a tree on text features alone, then one on visual.
+def unimodal_restricted_boost_round(weights, sides: dict, y, max_depth: int) -> list:
+    """One restricted round's candidates: a tree on the text side alone, then one on the visual.
 
     ``boost`` keeps whichever has lower weighted error (ties go to the text
     side), so every stage reads a single modality.  When both are at chance,
     boosting stops with ``"no_weak_learner"``.
     """
-    return [
-        _tree_candidate(X_t, "text", y, weights, max_depth),
-        _tree_candidate(X_v, "visual", y, weights, max_depth),
-    ]
+    return [_tree_candidate(sides, side, y, weights, max_depth) for side in ("text", "visual")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,9 +466,10 @@ def train_adaboost(data: PairedDataset, cfg: AdaBoostConfig | None = None) -> Ad
     if set(np.unique(y)) - {0, 1}:
         raise InputError("boosting labels must be binary 0/1")
     step = full_boost_round if cfg.restriction == "full" else unimodal_restricted_boost_round
+    sides = presort(train.text, train.visual, cfg.restriction)
     stages, _, rounds_run, stop_reason = boost(
         np.where(y == 1, 1.0, -1.0),
-        lambda weights: step(weights, train.text, train.visual, y, cfg.max_depth),
+        lambda weights: step(weights, sides, y, cfg.max_depth),
         cfg.n_stages,
     )
     return AdaBoostModel(

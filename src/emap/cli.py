@@ -69,6 +69,22 @@ def _at_least(low: int):
     return parse
 
 
+def _subsample(text: str) -> tuple[int, int]:
+    """An argparse ``type=`` for ``--subsample k,m``: two integers >= 1, else argparse's "invalid k,m value"."""
+    k, m = map(_at_least(1), text.split(","))
+    return k, m
+
+
+_subsample.__name__ = "k,m"
+
+
+def _output(path: str) -> str:
+    """An argparse ``type=`` for an output file, refused unless its directory exists."""
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise argparse.ArgumentTypeError(f"the output {path!r} needs a file name in an existing directory")
+    return path
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -92,7 +108,7 @@ def _write_manifest(args, command: list, started: float, inputs: list, extras: d
         "command": command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None},
         "seed": getattr(args, "seed", None),
-        "inputs": {path: _sha256(path) for path in inputs},
+        "inputs": {path: _sha256(_resolve_fixture(path)) for path in inputs},
         "tool_version": __version__,
         "wall_time_s": round(time.monotonic() - started, 6),
         **(extras or {}),
@@ -110,24 +126,22 @@ def _write_manifest(args, command: list, started: float, inputs: list, extras: d
 
 
 def _cmd_project(args) -> tuple:
-    grid_path = _resolve_fixture(args.grid)
-    score_grid = emap_io.load_grid(grid_path)
+    score_grid = emap_io.load_grid(_resolve_fixture(args.grid))
     dec = grid.emap_decompose(score_grid)
     emap_io.save_decomposition(dec, args.out)
-    return EXIT_OK, [grid_path]
+    return EXIT_OK, [args.grid]
 
 
 def _cmd_verify(args) -> tuple:
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise InputError(f"--tolerance must be finite and > 0, got {args.tolerance}")
-    grid_path = _resolve_fixture(args.grid)
-    score_grid = emap_io.load_grid(grid_path)
+    score_grid = emap_io.load_grid(_resolve_fixture(args.grid))
     report, passed = oracle.verify_projection(score_grid, tolerance=args.tolerance, seed=args.seed)
     payload = report.to_json_dict()
     payload["passed"] = passed
     payload["tolerance"] = args.tolerance
     print(json.dumps(payload, indent=2))
-    return (EXIT_OK if passed else EXIT_NUMERIC), [grid_path]
+    return (EXIT_OK if passed else EXIT_NUMERIC), [args.grid]
 
 
 def _cmd_synth(args) -> tuple:
@@ -224,6 +238,8 @@ def _csv_rows(report: dict) -> list[str]:
 
 def _cmd_eval(args) -> tuple:
     part = emap_io.load_dataset(args.data).subset(args.split)  # the full dataset is freed at once
+    if args.subsample and args.subsample[1] > part.n:
+        raise InputError(f"subsample size m={args.subsample[1]} must lie in [1, {part.n}]")
     model = emap_io.load_model(args.model)
     projection, cells = None, 0
     if args.with_emap:
@@ -247,13 +263,8 @@ def _cmd_eval(args) -> tuple:
         if orig_better_frac is not None:
             report["orig_better_frac"] = orig_better_frac
     if args.subsample:
-        try:
-            k_str, m_str = args.subsample.split(",")
-            k, m = int(k_str), int(m_str)
-        except ValueError:
-            raise InputError("--subsample expects 'k,m' with two integers") from None
         result = metrics.subsampled_emap_metric(
-            model, part, k, m, args.metric, seed=args.seed, full=projection
+            model, part, *args.subsample, args.metric, seed=args.seed, full=projection
         )
         cells += result.grid_cells
         report["subsample"] = {key: getattr(result, key) for key in ("metric", "k", "m", *_SUBSAMPLE_STATS)}
@@ -336,7 +347,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("project", help="decompose a score grid into its additive parts")
     p.add_argument("--grid", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output, required=True)
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("verify", help="numerically verify projection optimality")
@@ -346,7 +357,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("synth", help="generate the interaction-requiring synthetic task")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output, required=True)
     p.add_argument("--n", type=int, default=5000)
     p.add_argument("--latent-dim", type=int, default=10)
     p.add_argument("--text-dim", type=int, default=60)
@@ -359,7 +370,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a reference model on a dataset file")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True, choices=["linear", "poly2", "mlp", "adaboost"])
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output, required=True)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--l2", type=float, default=None)
     p.add_argument("--lr", type=float, default=None)
@@ -375,10 +386,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a model (optionally with its projection)")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--report", required=True)
+    p.add_argument("--report", type=_output, required=True)
     p.add_argument("--split", default="test", choices=list(SPLIT_NAMES))
     p.add_argument("--with-emap", action="store_true")
-    p.add_argument("--subsample", default=None, help="k,m")
+    p.add_argument("--subsample", type=_subsample, default=None, help="k,m")
     p.add_argument("--metric", default="accuracy", choices=METRIC_NAMES)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--threads", type=_at_least(1), help="accepted; grid evaluation runs single-threaded")
@@ -401,7 +412,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-range", required=True, help=f"A..B inclusive, 1 <= A <= B <= {MAX_TABLE_N}")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_output, required=True)
     p.add_argument("--sampler", default="uniform", choices=["uniform", "circuit"])
     p.add_argument("--stages", type=int, default=200)
     p.add_argument("--max-depth", type=int, default=15)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import MAX_TABLE_N
 from .boosting import AdaBoostConfig, boost_batch
-from .boosting import full_boost_round, unimodal_restricted_boost_round
+from .boosting import full_boost_round, presort, unimodal_restricted_boost_round
 from .exceptions import (
     CapabilityError,
     GenerationError,
@@ -465,9 +465,10 @@ def _boost_train_scores(tables: np.ndarray, restriction: str, cfg: AdaBoostConfi
         patterns = bit_patterns(n)
         text, visual = np.repeat(patterns, len(patterns), axis=0), np.tile(patterns, (len(patterns), 1))
         step = full_boost_round if restriction == "full" else unimodal_restricted_boost_round
+        sides = presort(text, visual, restriction)
 
         def candidates(weights, rows):
-            per_table = [step(w, text, visual, y[r], cfg.max_depth) for w, r in zip(weights, rows)]
+            per_table = [step(w, sides, y[r], cfg.max_depth) for w, r in zip(weights, rows)]
             return [(np.stack([fits[k][0] for fits in per_table]), None) for k in range(len(per_table[0]))]
 
     _, scores, _, _ = boost_batch(np.where(y == 1, 1.0, -1.0), candidates, cfg.n_stages)

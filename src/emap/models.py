@@ -55,6 +55,7 @@ GRID_BLOCK_CELLS = 1 << 16
 # from its heap; freeing a larger block raises glibc's mmap and trim thresholds, and the
 # eval's peak RSS then rose by about 1 MB at N = 3000
 PAIR_BLOCK_CELLS = 1 << 13
+TRAIN_BLOCK_CELLS = 1 << 20  # the same temporary in training, whose many forwards run faster in larger gemms
 
 
 def _check_descent(cfg) -> None:
@@ -285,13 +286,14 @@ def _poly2_split(w: np.ndarray, d1: int, d2: int):
     return w[:d1], w[d1 : d1 + d2], w[d1 + d2 :].reshape(d1, d2, -1)
 
 
-def _poly2_logits(w: np.ndarray, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Bias-free poly2 logits ``t' w_t + v' w_v + t' w_x[:, :, c] v`` of paired rows."""
+def _poly2_logits(w: np.ndarray, T: np.ndarray, V: np.ndarray, block_cells: int = PAIR_BLOCK_CELLS) -> np.ndarray:
+    """Bias-free poly2 logits ``t' w_t + v' w_v + t' w_x[:, :, c] v`` of paired rows; a row gets the same
+    bits in any block of two or more rows (numpy scores a one-row block with another kernel)."""
     w_t, w_v, w_x = _poly2_split(w, T.shape[1], V.shape[1])
     d1, d2, classes = w_x.shape
     # t_n' W_x for a block of rows is one gemm; its dot with each v_n one batched matmul
     bilinear = np.empty((len(T), classes))
-    rows = max(1, PAIR_BLOCK_CELLS // (d2 * classes))
+    rows = max(1, block_cells // (d2 * classes))
     for start in range(0, len(T), rows):
         block = slice(start, start + rows)
         t_forms = (T[block] @ w_x.reshape(d1, -1)).reshape(-1, d2, classes)
@@ -375,7 +377,7 @@ def _train_poly2(data: PairedDataset, cfg: Poly2Config) -> Poly2Model:
     train = data.subset("train")
     T, V = train.text, train.visual
     w, b, _ = _fit_softmax_descent(
-        lambda w: _poly2_logits(w, T, V), lambda g: _poly2_adjoint(g, T, V),
+        lambda w: _poly2_logits(w, T, V, TRAIN_BLOCK_CELLS), lambda g: _poly2_adjoint(g, T, V),
         train.d1 + train.d2 + train.d1 * train.d2, train.labels, data.num_classes, cfg.l2, cfg.lr, cfg.epochs)
     return Poly2Model(
         w=w, b=b, d1=train.d1, d2=train.d2, config={**asdict(cfg), "kind": "poly2"}
@@ -385,7 +387,7 @@ def _train_poly2(data: PairedDataset, cfg: Poly2Config) -> Poly2Model:
 def _activation(name: str):
     """``(act, grad)``: an activation and its derivative; ``act(x, out=x)`` overwrites ``x``."""
     if name == "relu":
-        return lambda x, out=None: np.maximum(x, 0.0, out=out), lambda x: (x > 0.0).astype(np.float64)
+        return lambda x, out=None: np.maximum(x, 0.0, out=out), lambda x: x > 0.0
     if name == "gelu":
         from scipy.special import erf  # deferred so relu-only runs never import scipy
 
@@ -438,11 +440,18 @@ class FeedForwardModel:
     def num_classes(self) -> int:
         return self.layers[-1][1].shape[0]
 
-    def _project(self, T: np.ndarray, V: np.ndarray):
+    def _project(self, T: np.ndarray, V: np.ndarray, out=(None, None)):
         T, V = check_widths(T, V, self.proj_t.shape[0], self.proj_v.shape[0])
-        return T @ self.proj_t + self.proj_t_b, V @ self.proj_v + self.proj_v_b
+        tp, vp = np.matmul(T, self.proj_t, out=out[0]), np.matmul(V, self.proj_v, out=out[1])
+        return np.add(tp, self.proj_t_b, out=tp), np.add(vp, self.proj_v_b, out=vp)
 
-    def _head(self, tp: np.ndarray, vp: np.ndarray):
+    def _buffers(self, n_t: int, n_v: int):
+        """Fresh arrays for ``_head`` to write: ``(t_part, v_part, prod, pre, post)``."""
+        pre = [np.empty((n_v, w.shape[1])) for w, _ in self.layers]
+        parts = [np.empty((n, pre[0].shape[1])) for n in (n_t, n_v)]
+        return *parts, np.empty((n_v, self.proj_t.shape[1])), pre, [np.empty_like(z) for z in pre[:-1]]
+
+    def _head(self, tp: np.ndarray, vp: np.ndarray, buffers=None):
         """A scorer of projected features whose first layer is ``_split_first_layer``'s formula.
 
         The two terms that depend on one side each are computed here once
@@ -453,18 +462,16 @@ class FeedForwardModel:
         buffers of ``len(vp)`` rows that the next call overwrites: ``prod``
         holds ``v' * t'``, ``pre[k]`` layer k's output (``pre[-1]`` the
         logits) and ``post[k] = act(pre[k])``, which training back-propagates
-        through.
+        through.  The buffers are ``buffers``, or fresh ``_buffers`` if None.
         """
         act, _ = _activation(self.activation)
         (w1, b1), rest = self.layers[0], self.layers[1:]
         w_t, w_v, w_prod = _split_first_layer(w1)
-        t_part = tp @ w_t
-        v_part = vp @ w_v + b1
         # one buffer per layer for every call: fresh per-row arrays made a process's first
         # N = 2000 grid about 1.5x slower (glibc mmap churn; 2 vCPU, BLAS on 1 thread)
-        prod = np.empty_like(vp)
-        pre = [np.empty((len(vp), w.shape[1])) for w, _ in self.layers]
-        post = [np.empty_like(z) for z in pre[:-1]]
+        t_part, v_part, prod, pre, post = buffers or self._buffers(len(tp), len(vp))
+        np.matmul(tp, w_t, out=t_part)
+        np.add(np.matmul(vp, w_v, out=v_part), b1, out=v_part)
 
         def score(rows) -> np.ndarray:
             z = np.matmul(np.multiply(vp, tp[rows], out=prod), w_prod, out=pre[0])
@@ -531,16 +538,24 @@ class FeedForwardModel:
         )
 
 
-def _ffn_loss_and_grads(params: list, T: np.ndarray, V: np.ndarray, y: np.ndarray, activation: str, l2: float):
+def _ffn_model(params: list, activation: str, **fields) -> FeedForwardModel:
+    # params run proj_t, proj_t_b, proj_v, proj_v_b, then each layer's weight and bias
+    return FeedForwardModel(*params[:4], tuple(zip(params[4::2], params[5::2])), activation, **fields)
+
+
+def _ffn_loss_and_grads(params: list, T: np.ndarray, V: np.ndarray, y: np.ndarray, activation: str, l2: float,
+                        buffers=None):
     """Mean cross-entropy plus ``l2 / 2`` times each weight matrix's squared norm, and its gradients.
 
     With ``g_t = t'^T delta``, ``g_v = v'^T delta`` and ``g_p = (v' * t')^T delta`` at the first
-    layer, ``dW1 = [g_t; g_v; g_v - g_t; g_p]``.
+    layer, ``dW1 = [g_t; g_v; g_v - g_t; g_p]``.  Both passes write into ``buffers``: ``t'``, ``v'`` and
+    ``_buffers``' arrays (fresh if None), the backward pass into those the forward is done with.
     """
     _, act_grad = _activation(activation)
-    model = FeedForwardModel(*params[:4], tuple(zip(params[4::2], params[5::2])), activation)
-    tp, vp = model._project(T, V)
-    score, prod, pre, post = model._head(tp, vp)
+    model = _ffn_model(params, activation)
+    tp, vp, *head = buffers or [None, None, *model._buffers(len(T), len(V))]
+    tp, vp = model._project(T, V, out=(tp, vp))
+    score, prod, pre, post = model._head(tp, vp, head)
     probs = _softmax(score(slice(None)))
     loss = _cross_entropy(probs, y)
     if l2 > 0.0:
@@ -551,13 +566,15 @@ def _ffn_loss_and_grads(params: list, T: np.ndarray, V: np.ndarray, y: np.ndarra
     delta /= len(y)
     for k in reversed(range(1, len(pre))):
         grads[4 + 2 * k : 6 + 2 * k] = post[k - 1].T @ delta, delta.sum(axis=0)
-        delta = (delta @ params[4 + 2 * k].T) * act_grad(pre[k - 1])
+        delta = np.matmul(delta, params[4 + 2 * k].T, out=post[k - 1])  # post[k - 1] is spent
+        delta *= act_grad(pre[k - 1])
     w_t, w_v, w_prod = _split_first_layer(params[4])
     g_t, g_v = tp.T @ delta, vp.T @ delta
     grads[4:6] = np.vstack([g_t, g_v, g_v - g_t, prod.T @ delta]), delta.sum(axis=0)
-    d_prod = delta @ w_prod.T
-    d_tp = delta @ w_t.T + d_prod * vp
-    d_vp = delta @ w_v.T + d_prod * tp
+    d_prod = np.matmul(delta, w_prod.T, out=prod)
+    d_tp, d_vp = np.multiply(d_prod, vp, out=vp), np.multiply(d_prod, tp, out=tp)  # over the spent v', t'
+    d_tp += np.matmul(delta, w_t.T, out=prod)  # prod is spent too once both products are taken
+    d_vp += np.matmul(delta, w_v.T, out=prod)
     grads[:4] = T.T @ d_tp, d_tp.sum(axis=0), V.T @ d_vp, d_vp.sum(axis=0)
     if l2 > 0.0:
         grads[::2] = [g + l2 * p for g, p in zip(grads[::2], params[::2])]
@@ -578,10 +595,13 @@ def _train_feedforward(data: PairedDataset, cfg: FeedForwardConfig) -> FeedForwa
         params.append(init(fan_in, fan_out))
         params.append(np.zeros(fan_out))
     velocity = [np.zeros_like(p) for p in params]
+    n = train.n
+    buffers = [np.empty((n, h)), np.empty((n, h)), *_ffn_model(params, cfg.activation)._buffers(n, n)]
 
     lr, best_loss, stall = cfg.lr, np.inf, 0
     for _ in range(cfg.epochs):
-        loss, grads = _ffn_loss_and_grads(params, train.text, train.visual, train.labels, cfg.activation, cfg.l2)
+        loss, grads = _ffn_loss_and_grads(
+            params, train.text, train.visual, train.labels, cfg.activation, cfg.l2, buffers)
         if not np.isfinite(loss):
             raise TrainingError("feed-forward training diverged to a non-finite loss")
         if loss < best_loss * (1.0 - cfg.plateau_rtol):
@@ -591,14 +611,12 @@ def _train_feedforward(data: PairedDataset, cfg: FeedForwardConfig) -> FeedForwa
             if stall >= cfg.plateau_patience:
                 lr, stall = lr * 0.5, 0
         for i, g in enumerate(grads):
-            velocity[i] = cfg.momentum * velocity[i] - lr * g
-            params[i] = params[i] + velocity[i]
+            velocity[i] *= cfg.momentum
+            velocity[i] -= lr * g
+            params[i] += velocity[i]
 
-    # params run proj_t, proj_t_b, proj_v, proj_v_b, then each layer's weight and bias
-    return FeedForwardModel(
-        *params[:4], tuple(zip(params[4::2], params[5::2])), cfg.activation,
-        config={**asdict(cfg), "hidden": list(cfg.hidden), "kind": "feedforward"},
-    )
+    config = {**asdict(cfg), "hidden": list(cfg.hidden), "kind": "feedforward"}
+    return _ffn_model(params, cfg.activation, config=config)
 
 
 def train_interactive(data: PairedDataset, kind: str, cfg=None):

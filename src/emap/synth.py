@@ -17,6 +17,7 @@ exact draws are fixed only within this implementation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -105,8 +106,9 @@ def generate_with_audit(params: SynthParams) -> tuple[PairedDataset, SynthAudit]
             attempts[i] += 1
             v = rng.standard_normal(d)
             t = rng.standard_normal(d)
-            v_norm = np.linalg.norm(v)
-            t_norm = np.linalg.norm(t)
+            # the bits of np.linalg.norm, which takes a float vector's norm as sqrt(x.dot(x))
+            v_norm = math.sqrt(v @ v)
+            t_norm = math.sqrt(t @ t)
             if v_norm == 0.0 or t_norm == 0.0:
                 continue
             v /= v_norm

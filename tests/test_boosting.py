@@ -1,19 +1,26 @@
 """Depth-capped trees and binary AdaBoost, full and unimodal-restricted."""
 
+import dataclasses
 import functools
+import json
 import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emap.boosting import (
     AdaBoostConfig,
+    AdaBoostModel,
     DecisionTree,
+    _tree_candidate,
     boost,
     boost_batch,
     fit_tree,
     full_boost_round,
     masked_row_sums,
+    presort,
     train_adaboost,
     unimodal_restricted_boost_round,
 )
@@ -47,10 +54,14 @@ def cell_dataset(table: np.ndarray) -> PairedDataset:
     )
 
 
-def boosted_scores(ds: PairedDataset, boost_round, max_depth: int, n_stages: int) -> np.ndarray:
-    """The signed stage sums ``sum(alpha * h)`` that ``boost`` fits on ``ds`` with greedy ``boost_round`` trees."""
-    y = ds.labels
-    return boost(np.where(y == 1, 1.0, -1.0), lambda w: boost_round(w, ds.text, ds.visual, y, max_depth), n_stages)[1]
+ROUNDS = {"full": full_boost_round, "unimodal": unimodal_restricted_boost_round}
+
+
+def boosted_scores(ds: PairedDataset, restriction: str, max_depth: int, n_stages: int) -> np.ndarray:
+    """The signed stage sums ``sum(alpha * h)`` that ``boost`` fits on ``ds`` with greedy ``restriction`` trees."""
+    y, sides = ds.labels, presort(ds.text, ds.visual, restriction)
+    step = ROUNDS[restriction]
+    return boost(np.where(y == 1, 1.0, -1.0), lambda w: step(w, sides, y, max_depth), n_stages)[1]
 
 
 class TestTree:
@@ -91,13 +102,12 @@ class TestTree:
     def test_complete_tree_fast_path_matches_greedy(self):
         """The lab's tree-free table boosting gives the greedy trees' AUC, bit for bit."""
         cfg = AdaBoostConfig()
-        rounds = {"full": full_boost_round, "unimodal": unimodal_restricted_boost_round}
         for n, samples in ((1, 60), (2, 12), (3, 3)):
             for i in range(samples):
                 table = sample_table(n, np.random.SeedSequence([2, n, i]), require_nonconstant=True)
                 ds = cell_dataset(table.table)
-                for restriction, round_ in rounds.items():
-                    greedy = auc_binary(boosted_scores(ds, round_, cfg.max_depth, cfg.n_stages), ds.labels)
+                for restriction in ROUNDS:
+                    greedy = auc_binary(boosted_scores(ds, restriction, cfg.max_depth, cfg.n_stages), ds.labels)
                     got = additive_fit_auc(table, f"adaboost_{restriction}")
                     assert got == greedy, (n, i, restriction)
 
@@ -107,6 +117,172 @@ class TestTree:
         tree = fit_tree(X, y, np.ones(30), 4)
         clone = DecisionTree.from_json_dict(tree.to_json_dict())
         np.testing.assert_array_equal(clone.predict(X), tree.predict(X))
+
+
+# -- references: the per-node, per-feature tree fit that the presorted one replaced ------------------
+
+
+def reference_best_split(X, wp, wn, idx):
+    """The best split, one feature at a time, each node's column argsorted afresh."""
+    total_p, total_n = wp[idx].sum(), wn[idx].sum()
+    total = total_p + total_n
+    parent_gini = total - (total_p * total_p + total_n * total_n) / total
+    best_gain, best = -1.0, None
+    for f in range(X.shape[1]):
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        v_sorted = vals[order]
+        distinct = v_sorted[1:] != v_sorted[:-1]
+        if not distinct.any():
+            continue
+        cut = np.nonzero(distinct)[0]
+        cp = np.cumsum(wp[idx][order])[cut]
+        cn = np.cumsum(wn[idx][order])[cut]
+        left_tot, right_p, right_n = cp + cn, total_p - cp, total_n - cn
+        right_tot = total - left_tot
+        with np.errstate(divide="ignore", invalid="ignore"):
+            left_imp = np.where(left_tot > 0.0, (cp * cp + cn * cn) / left_tot, 0.0)
+            right_imp = np.where(right_tot > 0.0, (right_p * right_p + right_n * right_n) / right_tot, 0.0)
+        gains = parent_gini - (left_tot - left_imp + right_tot - right_imp)
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain = float(gains[k])
+            best = (f, float(0.5 * (v_sorted[cut[k]] + v_sorted[cut[k] + 1])))
+    return best
+
+
+def reference_fit_tree(X, y, w, max_depth) -> dict:
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    wp, wn = np.where(y == 1, w, 0.0), np.where(y == 1, 0.0, w)
+    nodes = []
+
+    def build(idx, depth):
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, 0.0])
+        p, q = wp[idx].sum(), wn[idx].sum()
+        split = None if depth >= max_depth or p == 0.0 or q == 0.0 else reference_best_split(X, wp, wn, idx)
+        if split is None:
+            nodes[node][4] = 1.0 if p > q else -1.0
+            return node
+        f, thr = split
+        mask = X[idx, f] <= thr
+        left, right = build(idx[mask], depth + 1), build(idx[~mask], depth + 1)
+        nodes[node][:4] = f, thr, left, right
+        return node
+
+    build(np.arange(X.shape[0]), 0)
+    return DecisionTree(*(np.asarray(c, dtype=t) for c, t in zip(zip(*nodes), (int, float, int, int, float))))
+
+
+def reference_predict(tree, X):
+    """The node-by-node walk that ``DecisionTree.predict`` replaced."""
+    X = np.atleast_2d(X)
+    out = np.empty(X.shape[0])
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if tree.feature[node] < 0:
+            out[idx] = tree.value[node]
+            continue
+        go_left = X[idx, tree.feature[node]] <= tree.threshold[node]
+        stack += [(tree.left[node], idx[go_left]), (tree.right[node], idx[~go_left])]
+    return out
+
+
+def reference_candidate(X, side, y, w, max_depth):
+    """A round's tree with identical rows merged afresh (``np.unique``) and its ``predict``."""
+    uniq, inverse = np.unique(X, axis=0, return_inverse=True)
+    if uniq.shape[0] == X.shape[0]:
+        tree = reference_fit_tree(X, y, w, max_depth)
+        return reference_predict(tree, X), (tree, side)
+    pos = np.bincount(inverse, weights=np.where(y == 1, w, 0.0))
+    neg = np.bincount(inverse, weights=np.where(y == 1, 0.0, w))
+    pseudo_y = np.repeat([1, 0], len(uniq))
+    tree = reference_fit_tree(np.vstack([uniq, uniq]), pseudo_y, np.concatenate([pos, neg]), max_depth)
+    return reference_predict(tree, uniq)[inverse], (tree, side)
+
+
+def reference_adaboost(ds: PairedDataset, cfg: AdaBoostConfig) -> AdaBoostModel:
+    y = ds.labels
+    sides = {"text": ds.text, "visual": ds.visual}
+    if cfg.restriction == "full":
+        sides = {"full": np.hstack([ds.text, ds.visual])}
+    stages, _, rounds_run, stop = boost(
+        np.where(y == 1, 1.0, -1.0),
+        lambda w: [reference_candidate(X, side, y, w, cfg.max_depth) for side, X in sides.items()],
+        cfg.n_stages,
+    )
+    return AdaBoostModel(tuple((tree, a, side) for (tree, side), a in stages), cfg.restriction, ds.d1, ds.d2,
+                         rounds_run, stop, {**dataclasses.asdict(cfg), "kind": "adaboost"})
+
+
+def tree_bytes(tree: DecisionTree) -> bytes:
+    return b"".join(array.tobytes() for array in vars(tree).values())
+
+
+# columns with few distinct values (ties), a constant column, a repeated block of rows
+# (pseudo-samples) and weights of which some are exactly 0
+TABLES = st.tuples(
+    st.integers(1, 40), st.integers(1, 5), st.sampled_from([1, 2, 3, 50]), st.integers(0, 6), st.integers(0, 2**32 - 1)
+)
+
+
+def tie_heavy_table(rows, features, levels, depth, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, (rows, features)).astype(np.float64) * 0.5
+    if features > 1:
+        X[:, rng.integers(features)] = 1.0
+    X = np.vstack([X, X[: rows // 2]])
+    y = rng.integers(0, 2, len(X))
+    w = rng.random(len(X)) * (rng.random(len(X)) < 0.7)
+    return X, y, w / max(w.sum(), 1e-300), depth
+
+
+class TestPresortedTrees:
+    """The presorted one-pass tree fit gives the per-feature loop's splits, trees and predictions, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(TABLES)
+    def test_splits_and_trees_equal_the_per_feature_loop(self, spec):
+        X, y, w, depth = tie_heavy_table(*spec)
+        tree = fit_tree(X, y, w, depth)
+        reference = reference_fit_tree(X, y, w, depth)
+        assert tree_bytes(tree) == tree_bytes(reference)
+        # the rows, and rows on the midpoint thresholds themselves
+        for rows in (X, X + 0.25):
+            assert tree.predict(rows).tobytes() == reference_predict(reference, rows).tobytes()
+        # the pseudo-sample path: one presort, the candidate's tree and its predictions on the rows
+        h, (merged, _) = _tree_candidate(presort(X, X[:, :0], "full"), "full", y, w, depth)
+        h_ref, (merged_ref, _) = reference_candidate(X, "full", y, w, depth)
+        assert tree_bytes(merged) == tree_bytes(merged_ref)
+        assert h.tobytes() == h_ref.tobytes()
+
+    @pytest.mark.parametrize("seed", [38, 410, 478, 633])
+    def test_tied_rows_keep_their_order_in_every_node(self, seed):
+        """Weights from 1e-8 to 1 make a cumulative sum's bits depend on the order of tied rows: on
+        these tables an unstable column sort (quicksort) grows another tree than the reference."""
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 3, (60, 4)).astype(np.float64)
+        y, w = rng.integers(0, 2, 60), 10.0 ** rng.integers(-8, 1, 60)
+        assert tree_bytes(fit_tree(X, y, w, 4)) == tree_bytes(reference_fit_tree(X, y, w, 4))
+
+    @pytest.mark.parametrize("restriction", ["full", "unimodal"])
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    def test_model_files_equal_the_per_feature_loop(self, restriction, kind):
+        rng = np.random.default_rng(9)
+        n = 150
+        if kind == "continuous":
+            T, V = rng.standard_normal((n, 5)), rng.standard_normal((n, 4))
+        else:
+            T, V = rng.integers(0, 3, (n, 3)).astype(np.float64), rng.integers(0, 2, (n, 2)).astype(np.float64)
+        y = (T[:, 0] * V[:, 0] + 0.5 * rng.standard_normal(n) > 0).astype(np.int64)
+        ds = PairedDataset(T, V, y, np.zeros(n, dtype=np.int8), num_classes=2)
+        for depth in (1, 3, 15):
+            cfg = AdaBoostConfig(restriction=restriction, max_depth=depth, n_stages=25)
+            got, expected = train_adaboost(ds, cfg).to_json_dict(), reference_adaboost(ds, cfg).to_json_dict()
+            assert json.dumps(got) == json.dumps(expected), depth
 
 
 def fixed_candidates(*hs):
@@ -267,7 +443,7 @@ class TestTrainAdaboost:
         table = rng.integers(0, 2, size=(4, 4))
         ds = cell_dataset(table)
         model = train_adaboost(ds, AdaBoostConfig(restriction="unimodal", n_stages=20))
-        scores = boosted_scores(ds, unimodal_restricted_boost_round, model.config["max_depth"], 20)
+        scores = boosted_scores(ds, "unimodal", model.config["max_depth"], 20)
         logits = model.logits_many(ds.text, ds.visual)
         np.testing.assert_allclose(logits[:, 1] - logits[:, 0], scores, atol=1e-12)
 

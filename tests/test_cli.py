@@ -114,6 +114,18 @@ class TestManifests:
         assert manifest["wall_time_s"] >= 0
 
 
+    @pytest.mark.parametrize("command", ["project", "verify"])
+    def test_fixture_inputs_are_keyed_by_their_fixture_name(self, capsys, tmp_path, command):
+        """Not by the installed file's path, so every checkout writes the same manifest."""
+        out = tmp_path / "dec.json"
+        argv = [command, "--grid", "fixture:worked_example_grid.json"]
+        code, _, err = run(capsys, *argv, *(["--out", str(out)] if command == "project" else []))
+        assert code == 0
+        manifest = json.loads((tmp_path / "dec.json.manifest.json").read_text() if command == "project" else err)
+        installed = Path(emap.__file__).parent / "fixtures" / "worked_example_grid.json"
+        assert manifest["inputs"] == {"fixture:worked_example_grid.json": sha256_of(installed)}
+
+
 class TestPipeline:
     @pytest.fixture
     def data_path(self, tmp_path, capsys):
@@ -880,6 +892,32 @@ class TestUsageErrors:
     def test_unknown_command_exits_one(self, capsys):
         code, _, err = run(capsys, "transmogrify")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--subsample", "alot", "argument --subsample: invalid k,m value: 'alot'"),
+            ("--subsample", "3,4,5", "argument --subsample: invalid k,m value: '3,4,5'"),
+            ("--subsample", "0,3", "argument --subsample: must be >= 1, got 0"),
+            ("--subsample", "3,99999", "subsample size m=99999 must lie in [1, 4]"),
+            ("--report", "MISSING/r.json", "argument --report: the output 'MISSING/r.json' needs a file name in an "
+                                           "existing directory"),
+            ("--report", "DIR", "argument --report: the output 'DIR' needs a file name in an existing directory"),
+        ],
+    )
+    def test_eval_refuses_before_the_projection(self, capsys, tmp_path, flag, value, message):
+        """One stderr line, nothing written, and no model loaded, so no cell scored."""
+        data, model, report = tmp_path / "d.json", tmp_path / "m.json", tmp_path / "r.json"
+        run(capsys, "synth", "--out", str(data), "--n", "40")  # a test split of 4 items
+        run(capsys, "train", "--data", str(data), "--model", "linear", "--epochs", "2", "--out", str(model))
+        value, message = (s.replace("MISSING", str(tmp_path / "missing")).replace("DIR", str(tmp_path))
+                          for s in (value, message))
+        argv = ["eval", "--data", str(data), "--model", str(model), "--with-emap", "--report", str(report), flag, value]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not report.exists()
+        ran, _ = modules_run_by(argv)
+        assert ran <= {"data", "grid", "io"}  # the dataset loader's modules at most
 
     def test_bad_subsample_spec(self, capsys, tmp_path):
         data = tmp_path / "d.json"

@@ -1,10 +1,17 @@
 """Synthetic interaction-requiring task generator."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from emap.exceptions import GenerationError, InputError
 from emap.synth import SynthParams, generate, generate_with_audit
+
+# text, visual, labels and split of SynthParams(n=300, d1=7, d2=5, seed=11), as generated
+# when rejection sampling took its norms with np.linalg.norm
+DIGEST_N300_SEED11 = "c3e0743a47e8ad2170bce17a58d4f6e71c926daa9b866d695b3371b6c675febb"
 
 
 class TestParams:
@@ -72,6 +79,19 @@ class TestGenerate:
         ds = generate(SynthParams(n=50, seed=2))
         assert ds.meta["params"]["seed"] == 2
         assert ds.meta["params"]["delta"] == 0.25
+
+    def test_norms_have_the_bits_of_linalg_norm(self):
+        """Rejection sampling takes ``math.sqrt(x @ x)``, which is how numpy takes a float vector's norm."""
+        rng = np.random.default_rng(16)
+        for d in (*range(1, 70), 128, 1000):
+            for scale in (1e-160, 1.0, 1e150):
+                x = rng.standard_normal(d) * scale
+                assert math.sqrt(x @ x) == np.linalg.norm(x), (d, scale)
+
+    def test_dataset_bytes_are_pinned(self):
+        ds = generate(SynthParams(n=300, d1=7, d2=5, seed=11))
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in (ds.text, ds.visual, ds.labels, ds.split)))
+        assert digest.hexdigest() == DIGEST_N300_SEED11
 
     def test_point_streams_are_prefix_stable(self):
         """Growing n extends the dataset: earlier points and projections are unchanged."""
