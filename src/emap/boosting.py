@@ -38,9 +38,8 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
-from .data import PairedDataset
+from .data import PairedDataset, check_pairs, check_widths
 from .exceptions import InputError
-from .models import check_pairs, check_widths
 
 __all__ = [
     "AdaBoostConfig",
@@ -409,6 +408,10 @@ class AdaBoostModel:
             return np.stack([tree.predict(np.hstack([np.broadcast_to(t, (len(V), len(t))), V])) for t in T])
 
         return self._per_class((len(T), len(V)), predict)
+
+    def marginals(self, T: np.ndarray, V: np.ndarray) -> None:
+        """None: AdaBoost has no exact form of its EMAP yet, so it is projected through its grid."""
+        return None
 
     def to_json_dict(self) -> dict:
         return {

@@ -181,10 +181,13 @@ def _cmd_train(args) -> tuple:
     import dataclasses
 
     if args.model == "adaboost":
-        config_cls = boosting.AdaBoostConfig
+        config_cls, train = boosting.AdaBoostConfig, boosting.train_adaboost
+    elif args.model == "linear":
+        config_cls, train = models.LinearConfig, models.train_linear
     else:
-        configs = {"linear": models.LinearConfig, "poly2": models.Poly2Config, "mlp": models.FeedForwardConfig}
-        config_cls = configs[args.model]
+        kind = "poly2" if args.model == "poly2" else "feedforward"
+        config_cls = models.Poly2Config if kind == "poly2" else models.FeedForwardConfig
+        train = lambda data, cfg: models.train_interactive(data, kind, cfg)
     fields = {field.name for field in dataclasses.fields(config_cls)}
     settings = {"seed": args.seed}
     for flag in _TRAIN_FLAGS:
@@ -196,12 +199,7 @@ def _cmd_train(args) -> tuple:
             raise InputError(f"--{flag.replace('_', '-')} does not apply to --model {args.model}")
         settings[field] = _parse_hidden(value) if flag == "hidden" else value
     dataset = emap_io.load_dataset(args.data)
-    cfg = config_cls(**settings)
-    if args.model == "linear":
-        model = models.train_linear(dataset, cfg)
-    else:
-        model = models.train_interactive(dataset, "feedforward" if args.model == "mlp" else args.model, cfg)
-    emap_io.save_model(model, args.out)
+    emap_io.save_model(train(dataset, config_cls(**settings)), args.out)
     return EXIT_OK, [args.data]
 
 

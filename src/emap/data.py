@@ -9,7 +9,7 @@ import numpy as np
 from . import SPLIT_NAMES
 from .exceptions import InputError
 
-__all__ = ["SPLIT_NAMES", "PairedDataset"]
+__all__ = ["SPLIT_NAMES", "PairedDataset", "check_widths", "check_pairs"]
 
 _SPLIT_CODES = {name: i for i, name in enumerate(SPLIT_NAMES)}
 
@@ -92,3 +92,19 @@ class PairedDataset:
             num_classes=self.num_classes,
             meta=dict(self.meta),
         )
+
+
+def check_widths(T: np.ndarray, V: np.ndarray, d1: int, d2: int):
+    """``T`` and ``V`` as 2-D arrays, refused unless their widths are ``d1`` and ``d2``."""
+    T, V = np.atleast_2d(T), np.atleast_2d(V)
+    if T.shape[1] != d1 or V.shape[1] != d2:
+        raise InputError(f"feature dims ({T.shape[1]}, {V.shape[1]}) do not match model ({d1}, {d2})")
+    return T, V
+
+
+def check_pairs(T: np.ndarray, V: np.ndarray, d1: int, d2: int):
+    """``check_widths`` for paired rows: also refused unless ``T`` and ``V`` have as many rows."""
+    T, V = check_widths(T, V, d1, d2)
+    if len(T) != len(V):
+        raise InputError(f"paired inputs need as many text as visual rows, got {len(T)} and {len(V)}")
+    return T, V

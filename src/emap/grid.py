@@ -11,15 +11,17 @@ constant that can be shifted between the two unimodal parts; see
 
 The projection needs only the grid's row means, column means and grand
 mean: the partial-dependence functions of ``f`` under the empirical
-marginals.  ``project_scorer`` is the one dispatch point.  A scorer with a
-``marginals(T, V)`` method (the linear and poly2 models, which are affine in
-each side) returns its decomposition exactly from O(N) scores, so no grid is
-built and memory grows as O(N * d).  Any other scorer is projected through
-``build_grid``, which fills all N^2 * d cells with one
-``scorer.logits_grid(T, V)`` call, or with one call per cell for a plain
-``(t, v) -> logits`` callable.  Either way the result is one ``Projection``,
-with the paired items' direct scores, the grid or None, and the cells scored;
-``Projection.take`` cuts a subset's projection from the grid, scoring nothing.
+marginals.  ``as_scorer`` is the one place that asks what a scorer offers.
+It returns one protocol: ``logits_many(T, V)`` scores paired rows,
+``logits_grid(T, V)`` every text x visual pairing, and ``marginals(T, V)``
+gives the exact decomposition, or None when the scorer has no exact form.
+``project_scorer`` takes the marginals when there are some (the linear and
+poly2 models and the feed-forward net without hidden layers, which are
+affine in each side), so no grid is built and memory grows as O(N * d);
+otherwise it decomposes the ``build_grid`` grid, one ``logits_grid`` call.
+Either way the result is one ``Projection``, with the paired items' direct
+scores, the grid or None, and the cells scored; ``Projection.take`` cuts a
+subset's projection from the grid, scoring nothing.
 
 All arithmetic is 64-bit.  Grids are stored channel-major: ``values`` has
 the logical shape ``(N_t, N_v, d)``, but its memory is ``(d, N_t, N_v)``, so
@@ -31,7 +33,10 @@ decomposition bytes, whatever order the grid was built or loaded in.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +47,7 @@ __all__ = [
     "ScoreGrid",
     "AdditiveDecomposition",
     "Projection",
+    "as_scorer",
     "build_grid",
     "emap_decompose",
     "emap_predictions",
@@ -191,15 +197,38 @@ def _as_feature_matrix(items: Sequence, name: str) -> np.ndarray:
     return mat
 
 
-def _per_cell_grid(scorer: Scorer, T: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Grid of a plain ``(t, v) -> logits`` callable, one call per cell."""
-    cells = [[np.atleast_1d(np.asarray(scorer(t, v), dtype=np.float64)) for v in V] for t in T]
+def _per_call(scorer: Scorer, T: np.ndarray, V: np.ndarray, paired: bool = False) -> np.ndarray:
+    """A plain ``(t, v) -> logits`` callable called once per cell, or per pair ``(T[i], V[i])`` if ``paired``."""
+    if paired and len(T) != len(V):
+        raise InputError(f"paired inputs need as many text as visual rows, got {len(T)} and {len(V)}")
+    rows = [zip(T, V)] if paired else (zip(itertools.repeat(t), V) for t in T)
+    cells = [[np.atleast_1d(np.asarray(scorer(t, v), dtype=np.float64)) for t, v in row] for row in rows]
     d = cells[0][0].shape
     for i, row in enumerate(cells):
         for j, out in enumerate(row):
             if out.shape != d:
                 raise InputError(f"scorer output shape changed from {d} to {out.shape} at (i={i}, j={j})")
-    return np.array(cells)
+    return np.array(cells)[0] if paired else np.array(cells)
+
+
+def as_scorer(scorer):
+    """``scorer`` as the protocol of ``logits_many``, ``logits_grid`` and ``marginals`` (module docstring).
+
+    A plain callable is called once per pair or cell, and an object with only
+    ``logits_grid`` pairs rows through one-cell grids; neither has marginals.
+    Marginals without ``logits_many``, and anything else, are refused.
+    """
+    many, grid, marginals = (getattr(scorer, name, None) for name in ("logits_many", "logits_grid", "marginals"))
+    if None not in (many, grid, marginals):
+        return scorer
+    if marginals is not None and many is None:
+        raise InputError("a scorer with marginals must also provide logits_many for its direct scores")
+    if grid is None and not callable(scorer):
+        raise InputError(f"a {type(scorer).__name__} is not a scorer: it has no logits_grid and is not callable")
+    cell = scorer if grid is None else lambda t, v: grid(t[np.newaxis], v[np.newaxis])[0, 0]
+    return SimpleNamespace(logits_many=many or functools.partial(_per_call, cell, paired=True),
+                           logits_grid=grid or functools.partial(_per_call, scorer),
+                           marginals=marginals or (lambda T, V: None))
 
 
 def _paired_features(texts: Sequence, visuals: Sequence):
@@ -218,16 +247,12 @@ def _paired_features(texts: Sequence, visuals: Sequence):
 def build_grid(scorer: Scorer, texts: Sequence, visuals: Sequence) -> ScoreGrid:
     """Evaluate ``scorer`` on all N^2 text x visual cross-pairings.
 
-    The grid comes from one ``scorer.logits_grid(T, V)`` call, which every
-    bundled model provides; any other pure ``(t, v) -> logits`` callable is
-    invoked once per cell.  Evaluation is single-threaded, so the grid bytes
-    depend only on the scorer and the inputs.
+    The grid is one ``logits_grid(T, V)`` call of ``as_scorer(scorer)``.
+    Evaluation is single-threaded, so the grid bytes depend only on the
+    scorer and the inputs.
     """
     t_mat, v_mat = _paired_features(texts, visuals)
-    logits_grid = getattr(scorer, "logits_grid", None)
-    if logits_grid is None:
-        return ScoreGrid(values=_per_cell_grid(scorer, t_mat, v_mat))
-    return ScoreGrid(values=logits_grid(t_mat, v_mat))
+    return ScoreGrid(values=as_scorer(scorer).logits_grid(t_mat, v_mat))
 
 
 def emap_decompose(grid: ScoreGrid) -> AdditiveDecomposition:
@@ -276,19 +301,16 @@ class Projection:
 def project_scorer(scorer: Scorer, texts: Sequence, visuals: Sequence) -> Projection:
     """The EMAP of ``scorer`` over paired items, without a grid when the scorer allows it.
 
-    A scorer with a ``marginals(T, V)`` method returns the decomposition
-    itself, and its direct scores come from ``logits_many(T, V)``, which it
-    must therefore also provide; every other scorer is projected by
-    ``emap_decompose`` of its ``build_grid`` grid, whose diagonal holds the
-    direct scores.
+    When the ``as_scorer`` protocol's ``marginals(T, V)`` gives the
+    decomposition, the direct scores are ``logits_many(T, V)``; otherwise the
+    projection is ``emap_decompose`` of the ``build_grid`` grid, whose
+    diagonal holds the direct scores.
     """
     t_mat, v_mat = _paired_features(texts, visuals)
-    marginals = getattr(scorer, "marginals", None)
-    if marginals is not None:
-        logits_many = getattr(scorer, "logits_many", None)
-        if logits_many is None:
-            raise InputError("a scorer with marginals must also provide logits_many for its direct scores")
-        return Projection(marginals(t_mat, v_mat), logits_many(t_mat, v_mat))
+    scorer = as_scorer(scorer)
+    dec = scorer.marginals(t_mat, v_mat)
+    if dec is not None:
+        return Projection(dec, scorer.logits_many(t_mat, v_mat))
     grid = build_grid(scorer, t_mat, v_mat)
     return Projection(emap_decompose(grid), _diagonal(grid), grid, grid.n_text * grid.n_visual)
 

@@ -20,23 +20,28 @@ array is read straight into its own buffer (``_read_array``), never held as
 file bytes plus a copy; a binary grid is read so in blocks of whole rows,
 each moved into channel-major planes.  A JSON grid file above
 ``JSON_GRID_MAX_BYTES`` is refused, at load and before a save whose file
-could exceed it.
+could exceed it.  Only the grid and decomposition readers import
+``emap.grid``, and a model file loads only the module of its own kind.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import _SPLIT_CODES, PairedDataset
 from .exceptions import InputError
-from .grid import AdditiveDecomposition, ScoreGrid
+
+if TYPE_CHECKING:
+    from .grid import AdditiveDecomposition, ScoreGrid
 
 __all__ = [
     "save_grid",
@@ -177,6 +182,7 @@ def save_grid(grid: ScoreGrid, path) -> None:
 
 
 def load_grid(path) -> ScoreGrid:
+    from .grid import ScoreGrid
     if _is_json(path):
         _refuse_large_json_grid(path, os.stat(path).st_size, "is a")
         payload = _load_json(path)
@@ -236,6 +242,7 @@ def save_decomposition(dec: AdditiveDecomposition, path) -> None:
 
 
 def load_decomposition(path) -> AdditiveDecomposition:
+    from .grid import AdditiveDecomposition
     if _is_json(path):
         payload = _load_json(path)
         with _malformed(path, "decomposition"):
@@ -339,17 +346,15 @@ def save_model(model, path) -> None:
     dump_json(model.to_json_dict(), path)
 
 
-def load_model(path):
-    # imported here, so that reading grids and datasets loads no model or boosting code
-    from .boosting import AdaBoostModel
-    from .models import FeedForwardModel, LinearModel, Poly2Model
+_MODEL_CLASSES = {"linear": "models.LinearModel", "poly2": "models.Poly2Model",
+                  "feedforward": "models.FeedForwardModel", "adaboost": "boosting.AdaBoostModel"}
 
-    kinds = {
-        "linear": LinearModel, "poly2": Poly2Model, "feedforward": FeedForwardModel, "adaboost": AdaBoostModel,
-    }
+
+def load_model(path):
     payload = _load_json(path)
     with _malformed(path, "model"):
         kind = payload.get("kind")
-        if kind not in kinds:
+        if kind not in _MODEL_CLASSES:
             raise InputError(f"unknown model kind {kind!r} in {path}")
-        return kinds[kind].from_json_dict(payload)
+        module, name = _MODEL_CLASSES[kind].split(".")
+        return getattr(importlib.import_module(f".{module}", __package__), name).from_json_dict(payload)

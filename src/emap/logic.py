@@ -29,12 +29,11 @@ every table's cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import MAX_TABLE_N
-from .boosting import AdaBoostConfig, boost_batch
-from .boosting import full_boost_round, presort, unimodal_restricted_boost_round
 from .exceptions import (
     CapabilityError,
     GenerationError,
@@ -43,6 +42,9 @@ from .exceptions import (
 )
 from .grid import ScoreGrid, emap_decompose
 from .metrics import auc_rows
+
+if TYPE_CHECKING:
+    from .boosting import AdaBoostConfig
 
 __all__ = [
     "MAX_TABLE_N",
@@ -430,7 +432,7 @@ def sample_table(n: int, seed, require_nonconstant: bool = False, sampler: str =
 # ---------------------------------------------------------------------------
 
 
-def _boost_train_scores(tables: np.ndarray, restriction: str, cfg: AdaBoostConfig) -> np.ndarray:
+def _boost_train_scores(tables: np.ndarray, restriction: str, cfg: AdaBoostConfig | None) -> np.ndarray:
     """Training scores of boosting on every cell of each table of a stack, row-major.
 
     The tables boost side by side through ``boosting.boost_batch``.  When
@@ -440,8 +442,11 @@ def _boost_train_scores(tables: np.ndarray, restriction: str, cfg: AdaBoostConfi
     sums come from one ``np.bincount`` with a bin per (table, class, group);
     bincount adds in element order, so every sum is the one the table alone
     would get.  A shallower budget fits greedy trees on the cells' bits, one
-    table at a time, inside the same loop.
+    table at a time, inside the same loop.  ``cfg`` defaults to ``AdaBoostConfig()``.
     """
+    # imported here, so that the census and the formula check never load the boosting code
+    from .boosting import AdaBoostConfig, boost_batch, full_boost_round, presort, unimodal_restricted_boost_round
+    cfg = cfg or AdaBoostConfig()
     n = tables.shape[1].bit_length() - 1
     y = tables.reshape(len(tables), -1)
     bits_read = n if restriction == "unimodal" else 2 * n
@@ -491,7 +496,7 @@ def additive_fit_aucs(tables: np.ndarray, method: str, cfg: AdaBoostConfig | Non
         grid = ScoreGrid(values=tables.transpose(1, 2, 0))
         scores = emap_decompose(grid).reconstruct().transpose(2, 0, 1)
     elif method in BOOSTED_METHODS:
-        scores = _boost_train_scores(tables, method.removeprefix("adaboost_"), cfg or AdaBoostConfig())
+        scores = _boost_train_scores(tables, method.removeprefix("adaboost_"), cfg)
     else:
         raise InputError(f"unknown method {method!r}")
     return auc_rows(scores.reshape(cells.shape), cells)
@@ -527,7 +532,6 @@ def run_size_sweep(
     n_values = list(n_values)
     for n in n_values:
         table_side(n)  # refuse an out-of-reach size before any sample runs
-    cfg = cfg or AdaBoostConfig()
     rows = []
     for n in n_values:
         chunks = {m: [] for m in SWEEP_METHODS}

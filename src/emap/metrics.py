@@ -20,7 +20,7 @@ import numpy as np
 from . import METRIC_NAMES
 from .data import PairedDataset
 from .exceptions import InputError, UndefinedMetricError
-from .grid import Projection, emap_predictions, project_scorer
+from .grid import Projection, as_scorer, emap_predictions, project_scorer
 
 __all__ = [
     "AUC_CONVENTION_NOTE",
@@ -229,6 +229,7 @@ def subsampled_emap_metric(
         raise InputError(f"subsample size m={m} must lie in [1, {dataset.n}]")
     if full is not None and len(full.direct) != dataset.n:
         raise InputError(f"a projection of {len(full.direct)} items is not the projection of {dataset.n} items")
+    scorer = as_scorer(scorer)
     direct_vals = np.empty(k)
     emap_vals = np.empty(k)
     cells = 0

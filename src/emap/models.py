@@ -14,15 +14,14 @@ of it is affine in one side at a time, so a grid computes that part once
 per item and only the product block once per cell.
 
 All training is full-batch and deterministic given the config seed.  Each
-model scores paired rows with ``logits_many(T, V)`` (one pair is one row)
-and all text x visual cross-pairings with ``logits_grid(T, V)``, which
-``grid.build_grid`` calls: an ``(N_t, N_v, d)`` array whose memory is
-channel-major, the layout ``grid.ScoreGrid`` keeps, with each channel plane
-filled in place without an N^2 x d temporary.
-The linear and poly2 models are affine in each input side, so they also
-give their exact projection without any grid: ``marginals(T, V)``
-(``_affine_marginals``) scores each side against the other side's mean, in
-O(N * d) memory, and ``grid.project_scorer`` prefers it to the grid.
+model offers the scorer protocol of ``grid.as_scorer``: ``logits_many(T, V)``
+scores paired rows (one pair is one row), ``logits_grid(T, V)`` all text x
+visual cross-pairings, filling an ``(N_t, N_v, d)`` array in the
+channel-major layout ``grid.ScoreGrid`` keeps, plane by plane and without
+an N^2 x d temporary, and ``marginals(T, V)`` gives the exact projection or
+None.  The linear and poly2 models and the network without hidden layers
+are affine in each input side, so their ``marginals`` (``_affine_marginals``)
+score each side against the other side's mean in O(N * d) memory.
 ``from_json_dict`` checks every weight's shape and finiteness, so a
 malformed model file fails at load with ``InputError``.
 """
@@ -33,7 +32,7 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
-from .data import PairedDataset
+from .data import PairedDataset, check_pairs, check_widths
 from .exceptions import InputError, TrainingError
 from .grid import AdditiveDecomposition
 
@@ -131,24 +130,6 @@ def _weights(value, name: str, *shape) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InputError(f"model weights {name!r} are not all finite")
     return arr
-
-
-def check_widths(T: np.ndarray, V: np.ndarray, d1: int, d2: int):
-    """``T`` and ``V`` as 2-D arrays, refused unless their widths are ``d1`` and ``d2``."""
-    T, V = np.atleast_2d(T), np.atleast_2d(V)
-    if T.shape[1] != d1 or V.shape[1] != d2:
-        raise InputError(
-            f"feature dims ({T.shape[1]}, {V.shape[1]}) do not match model ({d1}, {d2})"
-        )
-    return T, V
-
-
-def check_pairs(T: np.ndarray, V: np.ndarray, d1: int, d2: int):
-    """``check_widths`` for paired rows: also refused unless ``T`` and ``V`` have as many rows."""
-    T, V = check_widths(T, V, d1, d2)
-    if len(T) != len(V):
-        raise InputError(f"paired inputs need as many text as visual rows, got {len(T)} and {len(V)}")
-    return T, V
 
 
 def _affine_marginals(logits_many, T: np.ndarray, V: np.ndarray, d1: int, d2: int) -> AdditiveDecomposition:
@@ -502,6 +483,11 @@ class FeedForwardModel:
             planes[:, i, :] = score(i).T
         return planes.transpose(1, 2, 0)
 
+    def marginals(self, T: np.ndarray, V: np.ndarray) -> AdditiveDecomposition | None:
+        """Exact without hidden layers, where the logits are affine in each side; else None."""
+        flat = len(self.layers) == 1
+        return _affine_marginals(self.logits_many, T, V, len(self.proj_t), len(self.proj_v)) if flat else None
+
     def to_json_dict(self) -> dict:
         return {
             "kind": "feedforward",
@@ -620,13 +606,9 @@ def _train_feedforward(data: PairedDataset, cfg: FeedForwardConfig) -> FeedForwa
 
 
 def train_interactive(data: PairedDataset, kind: str, cfg=None):
-    """Train an interaction-capable model: poly2, feedforward or adaboost."""
+    """Train an interaction-capable model: poly2 or feedforward (AdaBoost: ``boosting.train_adaboost``)."""
     if kind == "poly2":
         return _train_poly2(data, cfg or Poly2Config())
     if kind == "feedforward":
         return _train_feedforward(data, cfg or FeedForwardConfig())
-    if kind == "adaboost":
-        from .boosting import AdaBoostConfig, train_adaboost
-
-        return train_adaboost(data, cfg or AdaBoostConfig())
     raise InputError(f"unknown interactive model kind {kind!r}")

@@ -273,13 +273,15 @@ class TestPipeline:
         assert (scored_manifest["emap_path"], scored_manifest["grid_cells"]) == ("grid", 160 * 160)
 
     def test_eval_manifest_names_the_projection_path(self, capsys, tmp_path, data_path):
-        for model, settings in (("linear", ()), ("mlp", ("--epochs", "2", "--hidden", "3", "--proj-width", "2"))):
-            run(capsys, "train", "--data", str(data_path), "--model", model, *settings,
+        for model, kind, hidden in (("linear", "linear", None), ("mlp", "mlp", "3"), ("flat", "mlp", "")):
+            settings = () if hidden is None else ("--epochs", "2", "--hidden", hidden, "--proj-width", "2")
+            run(capsys, "train", "--data", str(data_path), "--model", kind, *settings,
                 "--out", str(tmp_path / f"{model}.json"))
         emap, sub = ["--with-emap"], ["--subsample", "3,8"]
         for model, extra, expected in (
             ("linear", emap, ("marginals", 0)),
             ("linear", sub, ("marginals", 0)),
+            ("flat", emap, ("marginals", 0)),  # an mlp without hidden layers is affine in each side
             ("mlp", emap, ("grid", 20 * 20)),
             ("mlp", sub, ("grid", 3 * 8 * 8)),
             ("mlp", emap + sub, ("grid", 20 * 20)),  # the subsample grids are sliced from the full one
@@ -794,6 +796,31 @@ class TestImportCost:
         assert not ran & {"logic", "synth", "oracle"}
         assert {"grid", "metrics", "models"} <= ran
 
+    @pytest.mark.parametrize(
+        "kind, other", [("linear", "boosting"), ("poly2", "boosting"), ("mlp", "boosting"), ("adaboost", "models")]
+    )
+    def test_train_and_eval_run_only_their_model_kinds_code(self, capsys, tmp_path, kind, other):
+        data, model = tmp_path / "d.json", tmp_path / "m.json"
+        run(capsys, "synth", "--out", str(data), "--n", "60")
+        settings = {"linear": ("--epochs", "2"), "poly2": ("--epochs", "2"), "adaboost": ("--stages", "2"),
+                    "mlp": ("--epochs", "2", "--hidden", "3", "--proj-width", "2")}[kind]
+        train = ["train", "--data", str(data), "--model", kind, *settings, "--out", str(model)]
+        for argv in (train, ["eval", "--data", str(data), "--model", str(model), "--with-emap",
+                             "--report", str(tmp_path / "r.json")]):
+            ran, _ = modules_run_by(argv)
+            assert other not in ran and {"models" if other == "boosting" else "boosting"} <= ran, argv[0]
+
+    def test_logic_commands_run_only_the_scorer_code_they_use(self, tmp_path):
+        """The census and the formula check boost nothing; the sweep boosts, but trains no model."""
+        formula = (Path(emap.__file__).parent / "fixtures" / "surprising_formula.txt").read_text().strip()
+        for argv in (["logic", "census", "--n", "1"], ["logic", "check", "--formula", formula, "--n", "2"]):
+            ran, _ = modules_run_by(argv)
+            assert "logic" in ran and not ran & {"models", "boosting"}, argv
+        ran, _ = modules_run_by(
+            ["logic", "sweep", "--n-range", "1..1", "--samples", "2", "--stages", "2", "--out", str(tmp_path / "s.csv")]
+        )
+        assert {"logic", "boosting"} <= ran and "models" not in ran
+
     def test_synth_runs_no_model_metric_lab_or_oracle_code(self, tmp_path):
         ran, _ = modules_run_by(["synth", "--out", str(tmp_path / "d.json"), "--n", "60"])
         assert not ran & {"logic", "metrics", "models", "boosting", "oracle"}
@@ -917,7 +944,7 @@ class TestUsageErrors:
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not report.exists()
         ran, _ = modules_run_by(argv)
-        assert ran <= {"data", "grid", "io"}  # the dataset loader's modules at most
+        assert ran <= {"data", "io"}  # the dataset loader's modules at most: no grid code, so no cell scored
 
     def test_bad_subsample_spec(self, capsys, tmp_path):
         data = tmp_path / "d.json"

@@ -1,5 +1,7 @@
 """Score grid construction and additive projection."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from emap.exceptions import InputError, NumericError
 from emap.grid import (
     AdditiveDecomposition,
     ScoreGrid,
+    as_scorer,
     build_grid,
     emap_decompose,
     emap_predictions,
@@ -150,8 +153,24 @@ class TestProjectScorer:
         class MarginalsOnly:
             marginals = paths.scorer("linear", 2).marginals
 
-        with pytest.raises(InputError, match="logits_many"):
-            project_scorer(MarginalsOnly(), *paths.items(5, 5))
+        for read in (as_scorer, lambda scorer: project_scorer(scorer, *paths.items(5, 5))):
+            with pytest.raises(InputError, match="logits_many"):
+                read(MarginalsOnly())
+
+    def test_what_is_neither_a_scorer_nor_callable_refused(self):
+        for read in (as_scorer, lambda scorer: build_grid(scorer, *paths.items(5, 5))):
+            with pytest.raises(InputError, match="not a scorer"):
+                read(SimpleNamespace(logits_many=paths.scorer("linear", 2).logits_many))
+
+    def test_grid_only_scorer_scores_pairs_from_one_cell_grids(self):
+        """An object with ``logits_grid`` alone pairs rows through it and has no marginals."""
+        model = paths.scorer("poly2", 3)
+        protocol = as_scorer(SimpleNamespace(logits_grid=model.logits_grid))
+        T, V = paths.items(9, 9)
+        assert protocol.marginals(T, V) is None
+        np.testing.assert_allclose(protocol.logits_many(T, V), model.logits_many(T, V), rtol=0, atol=paths.CELL_TOL)
+        with pytest.raises(InputError, match="rows"):
+            protocol.logits_many(*paths.items(3, 4))
 
 
 class TestDecompose:

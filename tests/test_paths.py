@@ -1,12 +1,12 @@
 """One scorer x path conformance table: every route to a scorer's scores gives one function.
 
-EMAP reads a scorer through ``build_grid``, ``logits_grid``, the paired
-``logits_many``, the closed-form ``marginals``, ``project_scorer``'s direct
-scores, a ``Projection`` cut with ``take`` and a model file, and each route
-must agree with the others.  ``SCORERS`` lists every scorer once and
-``PATHS`` every route with the attribute it needs, its sizes and its check,
-which states its tolerance.  A pair that does not apply says why in
-``NOT_APPLICABLE``.  Each path runs from one test in the module of the code
+EMAP reads a scorer through ``build_grid`` and the ``as_scorer`` protocol
+(``logits_grid``, the paired ``logits_many`` and the closed-form
+``marginals``), ``project_scorer``'s direct scores, a ``Projection`` cut
+with ``take`` and a model file, and each route must agree with the others.
+``SCORERS`` lists every scorer once and ``PATHS`` every route with what it
+needs of a scorer, its sizes and its check, which states its tolerance.
+A pair that does not apply says why in ``NOT_APPLICABLE``.  Each path runs from one test in the module of the code
 it exercises (or from several, each on its own scorers), through ``run`` or
 ``cases``, so a new scorer or path is one entry here.
 """
@@ -26,7 +26,7 @@ from emap import io as emap_io
 from emap.boosting import AdaBoostConfig, train_adaboost
 from emap.data import PairedDataset
 from emap.exceptions import InputError
-from emap.grid import ScoreGrid, build_grid, emap_decompose, emap_predictions, project_scorer
+from emap.grid import ScoreGrid, as_scorer, build_grid, emap_decompose, emap_predictions, project_scorer
 from emap.metrics import metric_from_logits, subsampled_emap_metric
 from emap.models import FeedForwardModel, LinearModel, Poly2Model
 
@@ -96,7 +96,7 @@ SCORERS = {
     "feedforward_flat": Scorer(_feedforward("gelu", ()), (2, 3), exact_rows=True),
     "adaboost": Scorer(_adaboost("full"), (2,), exact_rows=True),  # AdaBoost is binary
     "adaboost_unimodal": Scorer(_adaboost("unimodal"), (2,), exact_rows=True),
-    "plain": Scorer(_plain, (2, 3)),  # a plain (t, v) -> logits callable
+    "plain": Scorer(_plain, (2, 3), exact_rows=True),  # a plain (t, v) -> logits callable
 }
 
 
@@ -105,19 +105,11 @@ def scorer(name: str, classes: int):
     return SCORERS[name].make(np.random.default_rng([list(SCORERS).index(name), classes]), classes)
 
 
-def paired_scores(model, T, V) -> np.ndarray:
-    """Scores of the pairs ``(T[i], V[i])``: ``logits_many``, or a plain callable's one call per pair."""
-    if hasattr(model, "logits_many"):
-        return model.logits_many(T, V)
-    return np.array([model(t, v) for t, v in zip(T, V)])
-
-
 def _grid_projection(name, classes, n):
     """The model, ``labelled(n, classes)`` and its projection through the grid, whatever path the model has."""
     model, data = scorer(name, classes), labelled(n, classes)
     # seen through logits_grid alone, a model with marginals is projected through its grid too
-    grid_only = SimpleNamespace(logits_grid=model.logits_grid) if hasattr(model, "logits_grid") else model
-    full = project_scorer(grid_only, data.text, data.visual)
+    full = project_scorer(SimpleNamespace(logits_grid=as_scorer(model).logits_grid), data.text, data.visual)
     assert full.cells == n * n
     return model, data, full
 
@@ -129,14 +121,14 @@ def _parts(proj) -> dict:
 
 def check_build_grid(name, classes, n):
     """(a) ``build_grid`` equals scoring each cell on its own."""
-    model, (T, V) = scorer(name, classes), items(n, n)
-    per_cell = np.array([[paired_scores(model, t[np.newaxis], v[np.newaxis])[0] for v in V] for t in T])
+    model, (T, V) = as_scorer(scorer(name, classes)), items(n, n)
+    per_cell = np.array([[model.logits_many(t[np.newaxis], v[np.newaxis])[0] for v in V] for t in T])
     np.testing.assert_allclose(build_grid(model, T, V).values, per_cell, rtol=0, atol=CELL_TOL)
 
 
 def check_grid_rows(name, classes, n_t, n_v):
     """(b) Row i of ``logits_grid`` equals ``logits_many`` of text item i tiled against V."""
-    model, (T, V) = scorer(name, classes), items(n_t, n_v)
+    model, (T, V) = as_scorer(scorer(name, classes)), items(n_t, n_v)
     grid = model.logits_grid(T, V)
     assert grid.shape == (n_t, n_v, classes)
     for i, t in enumerate(T):
@@ -151,14 +143,14 @@ def check_direct(name, classes, n):
     """(c) ``Projection.direct`` is the paired scores byte for byte; ``cells`` names the path."""
     model, (T, V) = scorer(name, classes), items(n, n)
     proj = project_scorer(model, T, V)
-    expected = paired_scores(model, T, V)
+    expected = as_scorer(model).logits_many(T, V)
     assert proj.direct.shape == expected.shape and proj.direct.tobytes() == expected.tobytes()
-    assert proj.cells == (0 if hasattr(model, "marginals") else n * n)
+    assert proj.cells == (0 if applies(name, "marginals") else n * n)
 
 
 def check_marginals(name, classes, n_t, n_v):
     """(d) ``marginals`` is the decomposition of the grid, rectangular grids too."""
-    model, (T, V) = scorer(name, classes), items(n_t, n_v)
+    model, (T, V) = as_scorer(scorer(name, classes)), items(n_t, n_v)
     values = model.logits_grid(T, V)
     grid_dec, dec = emap_decompose(ScoreGrid(values=values)), model.marginals(T, V)
     tol = 1e-12 * (1.0 + float(np.max(np.abs(values))))
@@ -176,15 +168,15 @@ def check_take(name, classes, n, m):
         idx = np.sort(rng.choice(n, size=m, replace=False))
         sub = data.take(idx)
         taken, rescored = full.take(idx), project_scorer(model, sub.text, sub.visual)
-        # linear and poly2 project the subset from their marginals, the others from a new grid
-        assert (rescored.grid is None) == hasattr(model, "marginals")
+        # a scorer with marginals projects the subset from them, the others from a new grid
+        assert (rescored.grid is None) == applies(name, "marginals")
         assert taken.cells == 0 and rescored.cells == (0 if rescored.grid is None else m * m)
         got, want = _parts(taken), _parts(rescored)
         if rescored.grid is not None:
             got["grid"], want["grid"] = taken.grid.values, rescored.grid.values
         for part in want:
             np.testing.assert_allclose(got[part], want[part], rtol=0, atol=CELL_TOL, err_msg=part)
-    own = project_scorer(model, data.text, data.visual)  # holds no grid for linear and poly2
+    own = project_scorer(model, data.text, data.visual)  # holds no grid when it has marginals
     for metric in ("accuracy", "weighted_f1"):
         rescored = subsampled_emap_metric(model, data, 4, m, metric, seed=3)
         for given in (full, own):
@@ -221,7 +213,7 @@ def check_model_file(name, classes):
 
 def check_unequal_rows(name, classes, n_t, n_v):
     """(g) ``logits_many`` pairs rows, so it refuses unequal counts; ``logits_grid`` crosses them."""
-    model, (T, V) = scorer(name, classes), items(n_t, n_v)
+    model, (T, V) = as_scorer(scorer(name, classes)), items(n_t, n_v)
     with pytest.raises(InputError, match="rows"):
         model.logits_many(T, V)
     assert model.logits_grid(T, V).shape == (n_t, n_v, classes)
@@ -236,38 +228,39 @@ BLOCKED = [(300, 300), (3, 2000)]
 SINGLE_SIDED = [(1, 6), (7, 1)]
 
 
+def has_marginals(model) -> bool:
+    return as_scorer(model).marginals(*items(2, 2)) is not None
+
+
 class PathSpec(NamedTuple):
-    needs: str | None  # the attribute a scorer must have for the path to apply
+    needs: Callable | None  # needs(scorer): whether the scorer offers what the path reads
     sizes: list
     check: Callable  # check(name, classes, *size)
 
 
 PATHS = {
     "build_grid": PathSpec(None, [(1,), (7,), (30,)], check_build_grid),
-    "grid_rows": PathSpec("logits_grid", CROSSED + BLOCKED, check_grid_rows),
+    "grid_rows": PathSpec(None, CROSSED + BLOCKED, check_grid_rows),
     "direct": PathSpec(None, [(1,), (7,), (64,), (500,)], check_direct),
-    "marginals": PathSpec("marginals", CROSSED + [(9, 9)] + SINGLE_SIDED + BLOCKED, check_marginals),
+    "marginals": PathSpec(has_marginals, CROSSED + [(9, 9)] + SINGLE_SIDED + BLOCKED, check_marginals),
     "take": PathSpec(None, [(30, 12)], check_take),
     "take_all": PathSpec(None, [(30,)], check_take_all),
-    "model_file": PathSpec("to_json_dict", [()], check_model_file),
-    "unequal_rows": PathSpec("logits_many", [(1, 5), (5, 1), (5, 11), (12, 4)], check_unequal_rows),
+    "model_file": PathSpec(lambda model: hasattr(model, "to_json_dict"), [()], check_model_file),
+    "unequal_rows": PathSpec(None, [(1, 5), (5, 1), (5, 11), (12, 4)], check_unequal_rows),
 }
 
 NOT_APPLICABLE = {
     ("feedforward", "marginals"): "FFN with hidden layers: not affine in each side, so no marginals",
-    ("feedforward_flat", "marginals"): "FFN without hidden layers: affine in each side, but no marginals yet",
     ("adaboost", "marginals"): "full AdaBoost: a tree over both sides is not affine in each side, so no marginals",
     ("adaboost_unimodal", "marginals"): "unimodal AdaBoost: additive, but no marginals yet",
-    ("plain", "grid_rows"): "plain callable: no logits_grid, so build_grid scores it one cell per call",
     ("plain", "marginals"): "plain callable: no marginals",
     ("plain", "model_file"): "plain callable: no model file",
-    ("plain", "unequal_rows"): "plain callable: scores one pair per call, so no paired rows to refuse",
 }
 
 
 def applies(name: str, path: str) -> bool:
     needs = PATHS[path].needs
-    return needs is None or hasattr(scorer(name, SCORERS[name].classes[0]), needs)
+    return needs is None or needs(scorer(name, SCORERS[name].classes[0]))
 
 
 def cases(path: str):
@@ -294,6 +287,10 @@ def test_every_scorer_has_an_entry_and_every_pair_runs_or_says_why():
         if isinstance(cls, type) and cls.__module__ == module.__name__ and "logits_many" in vars(cls)
     }
     assert defined and defined <= {type(scorer(name, s.classes[0])) for name, s in SCORERS.items()}
+    # every bundled model offers the whole protocol, so as_scorer takes it as it is
+    for name, entry in SCORERS.items():
+        model = scorer(name, entry.classes[0])
+        assert (as_scorer(model) is model) == (type(model) in defined), name
     assert set(NOT_APPLICABLE) <= {(name, path) for name in SCORERS for path in PATHS}
     for name in SCORERS:
         for path in PATHS:
