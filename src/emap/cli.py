@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import MAX_TABLE_N, METRIC_NAMES, SPLIT_NAMES, __version__
-from .exceptions import EmapError, InputError, NumericError, UndefinedMetricError
+from .exceptions import InputError, NumericError
 
 
 def _lazy(name: str):
@@ -198,8 +198,8 @@ def _cmd_train(args) -> tuple:
         if field not in fields:
             raise InputError(f"--{flag.replace('_', '-')} does not apply to --model {args.model}")
         settings[field] = _parse_hidden(value) if flag == "hidden" else value
-    dataset = emap_io.load_dataset(args.data)
-    emap_io.save_model(train(dataset, config_cls(**settings)), args.out)
+    cfg = config_cls(**settings)  # a bad setting is refused before the dataset is read
+    emap_io.save_model(train(emap_io.load_dataset(args.data), cfg), args.out)
     return EXIT_OK, [args.data]
 
 
@@ -208,7 +208,7 @@ def _split_metrics(logits, labels) -> dict:
     for name in METRIC_NAMES:
         try:
             out[name] = metrics.metric_from_logits(name, logits, labels)
-        except (UndefinedMetricError, InputError):
+        except InputError:  # UndefinedMetricError too
             continue
     return out
 
@@ -239,14 +239,9 @@ def _cmd_eval(args) -> tuple:
     if args.subsample and args.subsample[1] > part.n:
         raise InputError(f"subsample size m={args.subsample[1]} must lie in [1, {part.n}]")
     model = emap_io.load_model(args.model)
-    projection, cells = None, 0
-    if args.with_emap:
-        # the projection's direct scores equal logits_many bit for bit (tests/test_paths.py, "direct")
-        projection = grid.project_scorer(model, part.text, part.visual)
-        cells = projection.cells
-        logits = projection.direct
-    else:
-        logits = model.logits_many(part.text, part.visual)
+    logits = model.logits_many(part.text, part.visual)
+    projection = grid.project_scorer(model, part.text, part.visual) if args.with_emap else None
+    cells = projection.cells if projection else 0
     report = {
         "model": Path(args.model).stem,
         "split": args.split,
@@ -432,15 +427,13 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+    except OSError as exc:  # an input that is missing, names a directory or cannot be read
+        reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror or type(exc).__name__
+        print(f"error: {reason}: {exc.filename or exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except EmapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -10,24 +10,13 @@ class EmapError(Exception):
 
 
 class InputError(EmapError, ValueError):
-    """Malformed or inconsistent inputs: shape mismatches, bad flags, parse errors."""
+    """Inputs the library cannot use: shape mismatches, bad flags, parse errors,
+    sizes beyond a documented limit, constraints no sample satisfies."""
 
 
 class NumericError(EmapError, ArithmeticError):
-    """Non-finite values, solver non-convergence, or failed numeric verification."""
+    """Non-finite values, diverged training, solver non-convergence, or failed numeric verification."""
 
 
-class CapabilityError(EmapError):
-    """Request exceeds a documented size or capability limit."""
-
-
-class UndefinedMetricError(EmapError):
+class UndefinedMetricError(InputError):
     """Metric undefined for the given inputs (e.g. AUC with a single class)."""
-
-
-class TrainingError(EmapError):
-    """Model training diverged or the data is degenerate for the method."""
-
-
-class GenerationError(EmapError):
-    """Synthetic data generation could not satisfy its constraints."""

@@ -19,9 +19,10 @@ gives the exact decomposition, or None when the scorer has no exact form.
 poly2 models and the feed-forward net without hidden layers, which are
 affine in each side), so no grid is built and memory grows as O(N * d);
 otherwise it decomposes the ``build_grid`` grid, one ``logits_grid`` call.
-Either way the result is one ``Projection``, with the paired items' direct
-scores, the grid or None, and the cells scored; ``Projection.take`` cuts a
-subset's projection from the grid, scoring nothing.
+Either way the result is one ``Projection``: the decomposition, the grid or
+None, and the cells scored.  The paired items' own scores are always
+``logits_many``; ``Projection.take`` cuts a subset's projection from the
+grid, scoring nothing.
 
 All arithmetic is 64-bit.  Grids are stored channel-major: ``values`` has
 the logical shape ``(N_t, N_v, d)``, but its memory is ``(d, N_t, N_v)``, so
@@ -270,22 +271,15 @@ def emap_decompose(grid: ScoreGrid) -> AdditiveDecomposition:
     return AdditiveDecomposition(tau=row_means - mu, phi=col_means - mu, mu=mu)
 
 
-def _diagonal(grid: ScoreGrid) -> np.ndarray:
-    """Scores of the originally paired items, ``grid.values[i, i]``, of a square grid."""
-    return grid.values[np.arange(grid.n), np.arange(grid.n)]
-
-
 @dataclass(frozen=True, eq=False)
 class Projection:
-    """A scorer's additive projection over paired items, with its direct scores.
+    """A scorer's additive projection over paired items.
 
-    ``direct[i]`` is the scorer's output on the i-th pair: the grid's diagonal,
-    or ``logits_many`` when ``marginals`` gave the decomposition and ``grid``
-    is None.  ``cells`` counts the cross-pairings scored to reach it.
+    ``grid`` is the scored grid, or None when ``marginals`` gave the
+    decomposition; ``cells`` counts the cross-pairings scored to reach it.
     """
 
     decomposition: AdditiveDecomposition
-    direct: np.ndarray
     grid: ScoreGrid | None = None
     cells: int = 0
 
@@ -295,24 +289,22 @@ class Projection:
             raise InputError("only a projection that holds its grid can be sliced")
         idx = np.asarray(idx)
         sub = ScoreGrid(values=self.grid.planes[:, idx[:, np.newaxis], idx].transpose(1, 2, 0))
-        return Projection(emap_decompose(sub), _diagonal(sub), sub)
+        return Projection(emap_decompose(sub), sub)
 
 
 def project_scorer(scorer: Scorer, texts: Sequence, visuals: Sequence) -> Projection:
     """The EMAP of ``scorer`` over paired items, without a grid when the scorer allows it.
 
-    When the ``as_scorer`` protocol's ``marginals(T, V)`` gives the
-    decomposition, the direct scores are ``logits_many(T, V)``; otherwise the
-    projection is ``emap_decompose`` of the ``build_grid`` grid, whose
-    diagonal holds the direct scores.
+    The decomposition is the ``as_scorer`` protocol's ``marginals(T, V)`` when
+    it gives one, else ``emap_decompose`` of the ``build_grid`` grid.
     """
     t_mat, v_mat = _paired_features(texts, visuals)
     scorer = as_scorer(scorer)
     dec = scorer.marginals(t_mat, v_mat)
     if dec is not None:
-        return Projection(dec, scorer.logits_many(t_mat, v_mat))
+        return Projection(dec)
     grid = build_grid(scorer, t_mat, v_mat)
-    return Projection(emap_decompose(grid), _diagonal(grid), grid, grid.n_text * grid.n_visual)
+    return Projection(emap_decompose(grid), grid, grid.n_text * grid.n_visual)
 
 
 def emap_predictions(dec: AdditiveDecomposition) -> np.ndarray:

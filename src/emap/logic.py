@@ -34,12 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import MAX_TABLE_N
-from .exceptions import (
-    CapabilityError,
-    GenerationError,
-    InputError,
-    UndefinedMetricError,
-)
+from .exceptions import InputError, UndefinedMetricError
 from .grid import ScoreGrid, emap_decompose
 from .metrics import auc_rows
 
@@ -385,7 +380,7 @@ def representable_oracle_many(tables: np.ndarray) -> np.ndarray:
     """``representable_oracle`` for each table of a ``(tables, rows, cols)`` stack."""
     tables = np.asarray(tables)
     if tables.shape[1] > ORACLE_SIDE_LIMIT or tables.shape[2] > ORACLE_SIDE_LIMIT:
-        raise CapabilityError(
+        raise InputError(
             f"oracle limited to {ORACLE_SIDE_LIMIT} rows/columns per side, got {tables.shape[1:]}"
         )
     return _threshold_search(tables)[0]
@@ -424,7 +419,7 @@ def sample_table(n: int, seed, require_nonconstant: bool = False, sampler: str =
             raise InputError(f"unknown sampler {sampler!r}")
         if not require_nonconstant or not table.is_constant:
             return table
-    raise GenerationError("could not sample a nonconstant table in 1000 attempts")
+    raise InputError("could not sample a nonconstant table in 1000 attempts")
 
 
 # ---------------------------------------------------------------------------

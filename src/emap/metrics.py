@@ -6,9 +6,10 @@ statistic with average ranks for ties; multi-class AUC is macro one-vs-rest
 (the unweighted mean of per-class binary AUCs); weighted F1 is the
 support-weighted mean of per-class F1.
 
-The subsampled protocol takes direct and projected predictions, and the
-cells scored, from one ``grid.Projection`` per repetition: ``take`` of the
-full projection's grid when it has one, else ``grid.project_scorer``.
+The subsampled protocol scores each repetition's items with the scorer's
+``logits_many`` and takes their projected predictions, and the cells
+scored, from one ``grid.Projection``: ``take`` of the full projection's grid
+when it has one, else ``grid.project_scorer``.
 """
 
 from __future__ import annotations
@@ -220,15 +221,16 @@ def subsampled_emap_metric(
     is a set, so with m = n the projection is exactly the full-dataset one
     and the metrics match it bit for bit.  Each repetition's projection is
     ``full.take(idx)`` when ``full``, the projection of ``dataset``, holds a
-    grid, and ``project_scorer`` of the subsample otherwise; its direct and
-    projected predictions are compared on the same items.
+    grid, and ``project_scorer`` of the subsample otherwise; its projected
+    predictions are compared with ``logits_many`` of the same items.
     """
     if k < 1:
         raise InputError("k must be >= 1")
     if m < 1 or m > dataset.n:
         raise InputError(f"subsample size m={m} must lie in [1, {dataset.n}]")
-    if full is not None and len(full.direct) != dataset.n:
-        raise InputError(f"a projection of {len(full.direct)} items is not the projection of {dataset.n} items")
+    if full is not None and len(full.decomposition.tau) != dataset.n:
+        raise InputError(
+            f"a projection of {len(full.decomposition.tau)} items is not the projection of {dataset.n} items")
     scorer = as_scorer(scorer)
     direct_vals = np.empty(k)
     emap_vals = np.empty(k)
@@ -240,7 +242,7 @@ def subsampled_emap_metric(
             proj = full.take(idx)
         else:
             proj = project_scorer(scorer, sub.text, sub.visual)
-        direct_vals[rep] = metric_from_logits(metric, proj.direct, sub.labels)
+        direct_vals[rep] = metric_from_logits(metric, scorer.logits_many(sub.text, sub.visual), sub.labels)
         emap_vals[rep] = metric_from_logits(metric, emap_predictions(proj.decomposition), sub.labels)
         cells += proj.cells
     return SubsampleResult(

@@ -33,7 +33,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from .data import PairedDataset, check_pairs, check_widths
-from .exceptions import InputError, TrainingError
+from .exceptions import InputError, NumericError
 from .grid import AdditiveDecomposition
 
 __all__ = [
@@ -149,6 +149,7 @@ def _affine_marginals(logits_many, T: np.ndarray, V: np.ndarray, d1: int, d2: in
     return AdditiveDecomposition(tau=tau, phi=phi, mu=mu)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loss is refused below, without warnings
 def _fit_softmax_descent(
     forward, adjoint, num_params: int,
     labels: np.ndarray,
@@ -189,7 +190,7 @@ def _fit_softmax_descent(
             b_new = b - step * g_b
             new_loss, new_probs = loss_of(w_new, b_new)
             if not np.isfinite(new_loss):
-                raise TrainingError("logistic training diverged to a non-finite loss")
+                raise NumericError("logistic training diverged to a non-finite loss")
             if new_loss <= loss + 1e-12:
                 w, b, loss, probs = w_new, b_new, new_loss, new_probs
                 history.append(loss)
@@ -269,14 +270,17 @@ def _poly2_split(w: np.ndarray, d1: int, d2: int):
 
 def _poly2_logits(w: np.ndarray, T: np.ndarray, V: np.ndarray, block_cells: int = PAIR_BLOCK_CELLS) -> np.ndarray:
     """Bias-free poly2 logits ``t' w_t + v' w_v + t' w_x[:, :, c] v`` of paired rows; a row gets the same
-    bits in any block of two or more rows (numpy scores a one-row block with another kernel)."""
+    bits in any block of two or more rows (numpy scores a one-row block with another kernel), so the
+    rows are cut into balanced blocks of at most ``block_cells`` temporary floats, none of one row."""
     w_t, w_v, w_x = _poly2_split(w, T.shape[1], V.shape[1])
     d1, d2, classes = w_x.shape
     # t_n' W_x for a block of rows is one gemm; its dot with each v_n one batched matmul
-    bilinear = np.empty((len(T), classes))
-    rows = max(1, block_cells // (d2 * classes))
-    for start in range(0, len(T), rows):
-        block = slice(start, start + rows)
+    n, rows = len(T), max(1, block_cells // (d2 * classes))
+    bilinear = np.empty((n, classes))
+    blocks = max(1, min(-(-n // rows), n // 2))  # at most `rows` rows per block, and at least two
+    bounds = [n * k // blocks for k in range(blocks + 1)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        block = slice(start, stop)
         t_forms = (T[block] @ w_x.reshape(d1, -1)).reshape(-1, d2, classes)
         bilinear[block] = np.matmul(V[block, np.newaxis, :], t_forms)[:, 0]
     return T @ w_t + V @ w_v + bilinear
@@ -567,6 +571,7 @@ def _ffn_loss_and_grads(params: list, T: np.ndarray, V: np.ndarray, y: np.ndarra
     return loss, grads
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loss is refused below, without warnings
 def _train_feedforward(data: PairedDataset, cfg: FeedForwardConfig) -> FeedForwardModel:
     train = data.subset("train")
     h = cfg.proj_width
@@ -589,7 +594,7 @@ def _train_feedforward(data: PairedDataset, cfg: FeedForwardConfig) -> FeedForwa
         loss, grads = _ffn_loss_and_grads(
             params, train.text, train.visual, train.labels, cfg.activation, cfg.l2, buffers)
         if not np.isfinite(loss):
-            raise TrainingError("feed-forward training diverged to a non-finite loss")
+            raise NumericError("feed-forward training diverged to a non-finite loss")
         if loss < best_loss * (1.0 - cfg.plateau_rtol):
             best_loss, stall = loss, 0
         else:

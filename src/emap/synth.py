@@ -23,7 +23,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .data import PairedDataset
-from .exceptions import GenerationError, InputError
+from .exceptions import InputError
 
 __all__ = ["SynthParams", "SynthAudit", "generate", "generate_with_audit"]
 
@@ -117,7 +117,7 @@ def generate_with_audit(params: SynthParams) -> tuple[PairedDataset, SynthAudit]
             if abs(dot) > params.delta:
                 break
         else:
-            raise GenerationError(
+            raise InputError(
                 f"rejection sampling exhausted {_MAX_ATTEMPTS_PER_POINT} attempts for "
                 f"point {i}; delta={params.delta} is too large for d={params.d}"
             )

@@ -498,7 +498,42 @@ def assert_refused_before_output(capsys, tmp_path, argv):
 
 
 class TestInputContract:
-    """Malformed inputs end in exit 1 with one stderr line, never a traceback."""
+    """Malformed inputs end in exit 1 and numeric failures in exit 2, each with one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--data", "DIR", "--model", "MODEL", "--report", "OUT"),
+            ("project", "--grid", "DIR", "--out", "OUT"),
+            ("eval", "--data", "DATA", "--model", "DIR", "--report", "OUT"),
+        ],
+        ids=["eval-data", "project-grid", "eval-model"],
+    )
+    def test_input_that_names_a_directory(self, capsys, tmp_path, argv):
+        data, model, out = tmp_path / "data.json", tmp_path / "model.json", tmp_path / "out"
+        run(capsys, "synth", "--out", str(data), "--n", "40")
+        run(capsys, "train", "--data", str(data), "--model", "linear", "--epochs", "2", "--out", str(model))
+        files = {"DIR": str(tmp_path), "DATA": str(data), "MODEL": str(model), "OUT": str(out)}
+        code, _, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+        assert code == 1
+        assert err == f"error: Is a directory: {tmp_path}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (("--model", "linear", "--lr", "1e300"), "logistic"),
+            (("--model", "mlp", "--epochs", "20", "--lr", "1e8"), "feed-forward"),
+        ],
+        ids=["linear", "mlp"],
+    )
+    def test_diverging_fit_is_a_numeric_error(self, capsys, tmp_path, argv, kind):
+        data, out = tmp_path / "data.json", tmp_path / "model.json"
+        run(capsys, "synth", "--out", str(data), "--n", "300", "--seed", "1")
+        code, _, err = run(capsys, "train", "--data", str(data), *argv, "--out", str(out))
+        assert code == 2
+        assert err == f"numeric error: {kind} training diverged to a non-finite loss\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_GRIDS))
     def test_malformed_grid(self, capsys, tmp_path, name):
@@ -651,6 +686,14 @@ class TestInputContract:
                            "--max-depth", "3", "--out", str(out))
         assert code == 1
         assert err.strip() == "error: --max-depth does not apply to --model linear"
+
+    def test_bad_setting_refused_before_the_dataset_is_read(self, capsys, tmp_path):
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--data", "missing.json", "--model", "linear", "--lr", "nan",
+                           "--out", str(out))
+        assert code == 1
+        assert err == "error: lr must be finite and > 0, got nan\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan", "-1", "0"])
     def test_verify_tolerance_must_be_finite_and_positive(self, capsys, tolerance):

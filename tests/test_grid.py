@@ -145,10 +145,6 @@ class TestSubsampleSlices:
 
 
 class TestProjectScorer:
-    def test_direct_scores_are_the_paired_logits(self):
-        # bit for bit: eval --with-emap reports the metrics of projection.direct in place of logits_many's
-        paths.run("direct")
-
     def test_marginals_without_logits_many_refused(self):
         class MarginalsOnly:
             marginals = paths.scorer("linear", 2).marginals

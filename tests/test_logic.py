@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from emap import logic
-from emap.exceptions import CapabilityError, InputError, UndefinedMetricError
+from emap.exceptions import InputError, UndefinedMetricError
 from emap.grid import ScoreGrid, emap_decompose
 from emap.logic import (
     ORACLE_SIDE_LIMIT,
@@ -197,7 +197,7 @@ class TestRepresentability:
             assert 0 < sum(chain) < len(stack)
 
     def test_oracle_size_limit(self):
-        with pytest.raises(CapabilityError):
+        with pytest.raises(InputError, match="oracle limited"):
             representable_oracle(BooleanTable(5, np.zeros((32, 32), dtype=np.uint8)))
 
     def test_symmetry_under_transpose_and_complement(self):

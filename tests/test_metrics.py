@@ -305,10 +305,11 @@ class TestSubsampleProtocol:
 
         full = project_scorer(counted, ds.text, ds.visual)
         assert (len(calls), full.cells) == (16 * 16, 16 * 16)
+        # each repetition scores its 6 pairs with logits_many, one call per pair
         sliced = subsampled_emap_metric(counted, ds, k=3, m=6, metric="accuracy", seed=2, full=full)
-        assert (len(calls), sliced.grid_cells) == (16 * 16, 0)
+        assert (len(calls), sliced.grid_cells) == (16 * 16 + 3 * 6, 0)
         rescored = subsampled_emap_metric(counted, ds, k=3, m=6, metric="accuracy", seed=2)
-        assert (len(calls), rescored.grid_cells) == (16 * 16 + 3 * 6 * 6, 3 * 6 * 6)
+        assert (len(calls), rescored.grid_cells) == (16 * 16 + 3 * 6 + 3 * (6 * 6 + 6), 3 * 6 * 6)
         assert sliced == rescored
 
     def test_unknown_metric(self):

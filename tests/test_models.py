@@ -137,22 +137,21 @@ class TestLinear:
 
 
 class TestPoly2:
-    @pytest.mark.parametrize("n, d1, d2, classes", [(4000, 60, 40, 2), (500, 60, 40, 2), (1001, 7, 5, 3)])
+    # 1021 = 10 * 102 + 1 pairs: PAIR_BLOCK_CELLS holds 102 rows at d2 * classes = 80
+    @pytest.mark.parametrize(
+        "n, d1, d2, classes", [(4000, 60, 40, 2), (500, 60, 40, 2), (1021, 60, 40, 2), (1001, 7, 5, 3)])
     def test_block_size_leaves_every_row_of_a_many_row_block_unchanged(self, n, d1, d2, classes):
-        """Any block of two or more rows gives a row the bits of one block of all rows; a
-        one-row block takes numpy's matrix-vector kernel, which differs, so it is left out.
-        Criterion 05's 4000 and diagnose's 500 train pairs leave no one-row block."""
+        """Any block size gives every row the bits of one block of all rows, N = 1 (mod rows) too:
+        the blocks are balanced, so none has one row, which numpy would score with its
+        matrix-vector kernel, whose bits differ."""
         rng = np.random.default_rng(14)
         T, V = rng.standard_normal((n, d1)), rng.standard_normal((n, d2))
         w = rng.standard_normal((d1 + d2 + d1 * d2, classes))
         expected = _poly2_logits(w, T, V, n * d2 * classes)
-        for rows in (2, 3, 5, 31, 102, n // 2, n):
-            got = _poly2_logits(w, T, V, rows * d2 * classes)
-            whole = n - (n % rows == 1)  # a trailing block of one row is scored alone
-            assert got[:whole].tobytes() == expected[:whole].tobytes(), rows
+        for rows in (1, 2, 3, 5, 31, 102, n // 2, n):
+            assert _poly2_logits(w, T, V, rows * d2 * classes).tobytes() == expected.tobytes(), rows
         for cells in (PAIR_BLOCK_CELLS, TRAIN_BLOCK_CELLS):
             assert _poly2_logits(w, T, V, cells).tobytes() == expected.tobytes(), cells
-        assert _poly2_logits(w, T, V, d2 * classes).tobytes() != expected.tobytes()  # one row at a time
 
     def test_single_cross_term_breaks_additivity(self):
         """One nonzero product weight makes the grid non-additive."""

@@ -2,8 +2,8 @@
 
 EMAP reads a scorer through ``build_grid`` and the ``as_scorer`` protocol
 (``logits_grid``, the paired ``logits_many`` and the closed-form
-``marginals``), ``project_scorer``'s direct scores, a ``Projection`` cut
-with ``take`` and a model file, and each route must agree with the others.
+``marginals``), ``project_scorer``, a ``Projection`` cut with ``take`` and a
+model file, and each route must agree with the others.
 ``SCORERS`` lists every scorer once and ``PATHS`` every route with what it
 needs of a scorer, its sizes and its check, which states its tolerance.
 A pair that does not apply says why in ``NOT_APPLICABLE``.  Each path runs from one test in the module of the code
@@ -116,7 +116,7 @@ def _grid_projection(name, classes, n):
 
 def _parts(proj) -> dict:
     dec = proj.decomposition
-    return {"direct": proj.direct, "tau": dec.tau, "phi": dec.phi, "mu": dec.mu}
+    return {"tau": dec.tau, "phi": dec.phi, "mu": dec.mu}
 
 
 def check_build_grid(name, classes, n):
@@ -139,17 +139,8 @@ def check_grid_rows(name, classes, n_t, n_v):
             np.testing.assert_allclose(grid[i], row, rtol=0, atol=CELL_TOL, err_msg=f"row {i}")
 
 
-def check_direct(name, classes, n):
-    """(c) ``Projection.direct`` is the paired scores byte for byte; ``cells`` names the path."""
-    model, (T, V) = scorer(name, classes), items(n, n)
-    proj = project_scorer(model, T, V)
-    expected = as_scorer(model).logits_many(T, V)
-    assert proj.direct.shape == expected.shape and proj.direct.tobytes() == expected.tobytes()
-    assert proj.cells == (0 if applies(name, "marginals") else n * n)
-
-
 def check_marginals(name, classes, n_t, n_v):
-    """(d) ``marginals`` is the decomposition of the grid, rectangular grids too."""
+    """(c) ``marginals`` is the decomposition of the grid, rectangular grids too."""
     model, (T, V) = as_scorer(scorer(name, classes)), items(n_t, n_v)
     values = model.logits_grid(T, V)
     grid_dec, dec = emap_decompose(ScoreGrid(values=values)), model.marginals(T, V)
@@ -161,16 +152,17 @@ def check_marginals(name, classes, n_t, n_v):
 
 
 def check_take(name, classes, n, m):
-    """(e) ``Projection.take`` equals projecting the subset again, and ``subsampled_emap_metric`` agrees."""
+    """(d) ``Projection.take`` equals projecting the subset again, and ``subsampled_emap_metric`` agrees."""
     model, data, full = _grid_projection(name, classes, n)
     rng = np.random.default_rng(3)
     for _ in range(4):
         idx = np.sort(rng.choice(n, size=m, replace=False))
         sub = data.take(idx)
         taken, rescored = full.take(idx), project_scorer(model, sub.text, sub.visual)
-        # a scorer with marginals projects the subset from them, the others from a new grid
+        # a scorer with marginals projects the subset from them, the others from a new grid,
+        # so ``cells`` names the path
         assert (rescored.grid is None) == applies(name, "marginals")
-        assert taken.cells == 0 and rescored.cells == (0 if rescored.grid is None else m * m)
+        assert taken.cells == 0 and rescored.cells == (0 if applies(name, "marginals") else m * m)
         got, want = _parts(taken), _parts(rescored)
         if rescored.grid is not None:
             got["grid"], want["grid"] = taken.grid.values, rescored.grid.values
@@ -184,10 +176,9 @@ def check_take(name, classes, n, m):
 
 
 def check_take_all(name, classes, n):
-    """(e) ``take(arange(N))`` is the full projection byte for byte, and so are the m = N metrics."""
+    """(d) ``take(arange(N))`` is the full projection byte for byte, and so are the m = N metrics."""
     model, data, full = _grid_projection(name, classes, n)
-    taken, direct = full.take(np.arange(n)), full.grid.values[np.arange(n), np.arange(n)]
-    assert full.direct.tobytes() == direct.tobytes()
+    taken, direct = full.take(np.arange(n)), as_scorer(model).logits_many(data.text, data.visual)
     assert taken.grid.values.tobytes() == full.grid.values.tobytes()
     whole = _parts(taken)
     for part, value in _parts(full).items():
@@ -201,7 +192,7 @@ def check_take_all(name, classes, n):
 
 
 def check_model_file(name, classes):
-    """(f) ``io.save_model``/``load_model`` keep the model and the bytes of both its scorers."""
+    """(e) ``io.save_model``/``load_model`` keep the model and the bytes of both its scorers."""
     model = scorer(name, classes)
     with tempfile.TemporaryDirectory() as tmp:
         emap_io.save_model(model, Path(tmp) / "model.json")
@@ -212,7 +203,7 @@ def check_model_file(name, classes):
 
 
 def check_unequal_rows(name, classes, n_t, n_v):
-    """(g) ``logits_many`` pairs rows, so it refuses unequal counts; ``logits_grid`` crosses them."""
+    """(f) ``logits_many`` pairs rows, so it refuses unequal counts; ``logits_grid`` crosses them."""
     model, (T, V) = as_scorer(scorer(name, classes)), items(n_t, n_v)
     with pytest.raises(InputError, match="rows"):
         model.logits_many(T, V)
@@ -241,7 +232,6 @@ class PathSpec(NamedTuple):
 PATHS = {
     "build_grid": PathSpec(None, [(1,), (7,), (30,)], check_build_grid),
     "grid_rows": PathSpec(None, CROSSED + BLOCKED, check_grid_rows),
-    "direct": PathSpec(None, [(1,), (7,), (64,), (500,)], check_direct),
     "marginals": PathSpec(has_marginals, CROSSED + [(9, 9)] + SINGLE_SIDED + BLOCKED, check_marginals),
     "take": PathSpec(None, [(30, 12)], check_take),
     "take_all": PathSpec(None, [(30,)], check_take_all),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from emap.exceptions import GenerationError, InputError
+from emap.exceptions import InputError
 from emap.synth import SynthParams, generate, generate_with_audit
 
 # text, visual, labels and split of SynthParams(n=300, d1=7, d2=5, seed=11), as generated
@@ -51,7 +51,7 @@ class TestGenerate:
 
     def test_unreachable_margin_raises(self):
         # at d=100 the latent dot concentrates near 0, so |dot| > .99 never happens
-        with pytest.raises(GenerationError):
+        with pytest.raises(InputError, match="rejection sampling exhausted"):
             generate(SynthParams(d=100, delta=0.99, n=1, split=(0.4, 0.3, 0.3), seed=0))
 
     def test_determinism(self):
