@@ -3,7 +3,8 @@
 Labels are the sign of a latent dot product between the two modalities, so
 no function of the form f_T(t) + f_V(v) carries signal.  A linear model
 stays at chance; interaction-capable models solve the task; projecting an
-interactive model (``project_scorer``) drops it back to chance.  The
+interactive model drops it back to chance.  Each row of the table is read
+from the report ``emap.evaluate`` builds, the one ``emap eval`` writes.  The
 subsampled protocol at the end shows how to estimate projection quality when
 the full grid is too large.
 
@@ -11,8 +12,7 @@ Runs at a reduced scale (~1 minute); the full desk-scale numbers live in
 tests/test_acceptance.py (criterion 5).
 """
 
-from emap.grid import emap_predictions, project_scorer
-from emap.metrics import accuracy, agreement, subsampled_emap_metric
+from emap import evaluate
 from emap.models import FeedForwardConfig, Poly2Config, train_interactive, train_linear
 from emap.synth import SynthParams, generate
 
@@ -32,20 +32,19 @@ models = {
 
 print(f"\n{'model':10s} {'test acc':>9s} {'projected':>10s} {'agreement':>10s}")
 for name, model in models.items():
-    direct = model.logits_many(test.text, test.visual)
     # linear and poly2 project from their marginals, the mlp through its full grid
-    projected = emap_predictions(project_scorer(model, test.text, test.visual).decomposition)
+    report, _ = evaluate(model, test, with_emap=True)
     print(
-        f"{name:10s} {accuracy(direct, test.labels):9.3f} "
-        f"{accuracy(projected, test.labels):10.3f} "
-        f"{agreement(direct, projected):10.3f}"
+        f"{name:10s} {report['metrics']['accuracy']:9.3f} "
+        f"{report['emap_metrics']['accuracy']:10.3f} "
+        f"{report['agreement_rate']:10.3f}"
     )
 
-result = subsampled_emap_metric(models["poly2"], test, k=8, m=100, metric="accuracy", seed=3)
+sub = evaluate(models["poly2"], test, subsample=(8, 100), seed=3)[0]["subsample"]
 print(
-    f"\nsubsampled protocol (k={result.k}, m={result.m}): "
-    f"direct {result.direct_mean:.3f} +/- {result.direct_std:.3f}, "
-    f"projected {result.emap_mean:.3f} +/- {result.emap_std:.3f}"
+    f"\nsubsampled protocol (k={sub['k']}, m={sub['m']}): "
+    f"direct {sub['direct_mean']:.3f} +/- {sub['direct_std']:.3f}, "
+    f"projected {sub['emap_mean']:.3f} +/- {sub['emap_std']:.3f}"
 )
 print("\nThe interactive models' advantage disappears under projection:")
 print("their accuracy on this task was pure cross-modal interaction.")

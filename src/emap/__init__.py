@@ -28,6 +28,7 @@ _EXPORTS = {
     "emap_decompose": "grid",
     "emap_predictions": "grid",
     "projection_loss": "grid",
+    "evaluate": "metrics",
     "StationarityReport": "oracle",
     "solve_exact": "oracle",
     "check_stationarity": "oracle",

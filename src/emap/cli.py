@@ -203,19 +203,6 @@ def _cmd_train(args) -> tuple:
     return EXIT_OK, [args.data]
 
 
-def _split_metrics(logits, labels) -> dict:
-    out = {}
-    for name in METRIC_NAMES:
-        try:
-            out[name] = metrics.metric_from_logits(name, logits, labels)
-        except InputError:  # UndefinedMetricError too
-            continue
-    return out
-
-
-_SUBSAMPLE_STATS = ("direct_mean", "direct_std", "emap_mean", "emap_std")
-
-
 def _csv_rows(report: dict) -> list[str]:
     """An eval report's numbers as CSV rows, in the report's order.  A number
     under a key that starts with ``emap`` (the projection's) is labelled
@@ -227,7 +214,8 @@ def _csv_rows(report: dict) -> list[str]:
         elif key in ("agreement_rate", "orig_better_frac"):
             numbers.append((key, key, value))
         elif key == "subsample":
-            numbers += [(stat, f"subsample_{stat}_{value['metric']}", value[stat]) for stat in _SUBSAMPLE_STATS]
+            numbers += [(stat, f"subsample_{stat}_{value['metric']}", number)
+                        for stat, number in value.items() if stat.endswith(("_mean", "_std"))]
     model = report["model"]
     return [
         f"{model}{'+emap' if key.startswith('emap') else ''},{name},{number!r}" for key, name, number in numbers
@@ -238,43 +226,16 @@ def _cmd_eval(args) -> tuple:
     part = emap_io.load_dataset(args.data).subset(args.split)  # the full dataset is freed at once
     if args.subsample and args.subsample[1] > part.n:
         raise InputError(f"subsample size m={args.subsample[1]} must lie in [1, {part.n}]")
-    model = emap_io.load_model(args.model)
-    logits = model.logits_many(part.text, part.visual)
-    projection = grid.project_scorer(model, part.text, part.visual) if args.with_emap else None
-    cells = projection.cells if projection else 0
-    report = {
-        "model": Path(args.model).stem,
-        "split": args.split,
-        "metrics": _split_metrics(logits, part.labels),
-        "notes": [metrics.AUC_CONVENTION_NOTE],
-    }
-    if projection is not None:
-        proj = grid.emap_predictions(projection.decomposition)
-        report["emap_metrics"] = _split_metrics(proj, part.labels)
-        report["agreement_rate"] = metrics.agreement(logits, proj)
-        orig_better_frac = metrics.disagreement_advantage(logits, proj, part.labels)
-        if orig_better_frac is not None:
-            report["orig_better_frac"] = orig_better_frac
-    if args.subsample:
-        result = metrics.subsampled_emap_metric(
-            model, part, *args.subsample, args.metric, seed=args.seed, full=projection
-        )
-        cells += result.grid_cells
-        report["subsample"] = {key: getattr(result, key) for key in ("metric", "k", "m", *_SUBSAMPLE_STATS)}
+    report, extras = metrics.evaluate(
+        emap_io.load_model(args.model), part,
+        with_emap=args.with_emap, subsample=args.subsample, metric=args.metric, seed=args.seed,
+    )
+    report = {"model": Path(args.model).stem, "split": args.split, **report}
     if args.report.endswith(".csv"):
-        Path(args.report).write_text(
-            "model,metric,value\n" + "\n".join(_csv_rows(report)) + "\n",
-            encoding="utf-8",
-        )
+        Path(args.report).write_text("model,metric,value\n" + "\n".join(_csv_rows(report)) + "\n", encoding="utf-8")
     else:
         emap_io.dump_json(report, args.report)
-    if not (args.with_emap or args.subsample):
-        return EXIT_OK, [args.data, args.model]
-    # every grid path scores at least one cell, so the count also names the path
-    return EXIT_OK, [args.data, args.model], {
-        "emap_path": "grid" if cells else "marginals",
-        "grid_cells": cells,
-    }
+    return EXIT_OK, [args.data, args.model], extras
 
 
 def _cmd_logic_census(args) -> tuple:

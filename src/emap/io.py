@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import _SPLIT_CODES, PairedDataset
-from .exceptions import InputError
+from .exceptions import InputError, NumericError
 
 if TYPE_CHECKING:
     from .grid import AdditiveDecomposition, ScoreGrid
@@ -72,7 +72,11 @@ JSON_VALUE_MAX_BYTES = 34
 
 
 def dump_json(payload: dict, path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    try:  # strict JSON: a NaN or an infinity is a numeric failure, and nothing is written
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path}: {exc}") from None
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _load_json(path) -> dict:

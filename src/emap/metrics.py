@@ -9,18 +9,19 @@ support-weighted mean of per-class F1.
 The subsampled protocol scores each repetition's items with the scorer's
 ``logits_many`` and takes their projected predictions, and the cells
 scored, from one ``grid.Projection``: ``take`` of the full projection's grid
-when it has one, else ``grid.project_scorer``.
+when it has one, else ``grid.project_scorer``.  ``evaluate`` builds eval's report.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import METRIC_NAMES
 from .data import PairedDataset
-from .exceptions import InputError, UndefinedMetricError
+from .exceptions import InputError, NumericError, UndefinedMetricError
 from .grid import Projection, as_scorer, emap_predictions, project_scorer
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "subsampled_emap_metric",
     "METRIC_NAMES",
     "metric_from_logits",
+    "evaluate",
 ]
 
 AUC_CONVENTION_NOTE = (
@@ -257,3 +259,41 @@ def subsampled_emap_metric(
         emap_values=tuple(float(x) for x in emap_vals),
         grid_cells=cells,
     )
+
+
+def _split_metrics(logits: np.ndarray, labels: np.ndarray) -> dict:
+    out = {}
+    for name in METRIC_NAMES:
+        with suppress(InputError):  # UndefinedMetricError too: a metric undefined on these items is left out
+            out[name] = metric_from_logits(name, logits, labels)
+    return out
+
+
+def evaluate(scorer, dataset: PairedDataset, *, with_emap: bool = False, subsample: tuple[int, int] | None = None,
+             metric: str = "accuracy", seed: int = 0) -> tuple[dict, dict]:
+    """``emap eval``'s report of ``scorer`` on the pairs of ``dataset``, and the manifest fields
+    naming the projection's path and grid cells (``{}`` when nothing was projected).  Scores of
+    ``logits_many`` that are not finite raise ``NumericError``.
+    """
+    scorer = as_scorer(scorer)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below, without warnings
+        logits = scorer.logits_many(dataset.text, dataset.visual)
+    if not np.isfinite(logits).all():
+        raise NumericError("the scorer's logits on the paired items are not all finite")
+    projection = project_scorer(scorer, dataset.text, dataset.visual) if with_emap else None
+    cells = projection.cells if projection else 0
+    report = {"metrics": _split_metrics(logits, dataset.labels), "notes": [AUC_CONVENTION_NOTE]}
+    if projection is not None:
+        proj = emap_predictions(projection.decomposition)
+        report["emap_metrics"] = _split_metrics(proj, dataset.labels)
+        report["agreement_rate"] = agreement(logits, proj)
+        if (orig_better_frac := disagreement_advantage(logits, proj, dataset.labels)) is not None:
+            report["orig_better_frac"] = orig_better_frac
+    if subsample:
+        result = subsampled_emap_metric(scorer, dataset, *subsample, metric, seed=seed, full=projection)
+        cells += result.grid_cells
+        stats = ("metric", "k", "m", "direct_mean", "direct_std", "emap_mean", "emap_std")
+        report["subsample"] = {key: getattr(result, key) for key in stats}
+    # every grid path scores at least one cell, so the count also names the path
+    fields = {"emap_path": "grid" if cells else "marginals", "grid_cells": cells}
+    return report, fields if with_emap or subsample else {}

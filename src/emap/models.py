@@ -590,11 +590,13 @@ def _train_feedforward(data: PairedDataset, cfg: FeedForwardConfig) -> FeedForwa
     buffers = [np.empty((n, h)), np.empty((n, h)), *_ffn_model(params, cfg.activation)._buffers(n, n)]
 
     lr, best_loss, stall = cfg.lr, np.inf, 0
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs + 1):  # the last pass only checks the loss after the last update
         loss, grads = _ffn_loss_and_grads(
             params, train.text, train.visual, train.labels, cfg.activation, cfg.l2, buffers)
         if not np.isfinite(loss):
             raise NumericError("feed-forward training diverged to a non-finite loss")
+        if epoch == cfg.epochs:
+            break
         if loss < best_loss * (1.0 - cfg.plateau_rtol):
             best_loss, stall = loss, 0
         else:

@@ -356,6 +356,75 @@ class TestPipeline:
         assert json.loads(model_path.read_text())["kind"] == "adaboost"
 
 
+# the golden eval pipeline: one small seeded dataset (a 50-item test split) and each bundled kind,
+# trained briefly; each eval flag set is run on every model
+GOLDEN_MODELS = {
+    "linear": ("--model", "linear", "--epochs", "30"),
+    "poly2": ("--model", "poly2", "--epochs", "30"),
+    "mlp": ("--model", "mlp", "--epochs", "3", "--hidden", "4", "--proj-width", "3"),
+    "adaboost": ("--model", "adaboost", "--stages", "3", "--max-depth", "2", "--restriction", "unimodal"),
+}
+GOLDEN_FLAGS = {
+    "plain": (),
+    "emap": ("--with-emap",),
+    "emap-sub": ("--with-emap", "--subsample", "4,30"),
+    "sub": ("--subsample", "4,30"),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_models(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    assert main(["synth", "--out", str(root / "data.bin"), "--n", "500", "--seed", "5",
+                 "--latent-dim", "4", "--text-dim", "12", "--visual-dim", "8"]) == 0
+    for kind, flags in GOLDEN_MODELS.items():
+        assert main(["train", "--data", str(root / "data.bin"), *flags, "--seed", "2",
+                     "--out", str(root / f"{kind}.json")]) == 0
+    return root
+
+
+def golden_eval(root, kind: str, flags: str, out_dir) -> tuple:
+    """The sha256 of the JSON and of the CSV report of ``eval`` (seed 3) on the golden pipeline,
+    and the manifest's ``emap_path`` and ``grid_cells`` (None when absent)."""
+    row = []
+    for suffix in ("json", "csv"):
+        report = Path(out_dir) / f"report.{suffix}"
+        assert main(["eval", "--data", str(root / "data.bin"), "--model", str(root / f"{kind}.json"),
+                     *GOLDEN_FLAGS[flags], "--seed", "3", "--report", str(report)]) == 0
+        row.append(sha256_of(report))
+    manifest = json.loads(Path(str(report) + ".manifest.json").read_text())
+    return (*row, manifest.get("emap_path"), manifest.get("grid_cells"))
+
+
+class TestEvalGolden:
+    """Every eval report keeps its bytes, JSON and CSV, for each bundled kind and flag set.
+    The digests were computed before ``emap.metrics.evaluate`` took over building the report."""
+
+    GOLDEN = {
+        ('adaboost', 'emap'): ('3db87fe9c37a20eabc91b8518ea7dcb3b97eb4b1421f8035ec8e28e062f6e321', '608542b28de4bddf990609194a7fb4c7ca7102d012ba9af8e5a18dd59d159c14', 'grid', 2500),
+        ('adaboost', 'emap-sub'): ('2bb3bbb836fae8ab612420a27400fcfb121b0b8d9596a23d969b0498c6b6dd5f', '4d560c95b94dc5b06dba0fe1119683ade3001741e65f8507064e9a8482f3288e', 'grid', 2500),
+        ('adaboost', 'plain'): ('d2a0b12ac33b60948ad19a6ab0d9c9d03b3d8ee3346534a1a5f046cc68459d95', 'aa0c8685cf6d4d1d904b9d6803a22a2964bf63223e3160a70014f236f116a292', None, None),
+        ('adaboost', 'sub'): ('db279afd11854edc3768aececf019fdeeaf205394a89fcf6e0eb824c9ac5522f', 'd04a7a7f6a798aaacbd0fc0ca62f9dad2c6d8a864bc0cd63eb44523112df22a4', 'grid', 3600),
+        ('linear', 'emap'): ('eb6594fcae31d5b8a340288339a4856f85ad4aa031f4ad2efd4995b98df3fa8e', 'd2a84a70a9ca0f14b807c85ee611e1f0183a76fc19b0483c4299741915d9a47e', 'marginals', 0),
+        ('linear', 'emap-sub'): ('dbf72da716ee05dcb15d27ff32cee0a2162f1a9ec08636dc43afe8ce951177d6', '7cea8c549ab11c3490c35fd5e9aa49af2901d5cbde122447ffd82a67f36e9c9d', 'marginals', 0),
+        ('linear', 'plain'): ('da69c71b2cb7a66714b503100b8d7580bbe0b9264dbbcd7900f7a0ddd9c2981d', 'b193e1c44213133b3d6bfd235b67c7a0d96b1af983ffb04ebbf512241fde8221', None, None),
+        ('linear', 'sub'): ('1d88d0075221378355cc0032dc7eb33323e2aa440b8cd457bca66342094f5a47', '9e969ce9654b990d329e147906f6b0fad54c3afb7ecac7bbcd5cf4fcac5c21bb', 'marginals', 0),
+        ('mlp', 'emap'): ('a5e165f0e14765395c1ec32ff0d123d3d17b9d3f42febd5fcd9cd4a904811b0d', '98846b8b687cd4e5a5d646139541a9d9ab92c4aacd405c0490e11bf101fd6b26', 'grid', 2500),
+        ('mlp', 'emap-sub'): ('dc7ca428dda460064b3e6749a9e5c4e4efa9fd9dfd2b240a043912851f6c49bc', 'c49ae5bd7f362fee21e6a738340b9f9481563584fc6c92631c7c1965b80cc804', 'grid', 2500),
+        ('mlp', 'plain'): ('d22a3464a97f25c6e39b1893fd7af56547045edcf0858256627a0b51221449b8', '3bdb61d3e4bf18bd3668a032c79de1041f2b688ce907d6fc5c8e938bec36a942', None, None),
+        ('mlp', 'sub'): ('50a5c7500fb378930ae423b3ca31c365595b09c764006b5f4e2f7d53a27746d5', 'f778d0ac9782134316d945ca87dd1211db6dd7435d8fe22ebbcd3bf15c20b4b6', 'grid', 3600),
+        ('poly2', 'emap'): ('3fcc6773c41b8a0d802f195482ad492c9acd00cba3c8a72e175ee3cdbe1e26e9', '2bac7db7e013781b3386dbcdfd892a628d6eb8fee363536034777cff6379f517', 'marginals', 0),
+        ('poly2', 'emap-sub'): ('92be6771e92998db6f5d520bb029f85cd79b0bf84b0afc86c728d0cbaf61ec76', '21ae4c68fc05d96b62447ba7b8e43664f3e046c5b403f7c8fda8683ba166f649', 'marginals', 0),
+        ('poly2', 'plain'): ('f3841e0632bad50dab772a88fbab640a5fda8e0b5345db8a72f263c99d22cf35', '2a8fe980d69d3eb5024147a6270b217a4316c214745da9e707286d4c8eec9937', None, None),
+        ('poly2', 'sub'): ('23a2a1bedd0748c8583d98b6ece1c663e79850c110e69ed845a1801c49d3d9a4', '5052be55f78032b25b106f57c0bc88d6334a36ea0112d9933896eee003a71ee2', 'marginals', 0),
+    }
+
+    @pytest.mark.parametrize("flags", sorted(GOLDEN_FLAGS))
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_MODELS))
+    def test_eval_report_golden_digest(self, golden_models, tmp_path, kind, flags):
+        assert golden_eval(golden_models, kind, flags, tmp_path) == self.GOLDEN[kind, flags]
+
+
 class TestLogic:
     def test_census_output(self, capsys):
         code, out, _ = run(capsys, "logic", "census", "--n", "1")
@@ -524,8 +593,11 @@ class TestInputContract:
         [
             (("--model", "linear", "--lr", "1e300"), "logistic"),
             (("--model", "mlp", "--epochs", "20", "--lr", "1e8"), "feed-forward"),
+            # the one update diverges, so only the check after the last update sees it
+            (("--model", "mlp", "--epochs", "1", "--lr", "1e300", "--hidden", "8", "--proj-width", "4"),
+             "feed-forward"),
         ],
-        ids=["linear", "mlp"],
+        ids=["linear", "mlp", "mlp-last-update"],
     )
     def test_diverging_fit_is_a_numeric_error(self, capsys, tmp_path, argv, kind):
         data, out = tmp_path / "data.json", tmp_path / "model.json"
@@ -534,6 +606,22 @@ class TestInputContract:
         assert code == 2
         assert err == f"numeric error: {kind} training diverged to a non-finite loss\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [(), ("--with-emap",)], ids=["plain", "with-emap"])
+    def test_eval_refuses_non_finite_logits(self, capsys, tmp_path, extra):
+        """A model file of finite weights whose scores overflow: one stderr line, no report, no manifest."""
+        data, model_path, report = tmp_path / "data.json", tmp_path / "mlp.json", tmp_path / "r.json"
+        run(capsys, "synth", "--out", str(data), "--n", "300", "--seed", "1")
+        run(capsys, "train", "--data", str(data), "--model", "mlp", "--epochs", "2", "--hidden", "8",
+            "--proj-width", "4", "--out", str(model_path))
+        model = json.loads(model_path.read_text())
+        for side in ("proj_t", "proj_v"):  # each projection stays finite, their product v' * t' does not
+            model[side] = (np.array(model[side]) * 1e200).tolist()
+        model_path.write_text(json.dumps(model))
+        code, _, err = run(capsys, "eval", "--data", str(data), "--model", str(model_path), *extra,
+                           "--report", str(report))
+        assert (code, err) == (2, "numeric error: the scorer's logits on the paired items are not all finite\n")
+        assert list(tmp_path.glob("r.json*")) == []
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_GRIDS))
     def test_malformed_grid(self, capsys, tmp_path, name):
@@ -947,9 +1035,9 @@ class TestLazyModules:
             "names = {}\n"
             "exec('from emap import *', names)\n"
             "print([n for n in emap.__all__ if n not in names or n not in dir(emap)])\n"
-            "print(emap.verify_projection.__module__, emap.PairedDataset.__module__)\n"
+            "print(emap.verify_projection.__module__, emap.PairedDataset.__module__, emap.evaluate.__module__)\n"
         )
-        assert run_fresh(script).splitlines() == ["[]", "emap.oracle emap.data"]
+        assert run_fresh(script).splitlines() == ["[]", "emap.oracle emap.data emap.metrics"]
 
 
 class TestUsageErrors:

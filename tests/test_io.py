@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from emap import io as emap_io
 from emap.boosting import AdaBoostModel, DecisionTree
 from emap.data import PairedDataset
-from emap.exceptions import InputError
+from emap.exceptions import InputError, NumericError
 from emap.grid import ScoreGrid, emap_decompose
 from emap.models import FeedForwardModel, LinearModel, Poly2Model
 from emap.synth import SynthParams, generate
@@ -388,3 +388,13 @@ class TestModelFiles:
         path.write_text('{"kind": "transformer"}')
         with pytest.raises(InputError, match="unknown model kind"):
             emap_io.load_model(path)
+
+
+class TestJsonFiles:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_number_is_a_numeric_error_and_writes_nothing(self, tmp_path, value):
+        """Strict JSON has no NaN or Infinity, so no report, manifest or model file holds one."""
+        path = tmp_path / "report.json"
+        with pytest.raises(NumericError, match="report.json"):
+            emap_io.dump_json({"metrics": {"auc": value}}, path)
+        assert not path.exists()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emap.data import PairedDataset
-from emap.exceptions import InputError, UndefinedMetricError
+from emap.exceptions import InputError, NumericError, UndefinedMetricError
 from emap.grid import project_scorer
 from emap.metrics import (
     accuracy,
@@ -18,6 +18,7 @@ from emap.metrics import (
     auc_rows,
     _average_ranks,
     disagreement_advantage,
+    evaluate,
     metric_from_logits,
     subsampled_emap_metric,
     weighted_f1,
@@ -315,3 +316,45 @@ class TestSubsampleProtocol:
     def test_unknown_metric(self):
         with pytest.raises(InputError):
             metric_from_logits("rmse", np.zeros((2, 2)), np.zeros(2, dtype=int))
+
+
+class TestEvaluate:
+    """``evaluate`` builds eval's report from the metrics and the subsample protocol above."""
+
+    @pytest.mark.parametrize(
+        "kwargs, keys, fields",
+        [
+            ({}, ["metrics", "notes"], {}),
+            ({"with_emap": True}, ["metrics", "notes", "emap_metrics", "agreement_rate"],
+             {"emap_path": "grid", "grid_cells": 20 * 20}),
+            ({"subsample": (3, 8), "metric": "auc", "seed": 5}, ["metrics", "notes", "subsample"],
+             {"emap_path": "grid", "grid_cells": 3 * 8 * 8}),
+        ],
+        ids=["plain", "with-emap", "subsample"],
+    )
+    def test_report_follows_the_flags(self, kwargs, keys, fields):
+        rng = np.random.default_rng(10)
+        ds = toy_dataset(rng, n=20)
+        scorer = linear_scorer(rng, 3, 2)  # no logits_grid and no marginals: the grid path, cell by cell
+        report, got = evaluate(scorer, ds, **kwargs)
+        assert (list(report), got) == (keys, fields)
+        logits = scorer.logits_many(ds.text, ds.visual)
+        assert report["metrics"] == {name: metric_from_logits(name, logits, ds.labels)
+                                     for name in ("accuracy", "auc", "weighted_f1")}
+        if "emap_metrics" in report:  # an additive scorer is its own projection
+            assert report["agreement_rate"] == 1.0
+            assert report["emap_metrics"] == pytest.approx(report["metrics"], abs=1e-12)
+        if "subsample" in report:
+            result = subsampled_emap_metric(scorer, ds, 3, 8, "auc", seed=5)
+            assert report["subsample"] == {key: getattr(result, key) for key in report["subsample"]}
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_scores_are_a_numeric_error(self, value):
+        rng = np.random.default_rng(11)
+        ds = toy_dataset(rng, n=6)
+
+        def scorer(t, v):
+            return np.array([0.0, value])
+
+        with pytest.raises(NumericError, match="not all finite"):
+            evaluate(scorer, ds, with_emap=True)
