@@ -242,11 +242,10 @@ def _cmd_logic_census(args) -> tuple:
     tables = logic.all_tables(args.n)
     fast = logic.is_representable_many(tables)
     print(f"{int(fast.sum())}/{len(tables)} representable")
-    if args.cross_check:
-        disagreements = int((logic.representable_oracle_many(tables) != fast).sum())
-        if disagreements:
-            print(f"checker/oracle disagreements: {disagreements}", file=sys.stderr)
-            return EXIT_NUMERIC, []
+    disagreements = int((logic.representable_oracle_many(tables) != fast).sum())
+    if disagreements:
+        print(f"checker/oracle disagreements: {disagreements}", file=sys.stderr)
+        return EXIT_NUMERIC, []
     return EXIT_OK, []
 
 
@@ -275,17 +274,7 @@ def _cmd_logic_sweep(args) -> tuple:
         raise InputError("--n-range expects 'A..B'") from None
     if lo > hi:
         raise InputError(f"--n-range {args.n_range} is empty; it needs A <= B")
-    cfg = boosting.AdaBoostConfig(max_depth=args.max_depth, n_stages=args.stages)
-    for n in (lo, hi):
-        logic.table_side(n)  # an out-of-reach range is refused before any warning
-    if cfg.max_depth < 2 * hi:
-        slow = max(lo, cfg.max_depth // 2 + 1)
-        print(
-            f"warning: --max-depth {cfg.max_depth} < 2n for n = {slow}..{hi}: full boosting fits "
-            f"greedy trees on all 4^n cells there, which is slow at large n (--max-depth {2 * hi} avoids it)",
-            file=sys.stderr,
-        )
-    rows = logic.run_size_sweep(range(lo, hi + 1), args.samples, args.seed, cfg=cfg, sampler=args.sampler)
+    rows = logic.run_size_sweep(range(lo, hi + 1), args.samples, args.seed, args.stages, args.sampler)
     logic.write_sweep_csv(rows, args.out)
     print(f"sampler={args.sampler}", file=sys.stderr)
     return EXIT_OK, []
@@ -354,7 +343,6 @@ def _build_parser() -> _Parser:
 
     p = logic_sub.add_parser("census", help="count representable tables at size n")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--no-cross-check", dest="cross_check", action="store_false")
     p.set_defaults(func=_cmd_logic_census)
 
     p = logic_sub.add_parser("check", help="check one formula for representability")
@@ -368,8 +356,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", type=_output, required=True)
     p.add_argument("--sampler", default="uniform", choices=["uniform", "circuit"])
-    p.add_argument("--stages", type=int, default=200)
-    p.add_argument("--max-depth", type=int, default=15)
+    p.add_argument("--stages", type=_at_least(1), default=200)
     p.add_argument("--threads", type=_at_least(1), help="accepted; the sweep runs single-threaded")
     p.set_defaults(func=_cmd_logic_sweep)
 
@@ -391,6 +378,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # an input that is missing, names a directory or cannot be read
         reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror or type(exc).__name__
         print(f"error: {reason}: {exc.filename or exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # a size flag asked for more memory than there is
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_INPUT
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -18,18 +18,16 @@ itself, unimodal-restricted AdaBoost, and (as the interactive reference)
 unrestricted AdaBoost.  The sweep stacks every sampled table of one size,
 up to a chunk of ``_CHUNK_CELLS`` cells.  The projection takes the tables
 as the channels of one ``emap_decompose`` call, and both boosted methods
-run them through the one stage loop, ``boosting.boost_batch``.  With a
-depth budget that covers the bits a weak learner reads, each round's
-candidates are per-row, per-column or per-cell weighted majorities, so no
-tree is built; a shorter budget fits greedy trees on the cells' bits, one
-table at a time, in the same loop.  One ``metrics.auc_rows`` call ranks
-every table's cells.
+run them through the one stage loop, ``boosting.boost_batch``.  Their
+weak learners are the trees that read every bit their side allows, whose
+leaves are single rows, columns or cells, so each round's candidates are
+per-row, per-column or per-cell weighted majorities and no tree is built.
+One ``metrics.auc_rows`` call ranks every table's cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,9 +35,6 @@ from . import MAX_TABLE_N
 from .exceptions import InputError, UndefinedMetricError
 from .grid import ScoreGrid, emap_decompose
 from .metrics import auc_rows
-
-if TYPE_CHECKING:
-    from .boosting import AdaBoostConfig
 
 __all__ = [
     "MAX_TABLE_N",
@@ -120,7 +115,9 @@ class BooleanTable:
 #   or   := and ('|' and)*
 #   and  := not ('&' not)*
 #   not  := '!' not | var | '(' or ')'
-# Unicode aliases: NOT ¬, AND ∧, OR ∨.
+# Unicode aliases: NOT ¬, AND ∧, OR ∨.  The parser recurses once per '!' and
+# thrice per '(', so it refuses nesting deeper than _MAX_NESTING of them; the
+# walkers over a parsed formula (``_fold``) do not recurse at all.
 # ---------------------------------------------------------------------------
 
 
@@ -148,6 +145,7 @@ class Or:
 
 
 _ALIASES = {"¬": "!", "∧": "&", "∨": "|"}
+_MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -196,66 +194,61 @@ def parse_formula(text: str):
         pos += 1
         return kind, value, at
 
-    def parse_or():
-        node = parse_and()
+    def parse_or(depth):
+        node = parse_and(depth)
         while peek() == "|":
             take()
-            node = Or(node, parse_and())
+            node = Or(node, parse_and(depth))
         return node
 
-    def parse_and():
-        node = parse_not()
+    def parse_and(depth):
+        node = parse_not(depth)
         while peek() == "&":
             take()
-            node = And(node, parse_not())
+            node = And(node, parse_not(depth))
         return node
 
-    def parse_not():
-        if peek() == "!":
-            take()
-            return Not(parse_not())
-        if peek() == "(":
-            take()
-            node = parse_or()
+    def parse_not(depth):
+        kind, value, at = take()
+        if kind in ("!", "(") and depth == _MAX_NESTING:
+            raise InputError(f"formula nests deeper than {_MAX_NESTING} levels of '(' or '!' at position {at}")
+        if kind == "!":
+            return Not(parse_not(depth + 1))
+        if kind == "(":
+            node = parse_or(depth + 1)
             take(")")
             return node
-        kind, value, at = take()
         if kind != "var":
             raise InputError(f"expected a variable or '(' but found {value!r} at position {at}")
         return Var(side=value[0], index=int(value[1:]))
 
-    node = parse_or()
+    node = parse_or(0)
     if pos < len(tokens):
         kind, value, at = tokens[pos]
         raise InputError(f"unexpected trailing token {value!r} at position {at}")
     return node
 
 
+def _fold(ast, leaf, gates: dict):
+    """A formula's value, bottom-up and without recursion: ``leaf(var)`` at each
+    variable and ``gates[type(node)](*children)`` at each gate."""
+    stack, values = [(ast, False)], []
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, Var):
+            values.append(leaf(node))
+        elif ready:
+            arity = 1 if isinstance(node, Not) else 2
+            values[-arity:] = [gates[type(node)](*values[-arity:])]
+        elif type(node) in gates:
+            stack += [(node, True)] + [(c, False) for c in reversed(vars(node).values())]
+        else:
+            raise InputError(f"unknown formula node {type(node).__name__}")
+    return values[0]
+
+
 def formula_max_index(ast) -> int:
-    if isinstance(ast, Var):
-        return ast.index
-    if isinstance(ast, Not):
-        return formula_max_index(ast.child)
-    return max(formula_max_index(ast.left), formula_max_index(ast.right))
-
-
-def _eval_formula(ast, t_bits: np.ndarray, v_bits: np.ndarray) -> np.ndarray:
-    if isinstance(ast, Var):
-        bits = t_bits if ast.side == "t" else v_bits
-        return bits[..., ast.index - 1].astype(bool)
-    if isinstance(ast, Not):
-        return ~_eval_formula(ast.child, t_bits, v_bits)
-    if isinstance(ast, And):
-        return _eval_formula(ast.left, t_bits, v_bits) & _eval_formula(ast.right, t_bits, v_bits)
-    if isinstance(ast, Or):
-        return _eval_formula(ast.left, t_bits, v_bits) | _eval_formula(ast.right, t_bits, v_bits)
-    raise InputError(f"unknown formula node {type(ast).__name__}")
-
-
-def bit_patterns(n: int) -> np.ndarray:
-    """All 2^n assignments as an array of shape (2^n, n); bit 0 is variable 1."""
-    idx = np.arange(2**n)
-    return ((idx[:, np.newaxis] >> np.arange(n)) & 1).astype(np.float64)
+    return _fold(ast, lambda var: var.index, {Not: lambda index: index, And: max, Or: max})
 
 
 def table_from_formula(ast, n: int) -> BooleanTable:
@@ -264,10 +257,10 @@ def table_from_formula(ast, n: int) -> BooleanTable:
     if needed > n:
         raise InputError(f"formula uses variable index {needed} but n={n}")
     size = table_side(n)
-    patterns = bit_patterns(n).astype(np.int64)
-    t_bits = patterns[:, np.newaxis, :]  # (size, 1, n)
-    v_bits = patterns[np.newaxis, :, :]  # (1, size, n)
-    values = _eval_formula(ast, t_bits, v_bits)
+    bits = (np.arange(size)[:, np.newaxis] >> np.arange(n)) & 1  # (size, n); bit 0 is variable 1
+    sides = {"t": bits[:, np.newaxis, :].astype(bool), "v": bits[np.newaxis, :, :].astype(bool)}
+    gates = {Not: np.logical_not, And: np.logical_and, Or: np.logical_or}
+    values = _fold(ast, lambda var: sides[var.side][..., var.index - 1], gates)
     table = np.broadcast_to(values, (size, size)).astype(np.uint8)
     return BooleanTable(n=n, table=table.copy())
 
@@ -427,62 +420,50 @@ def sample_table(n: int, seed, require_nonconstant: bool = False, sampler: str =
 # ---------------------------------------------------------------------------
 
 
-def _boost_train_scores(tables: np.ndarray, restriction: str, cfg: AdaBoostConfig | None) -> np.ndarray:
+def _boost_train_scores(tables: np.ndarray, restriction: str, n_stages: int) -> np.ndarray:
     """Training scores of boosting on every cell of each table of a stack, row-major.
 
-    The tables boost side by side through ``boosting.boost_batch``.  When
-    the depth budget covers the bits a weak learner reads, the candidates
-    are the per-row (text), per-column (visual) or per-cell (full) weighted
-    majorities that such a tree fits, so no tree is built.  Their class
-    sums come from one ``np.bincount`` with a bin per (table, class, group);
-    bincount adds in element order, so every sum is the one the table alone
-    would get.  A shallower budget fits greedy trees on the cells' bits, one
-    table at a time, inside the same loop.  ``cfg`` defaults to ``AdaBoostConfig()``.
+    The tables boost side by side through ``boosting.boost_batch``.  A weak
+    learner is the tree that reads every bit its side allows: its leaves are
+    the table's rows (text), columns (visual) or cells (full), so it is the
+    per-row, per-column or per-cell weighted majority and no tree is built.
+    Their class sums come from one ``np.bincount`` with a bin per (table,
+    class, group); bincount adds in element order, so every sum is the one
+    the table alone would get.
     """
     # imported here, so that the census and the formula check never load the boosting code
-    from .boosting import AdaBoostConfig, boost_batch, full_boost_round, presort, unimodal_restricted_boost_round
-    cfg = cfg or AdaBoostConfig()
-    n = tables.shape[1].bit_length() - 1
+    from .boosting import boost_batch
+
     y = tables.reshape(len(tables), -1)
-    bits_read = n if restriction == "unimodal" else 2 * n
-    if cfg.max_depth >= bits_read:
-        size, cells = 2**n, np.arange(y.shape[1])
-        groups = [(cells, cells.size)] if restriction == "full" else [(cells // size, size), (cells % size, size)]
-        # table s sums class 1 of group k into bin 2 s n_groups + k, and class 0 n_groups bins later
-        table_bins = 2 * np.arange(len(tables))[:, np.newaxis] + (y != 1)
-        sides = [(g, n_groups, g + n_groups * table_bins) for g, n_groups in groups]
+    size, cells = tables.shape[1], np.arange(y.shape[1])
+    groups = [(cells, cells.size)] if restriction == "full" else [(cells // size, size), (cells % size, size)]
+    # table s sums class 1 of group k into bin 2 s n_groups + k, and class 0 n_groups bins later
+    table_bins = 2 * np.arange(len(tables))[:, np.newaxis] + (y != 1)
+    sides = [(g, n_groups, g + n_groups * table_bins) for g, n_groups in groups]
 
-        def candidates(weights, rows):
-            fits = []
-            for g, n_groups, bins in sides:
-                sums = np.bincount(bins[rows].ravel(), weights.ravel(), minlength=bins.shape[0] * 2 * n_groups)
-                pos, neg = sums.reshape(-1, 2, n_groups)[rows].transpose(1, 0, 2)
-                # ties go to -1, as a leaf's do
-                fits.append((np.where(pos > neg, 1.0, -1.0)[:, g], None))
-            return fits
+    def candidates(weights, rows):
+        fits = []
+        for g, n_groups, bins in sides:
+            sums = np.bincount(bins[rows].ravel(), weights.ravel(), minlength=bins.shape[0] * 2 * n_groups)
+            pos, neg = sums.reshape(-1, 2, n_groups)[rows].transpose(1, 0, 2)
+            # ties go to -1, as a leaf's do
+            fits.append((np.where(pos > neg, 1.0, -1.0)[:, g], None))
+        return fits
 
-    else:
-        patterns = bit_patterns(n)
-        text, visual = np.repeat(patterns, len(patterns), axis=0), np.tile(patterns, (len(patterns), 1))
-        step = full_boost_round if restriction == "full" else unimodal_restricted_boost_round
-        sides = presort(text, visual, restriction)
-
-        def candidates(weights, rows):
-            per_table = [step(w, sides, y[r], cfg.max_depth) for w, r in zip(weights, rows)]
-            return [(np.stack([fits[k][0] for fits in per_table]), None) for k in range(len(per_table[0]))]
-
-    _, scores, _, _ = boost_batch(np.where(y == 1, 1.0, -1.0), candidates, cfg.n_stages)
+    _, scores, _, _ = boost_batch(np.where(y == 1, 1.0, -1.0), candidates, n_stages)
     return scores
 
 
-def additive_fit_aucs(tables: np.ndarray, method: str, cfg: AdaBoostConfig | None = None) -> np.ndarray:
+def additive_fit_aucs(tables: np.ndarray, method: str, n_stages: int = 200) -> np.ndarray:
     """Train-set AUC of an additive (or reference) fit of each table of a (tables, rows, cols) stack.
 
     ``emap`` projects the 0/1 tables, as the channels of one grid, onto the
     additive family and ranks cells by the reconstructed scores; the
-    adaboost methods train on all cells with the raw bits as features and
-    report training AUC.
+    adaboost methods boost for at most ``n_stages`` rounds on all cells with
+    the raw bits as features and report training AUC.
     """
+    if n_stages < 1:
+        raise InputError(f"n_stages must be >= 1, got {n_stages}")
     tables = np.asarray(tables)
     cells = tables.reshape(len(tables), -1)
     if (cells == cells[:, :1]).all(axis=1).any():
@@ -491,15 +472,15 @@ def additive_fit_aucs(tables: np.ndarray, method: str, cfg: AdaBoostConfig | Non
         grid = ScoreGrid(values=tables.transpose(1, 2, 0))
         scores = emap_decompose(grid).reconstruct().transpose(2, 0, 1)
     elif method in BOOSTED_METHODS:
-        scores = _boost_train_scores(tables, method.removeprefix("adaboost_"), cfg)
+        scores = _boost_train_scores(tables, method.removeprefix("adaboost_"), n_stages)
     else:
         raise InputError(f"unknown method {method!r}")
     return auc_rows(scores.reshape(cells.shape), cells)
 
 
-def additive_fit_auc(table: BooleanTable, method: str, cfg: AdaBoostConfig | None = None) -> float:
+def additive_fit_auc(table: BooleanTable, method: str, n_stages: int = 200) -> float:
     """``additive_fit_aucs`` of one table."""
-    return float(additive_fit_aucs(table.table[np.newaxis], method, cfg)[0])
+    return float(additive_fit_aucs(table.table[np.newaxis], method, n_stages)[0])
 
 
 @dataclass(frozen=True)
@@ -512,7 +493,7 @@ class SweepRow:
 
 
 def run_size_sweep(
-    n_values, samples_per_n: int, seed: int, cfg: AdaBoostConfig | None = None, sampler: str = "uniform"
+    n_values, samples_per_n: int, seed: int, n_stages: int = 200, sampler: str = "uniform"
 ) -> list[SweepRow]:
     """Mean/std additive-fit AUC per problem size for each method.
 
@@ -539,7 +520,7 @@ def run_size_sweep(
                 for i in range(first, min(first + per_chunk, samples_per_n))
             ])
             for m in SWEEP_METHODS:
-                chunks[m].append(additive_fit_aucs(tables, m, cfg))
+                chunks[m].append(additive_fit_aucs(tables, m, n_stages))
         for m in SWEEP_METHODS:
             aucs = np.concatenate(chunks[m])
             rows.append(

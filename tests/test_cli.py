@@ -431,11 +431,6 @@ class TestLogic:
         assert code == 0
         assert out.strip() == "14/16 representable"
 
-    def test_census_without_cross_check(self, capsys):
-        code, out, _ = run(capsys, "logic", "census", "--n", "1", "--no-cross-check")
-        assert code == 0
-        assert out.strip() == "14/16 representable"
-
     def test_check_formula(self, capsys):
         code, out, _ = run(
             capsys, "logic", "check",
@@ -486,41 +481,22 @@ class TestLogic:
             np.testing.assert_array_equal(table.ravel(), (code >> np.arange(4)) & 1)
 
     def test_sweep_at_the_largest_size_finishes(self, capsys, tmp_path):
-        # depth 20 covers all 2n bits, so full boosting also fits per-cell majorities
         out = tmp_path / "sweep.csv"
         code, _, _ = run(
             capsys, "logic", "sweep", "--n-range", "10..10", "--samples", "2", "--stages", "2",
-            "--max-depth", "20", "--out", str(out),
+            "--out", str(out),
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 4 and lines[3].startswith("10,adaboost_full,1.0,0.0,2")
 
-    @pytest.mark.parametrize("depth, warned", [(3, True), (4, False)])
-    def test_sweep_warns_once_when_depth_is_below_2n(self, capsys, tmp_path, depth, warned):
-        """The warning changes no byte: the CSV equals the library's, which never warns."""
-        from emap.boosting import AdaBoostConfig
-        from emap.logic import run_size_sweep, write_sweep_csv
-
-        out, reference = tmp_path / "sweep.csv", tmp_path / "reference.csv"
-        code, _, err = run(
-            capsys, "logic", "sweep", "--n-range", "1..2", "--samples", "4", "--stages", "5",
-            "--max-depth", str(depth), "--seed", "3", "--out", str(out),
-        )
-        assert code == 0
-        warnings = [line for line in err.splitlines() if line.startswith("warning: ")]
-        assert len(warnings) == warned
-        assert all(line.startswith("warning: --max-depth 3 < 2n for n = 2..2:") for line in warnings)
-        write_sweep_csv(run_size_sweep([1, 2], 4, 3, cfg=AdaBoostConfig(max_depth=depth, n_stages=5)), reference)
-        assert out.read_bytes() == reference.read_bytes()
-
     @pytest.mark.parametrize(
         "extra, digest",
         [
             ((), "3c9f5b8a04921d5d5bf3d2c780f6ccf6fb4f50f0256e39fdeafd668378c047e9"),
-            # a depth budget below n bits takes the greedy-tree path
-            (("--n-range", "1..2", "--max-depth", "1"),
-             "2a9ada6db1e1cabd53ccb0b42d423b205890e1a5169a4c2d9bcc357c4af82f42"),
+            # every size up to n = 7, whose three 128 x 128 tables boost in one chunk
+            (("--n-range", "1..7", "--samples", "3", "--seed", "2"),
+             "f3f8c3f2eeebfd8021760aad7a8a92c40b98a572cf3a0642e332aafa5837311f"),
         ],
     )
     def test_sweep_golden_digest(self, capsys, tmp_path, extra, digest):
@@ -715,10 +691,9 @@ class TestInputContract:
             ("train", "--model", "adaboost", "--max-depth", "-2"),
             ("logic", "sweep", "--n-range", "1..2", "--samples", "2", "--stages", "0"),
             ("logic", "sweep", "--n-range", "1..2", "--samples", "2", "--stages", "-5"),
-            ("logic", "sweep", "--n-range", "1..2", "--samples", "2", "--max-depth", "-1"),
         ],
         ids=["train-zero-stages", "train-negative-stages", "train-negative-depth",
-             "sweep-zero-stages", "sweep-negative-stages", "sweep-negative-depth"],
+             "sweep-zero-stages", "sweep-negative-stages"],
     )
     def test_empty_boosting_config_refused(self, capsys, tmp_path, argv):
         assert_refused_before_output(capsys, tmp_path, argv)
@@ -835,6 +810,28 @@ class TestInputContract:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("logic", "check", "--n", "1", "--formula", "!" * 3000 + "t1"),
+            ("logic", "check", "--n", "1", "--formula", "(" * 3000 + "t1" + ")" * 3000),
+            # sizes of 10^16 ask for more than the address space, so the allocation fails at once
+            ("synth", "--n", "10", "--text-dim", str(10**16), "--out", "OUT"),
+            ("train", "--data", "DATA", "--model", "mlp", "--proj-width", str(10**16), "--out", "OUT"),
+        ],
+        ids=["deep-not", "deep-parentheses", "synth-huge-text-dim", "train-huge-proj-width"],
+    )
+    def test_input_beyond_the_recursion_or_memory_limits(self, capsys, tmp_path, argv):
+        """A formula nested past the parser's limit and a size that cannot be allocated: exit 1,
+        one stderr line, and no artifact and no manifest."""
+        data, out = tmp_path / "data.json", tmp_path / "out.json"
+        run(capsys, "synth", "--out", str(data), "--n", "40")
+        before = sorted(tmp_path.iterdir())
+        code, stdout, err = run(capsys, *({"DATA": str(data), "OUT": str(out)}.get(arg, arg) for arg in argv))
+        assert code == 1 and stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert sorted(tmp_path.iterdir()) == before
 
 
 def run_fresh(script: str) -> str:

@@ -313,6 +313,52 @@ class TestDatasetFiles:
         with pytest.raises(InputError, match="magic"):
             emap_io.load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "name, edit, match",
+        [
+            ("data.bin", lambda raw: raw[:8] + struct.pack("<I", 2) + raw[12:], "unsupported dataset format version 2"),
+            ("data.json", lambda raw: raw.replace(b'"val"', b'"holdout"'), r"unknown split names \['holdout'\]"),
+            ("data.bin", lambda raw: raw[:-2] + b"[]", "dataset config is not a JSON object"),  # was {}
+        ],
+        ids=["binary-version", "json-split-name", "binary-config-list"],
+    )
+    def test_edited_file_is_input_error(self, tmp_path, name, edit, match):
+        path = tmp_path / name
+        emap_io.save_dataset(PairedDataset(np.zeros((3, 2)), np.ones((3, 1)), [0, 1, 0], [0, 1, 2], 2), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(InputError, match=match):
+            emap_io.load_dataset(path)
+
+
+class TestPairedDataset:
+    FIELDS = {"text": np.zeros((3, 2)), "visual": np.ones((3, 1)), "labels": [0, 1, 0], "split": [0, 1, 2],
+              "num_classes": 2}
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            ({"text": np.zeros(3)}, "must be 2-D"),
+            ({"labels": [0, 1]}, "matching lengths"),
+            ({"text": np.zeros((0, 2)), "visual": np.zeros((0, 1)), "labels": [], "split": []}, "at least one item"),
+            ({"visual": [[0.0], [np.nan], [1.0]]}, "non-finite"),
+            ({"num_classes": 1, "labels": [0, 0, 0]}, "num_classes must be >= 2"),
+            ({"labels": [0, 2, 0]}, r"labels must lie in \[0, 2\)"),
+            ({"labels": [0, -1, 0]}, r"labels must lie in \[0, 2\)"),
+            ({"split": [0, 3, 0]}, "split codes"),
+        ],
+        ids=["1-d-text", "short-labels", "no-items", "nan-feature", "one-class", "label-too-large",
+             "negative-label", "unknown-split-code"],
+    )
+    def test_inconsistent_fields_refused(self, edit, match):
+        with pytest.raises(InputError, match=match):
+            PairedDataset(**{**self.FIELDS, **edit})
+
+    @pytest.mark.parametrize("split, match", [("holdout", "unknown split 'holdout'"), ("val", "split 'val' is empty")])
+    def test_subset_refuses_an_unknown_or_empty_split(self, split, match):
+        data = PairedDataset(**{**self.FIELDS, "split": [0, 2, 2]})
+        with pytest.raises(InputError, match=match):
+            data.subset(split)
+
 
 class TestModelFiles:
     def test_linear_roundtrip(self):

@@ -368,6 +368,13 @@ class TestAdditiveFit:
         with pytest.raises(InputError):
             additive_fit_auc(XOR, "mystery")
 
+    @pytest.mark.parametrize("n_stages", [0, -3])
+    def test_a_stage_budget_below_one_rejected(self, n_stages):
+        with pytest.raises(InputError, match=f"n_stages must be >= 1, got {n_stages}"):
+            additive_fit_auc(XOR, "adaboost_full", n_stages)
+        with pytest.raises(InputError, match=f"n_stages must be >= 1, got {n_stages}"):
+            run_size_sweep([1], 2, seed=0, n_stages=n_stages)
+
     def test_xor_emap_auc_is_chance(self):
         assert additive_fit_auc(XOR, "emap") == 0.5
 

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from emap.data import PairedDataset
 from emap.exceptions import InputError, NumericError, UndefinedMetricError
-from emap.grid import project_scorer
+from emap.grid import emap_predictions, project_scorer
 from emap.metrics import (
     accuracy,
     agreement,
@@ -23,6 +23,8 @@ from emap.metrics import (
     subsampled_emap_metric,
     weighted_f1,
 )
+
+import test_paths as paths
 
 
 def auc_by_pair_enumeration(scores, labels):
@@ -160,6 +162,17 @@ class TestMulticlass:
         two = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 2.0]])
         labels = np.array([1, 0, 1])
         assert auc_from_logits(two, labels) == auc_binary(two[:, 1] - two[:, 0], labels)
+
+    @pytest.mark.parametrize("columns, labels", [(1, [0, 1, 1, 0, 1]), (3, [0, 1, 2, 1, 2])], ids=["one", "three"])
+    def test_auc_from_logits_of_one_and_three_columns(self, columns, labels):
+        """One column is a binary margin; three columns average the one-vs-rest AUCs."""
+        labels = np.array(labels)
+        logits = np.array([[0.2, 1.0, -1.0], [1.5, 0.0, 0.3], [-0.4, 0.1, 2.0], [0.9, 0.8, 0.1], [0.1, 0.7, 0.6]])
+        if columns == 1:
+            manual = auc_by_pair_enumeration(logits[:, 0], labels)
+        else:
+            manual = np.mean([auc_by_pair_enumeration(logits[:, c], (labels == c).astype(int)) for c in range(3)])
+        assert auc_from_logits(logits[:, :columns], labels) == pytest.approx(manual, abs=1e-12)
 
     def test_accuracy_breaks_ties_toward_lowest_class(self):
         logits = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -347,6 +360,20 @@ class TestEvaluate:
         if "subsample" in report:
             result = subsampled_emap_metric(scorer, ds, 3, 8, "auc", seed=5)
             assert report["subsample"] == {key: getattr(result, key) for key in report["subsample"]}
+
+    @pytest.mark.parametrize("kind", ["linear", "poly2", "feedforward"])
+    def test_three_class_report(self, kind):
+        """With K = 3 both metric blocks hold every metric, and ``auc`` is the macro one-vs-rest AUC."""
+        scorer, ds = paths.scorer(kind, 3), paths.labelled(40, 3)
+        report, _ = evaluate(scorer, ds, with_emap=True, subsample=(2, 12))
+        logits = {"metrics": scorer.logits_many(ds.text, ds.visual),
+                  "emap_metrics": emap_predictions(project_scorer(scorer, ds.text, ds.visual).decomposition)}
+        for block, block_logits in logits.items():
+            assert list(report[block]) == ["accuracy", "auc", "weighted_f1"], block
+            assert report[block]["auc"] == auc_macro_ovr(block_logits, ds.labels), block
+        assert report["subsample"]["k"] == 2 and report["subsample"]["m"] == 12
+        if kind == "linear":  # an additive scorer is its own projection
+            assert report["agreement_rate"] == 1.0
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_scores_are_a_numeric_error(self, value):

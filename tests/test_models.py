@@ -123,6 +123,21 @@ class TestLinear:
         assert len(history) > 10
         assert np.all(np.diff(history) <= 1e-6)
 
+    @pytest.mark.parametrize("lr", [1e3, 1e12])
+    def test_a_step_that_raises_the_loss_is_halved(self, lr):
+        """A first step of ``lr`` overshoots; halving it still makes the loss fall, without a warning
+        (the suite turns a RuntimeWarning into an error)."""
+        X, y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.5]]), np.array([0, 1, 1, 0])
+        fit = _fit_softmax_descent(lambda w: X @ w, lambda g: X.T @ g, 2, y, 2, l2=0.1, lr=lr, epochs=30)
+        history = fit[2]
+        grad = _softmax(np.zeros((4, 2)))
+        grad[np.arange(4), y] -= 1.0
+        w, b = -lr * X.T @ grad / 4, -lr * grad.sum(axis=0) / 4
+        full_step = _cross_entropy(_softmax(X @ w + b), y) + 0.5 * 0.1 * float(np.sum(w * w))
+        assert full_step > history[0]
+        assert len(history) > 1 and history[-1] < history[0]
+        assert np.all(np.diff(history) <= 0)
+
     def test_determinism(self):
         ds = additive_labels_dataset(n=200)
         a = train_linear(ds, LinearConfig(seed=0))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from emap.exceptions import InputError
-from emap.synth import SynthParams, generate, generate_with_audit
+from emap.synth import SynthParams, _split_counts, generate, generate_with_audit
 
 # text, visual, labels and split of SynthParams(n=300, d1=7, d2=5, seed=11), as generated
 # when rejection sampling took its norms with np.linalg.norm
@@ -70,6 +70,17 @@ class TestGenerate:
         assert counts.sum() == 10 and counts.min() >= 1
         big = generate(SynthParams(n=1000, seed=0))
         np.testing.assert_array_equal(np.bincount(big.split), [800, 100, 100])
+
+    @pytest.mark.parametrize(
+        "n, counts", [(10, [8, 1, 1]), (3, [1, 1, 1]), (2, None)], ids=["two-donated", "all-donated", "too-small"]
+    )
+    def test_a_split_rounded_to_nothing_takes_an_item_from_the_largest(self, n, counts):
+        fractions = (0.98, 0.01, 0.01)
+        if counts is None:
+            with pytest.raises(InputError, match="too small for three nonempty splits"):
+                _split_counts(n, fractions)
+        else:
+            assert _split_counts(n, fractions) == counts
 
     def test_class_balance_near_half(self):
         ds = generate(SynthParams(seed=5))
