@@ -11,6 +11,8 @@ system itself, exactly, as integer difference constraints (a negative-cycle
 search), so the module needs nothing beyond numpy.  Every check and fit
 runs on a whole ``(tables, rows, cols)`` stack at once, such as the
 census's ``all_tables``; the one-table functions are its one-table case.
+Each refuses an entry other than 0 or 1.  A formula compiles to a postfix
+program that one loop over a value stack runs, so any depth evaluates.
 
 The additive-fit experiment measures how well three surrogates rank the
 cells of random tables: the least-squares additive projection of the table
@@ -27,6 +29,7 @@ One ``metrics.auc_rows`` call ranks every table's cells.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +43,6 @@ __all__ = [
     "MAX_TABLE_N",
     "table_side",
     "BooleanTable",
-    "Var",
-    "Not",
-    "And",
-    "Or",
     "parse_formula",
     "table_from_formula",
     "all_tables",
@@ -76,6 +75,20 @@ def table_side(n: int) -> int:
     return 2**n
 
 
+def _bits(tables) -> np.ndarray:
+    """Tables, or a stack of them, as uint8, refusing any entry that is not 0 or 1."""
+    raw = np.asarray(tables)
+    # checked before the uint8 cast, which wraps 256 and truncates 0.5 to 0; integers need only min and max
+    kind = raw.dtype.kind
+    if kind == "f":
+        bits = bool(np.all((raw == 0) | (raw == 1)))
+    else:
+        bits = kind in "biu" and (kind in "bu" or raw.min(initial=0) >= 0) and raw.max(initial=0) <= 1
+    if not bits:
+        raise InputError("table entries must be 0 or 1")
+    return raw.astype(np.uint8, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class BooleanTable:
     """Truth table of f(t, v) with n bits per modality; rows index t."""
@@ -88,16 +101,7 @@ class BooleanTable:
         raw = np.asarray(self.table)
         if raw.shape != (size, size):
             raise InputError(f"table must be {size} x {size} for n={self.n}, got {raw.shape}")
-        # checked before the uint8 cast, which would wrap 256 and truncate 0.5 to 0; an
-        # integer in [0, 1] is a bit, so integers need only min and max (NaN fails both)
-        kind = raw.dtype.kind
-        if kind == "f":
-            bits = bool(np.all((raw == 0) | (raw == 1)))
-        else:
-            bits = kind in "biu" and (kind in "bu" or raw.min() >= 0) and raw.max() <= 1
-        if not bits:
-            raise InputError("table entries must be 0 or 1")
-        object.__setattr__(self, "table", raw.astype(np.uint8, copy=False))
+        object.__setattr__(self, "table", _bits(raw))
 
     @property
     def is_constant(self) -> bool:
@@ -111,41 +115,20 @@ class BooleanTable:
 
 
 # ---------------------------------------------------------------------------
-# Formula parsing.  Grammar (precedence NOT > AND > OR, left-associative):
+# Formulas.  Grammar (precedence NOT > AND > OR, left-associative):
 #   or   := and ('|' and)*
 #   and  := not ('&' not)*
 #   not  := '!' not | var | '(' or ')'
-# Unicode aliases: NOT ¬, AND ∧, OR ∨.  The parser recurses once per '!' and
-# thrice per '(', so it refuses nesting deeper than _MAX_NESTING of them; the
-# walkers over a parsed formula (``_fold``) do not recurse at all.
+# Unicode aliases: NOT ¬, AND ∧, OR ∨.  A formula compiles to its postfix
+# program by Dijkstra's shunting-yard algorithm and runs on one value stack;
+# neither step recurses, so a formula of any depth evaluates.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    side: str  # "t" or "v"
-    index: int  # 1-based
-
-
-@dataclass(frozen=True)
-class Not:
-    child: object
-
-
-@dataclass(frozen=True)
-class And:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
-
-
 _ALIASES = {"¬": "!", "∧": "&", "∨": "|"}
-_MAX_NESTING = 100
+# how tightly each operator binds; '(' binds least, so no operator pops it off the stack
+_BINDING = {"(": 0, "|": 1, "&": 2, "!": 3}
+_GATES = {"!": operator.inv, "&": operator.and_, "|": operator.or_}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -176,93 +159,66 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def parse_formula(text: str):
-    """Parse a boolean formula over variables t1..tn, v1..vn."""
-    tokens = _tokenize(text)
-    pos = 0
+def parse_formula(text: str) -> tuple:
+    """Compile a boolean formula over variables t1..tn, v1..vn to its postfix program.
 
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take(expected: str | None = None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise InputError(f"unexpected end of input at position {len(text)}")
-        kind, value, at = tokens[pos]
-        if expected is not None and kind != expected:
-            raise InputError(f"expected {expected!r} but found {value!r} at position {at}")
-        pos += 1
-        return kind, value, at
-
-    def parse_or(depth):
-        node = parse_and(depth)
-        while peek() == "|":
-            take()
-            node = Or(node, parse_and(depth))
-        return node
-
-    def parse_and(depth):
-        node = parse_not(depth)
-        while peek() == "&":
-            take()
-            node = And(node, parse_not(depth))
-        return node
-
-    def parse_not(depth):
-        kind, value, at = take()
-        if kind in ("!", "(") and depth == _MAX_NESTING:
-            raise InputError(f"formula nests deeper than {_MAX_NESTING} levels of '(' or '!' at position {at}")
-        if kind == "!":
-            return Not(parse_not(depth + 1))
-        if kind == "(":
-            node = parse_or(depth + 1)
-            take(")")
-            return node
-        if kind != "var":
-            raise InputError(f"expected a variable or '(' but found {value!r} at position {at}")
-        return Var(side=value[0], index=int(value[1:]))
-
-    node = parse_or(0)
-    if pos < len(tokens):
-        kind, value, at = tokens[pos]
-        raise InputError(f"unexpected trailing token {value!r} at position {at}")
-    return node
-
-
-def _fold(ast, leaf, gates: dict):
-    """A formula's value, bottom-up and without recursion: ``leaf(var)`` at each
-    variable and ``gates[type(node)](*children)`` at each gate."""
-    stack, values = [(ast, False)], []
-    while stack:
-        node, ready = stack.pop()
-        if isinstance(node, Var):
-            values.append(leaf(node))
-        elif ready:
-            arity = 1 if isinstance(node, Not) else 2
-            values[-arity:] = [gates[type(node)](*values[-arity:])]
-        elif type(node) in gates:
-            stack += [(node, True)] + [(c, False) for c in reversed(vars(node).values())]
+    The program is a tuple of ops: ``("t", i)`` or ``("v", i)`` pushes variable
+    i of that side, ``"!"`` negates the top of the stack, and ``"&"`` and
+    ``"|"`` replace its top two values by their AND or OR.  ``t1 & !v1``
+    compiles to ``(("t", 1), ("v", 1), "!", "&")``.
+    """
+    program, pending = [], []  # the ops emitted, and the operators and '(' not yet emitted
+    operand, depth = True, 0  # whether an operand must come next; the open '(' count
+    for kind, value, at in _tokenize(text):
+        if operand:
+            if kind == "var":
+                program.append((value[0], int(value[1:])))
+                operand = False
+            elif kind in ("!", "("):
+                pending.append(kind)
+                depth += kind == "("
+            else:
+                raise InputError(f"expected a variable or '(' but found {value!r} at position {at}")
+        elif kind in ("&", "|"):
+            while pending and _BINDING[pending[-1]] >= _BINDING[kind]:
+                program.append(pending.pop())
+            pending.append(kind)
+            operand = True
+        elif kind == ")" and depth:
+            while pending[-1] != "(":
+                program.append(pending.pop())
+            pending.pop()
+            depth -= 1
+        elif depth:
+            raise InputError(f"expected ')' but found {value!r} at position {at}")
         else:
-            raise InputError(f"unknown formula node {type(node).__name__}")
-    return values[0]
+            raise InputError(f"unexpected trailing token {value!r} at position {at}")
+    if operand or depth:
+        raise InputError(f"unexpected end of input at position {len(text)}")
+    return tuple(program + pending[::-1])
 
 
-def formula_max_index(ast) -> int:
-    return _fold(ast, lambda var: var.index, {Not: lambda index: index, And: max, Or: max})
-
-
-def table_from_formula(ast, n: int) -> BooleanTable:
-    """Evaluate a formula on all 2^(2n) assignments; rows index the text bits."""
-    needed = formula_max_index(ast)
+def table_from_formula(program, n: int) -> BooleanTable:
+    """Run a formula's postfix program (``parse_formula``) on all 2^(2n) assignments; rows index the text bits."""
+    needed = max((op[1] for op in program if isinstance(op, tuple)), default=0)
     if needed > n:
         raise InputError(f"formula uses variable index {needed} but n={n}")
     size = table_side(n)
-    bits = (np.arange(size)[:, np.newaxis] >> np.arange(n)) & 1  # (size, n); bit 0 is variable 1
-    sides = {"t": bits[:, np.newaxis, :].astype(bool), "v": bits[np.newaxis, :, :].astype(bool)}
-    gates = {Not: np.logical_not, And: np.logical_and, Or: np.logical_or}
-    values = _fold(ast, lambda var: sides[var.side][..., var.index - 1], gates)
-    table = np.broadcast_to(values, (size, size)).astype(np.uint8)
-    return BooleanTable(n=n, table=table.copy())
+    bits = ((np.arange(size)[:, np.newaxis] >> np.arange(n)) & 1).astype(bool)  # (size, n); bit 0 is variable 1
+    leaves = {("t", k + 1): bits[:, k, np.newaxis] for k in range(n)}
+    leaves |= {("v", k + 1): bits[np.newaxis, :, k] for k in range(n)}
+    values = []
+    for op in program:
+        if op in leaves:
+            values.append(leaves[op])
+            continue
+        arity = 1 if op == "!" else 2
+        if op not in _GATES or len(values) < arity:
+            raise InputError(f"formula op {op!r} is neither a variable of n={n} nor a gate with its operands")
+        values[-arity:] = [_GATES[op](*values[-arity:])]
+    if len(values) != 1:
+        raise InputError(f"formula program leaves {len(values)} values, not one")
+    return BooleanTable(n, np.broadcast_to(values[0], (size, size)).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +227,7 @@ def table_from_formula(ast, n: int) -> BooleanTable:
 
 
 def _coerce_table(table) -> np.ndarray:
-    if isinstance(table, BooleanTable):
-        return table.table
-    arr = np.asarray(table, dtype=np.uint8)
+    arr = _bits(table.table if isinstance(table, BooleanTable) else table)
     if arr.ndim != 2:
         raise InputError("table must be 2-D")
     return arr
@@ -303,7 +257,7 @@ def is_representable(table) -> bool:
 
 def is_representable_many(tables: np.ndarray) -> np.ndarray:
     """``is_representable`` for each table of a ``(tables, rows, cols)`` stack."""
-    rows = np.asarray(tables).astype(bool)
+    rows = _bits(tables).astype(bool)
     order = np.argsort(rows.sum(axis=2), axis=1, kind="stable")
     sorted_rows = rows[np.arange(len(rows))[:, np.newaxis], order]
     smaller, larger = sorted_rows[:, :-1], sorted_rows[:, 1:]
@@ -371,11 +325,9 @@ def representable_oracle(table) -> bool:
 
 def representable_oracle_many(tables: np.ndarray) -> np.ndarray:
     """``representable_oracle`` for each table of a ``(tables, rows, cols)`` stack."""
-    tables = np.asarray(tables)
+    tables = _bits(tables)
     if tables.shape[1] > ORACLE_SIDE_LIMIT or tables.shape[2] > ORACLE_SIDE_LIMIT:
-        raise InputError(
-            f"oracle limited to {ORACLE_SIDE_LIMIT} rows/columns per side, got {tables.shape[1:]}"
-        )
+        raise InputError(f"oracle limited to {ORACLE_SIDE_LIMIT} rows/columns per side, got {tables.shape[1:]}")
     return _threshold_search(tables)[0]
 
 
@@ -384,14 +336,14 @@ def representable_oracle_many(tables: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def random_circuit(n: int, rng: np.random.Generator, max_depth: int = 6):
-    """Random AND/OR/NOT formula tree over t1..tn, v1..vn."""
+def random_circuit(n: int, rng: np.random.Generator, max_depth: int = 6) -> tuple:
+    """Random AND/OR formula over t1..tn, v1..vn whose leaves may be negated, as a postfix program."""
     if max_depth <= 0 or rng.random() < 0.3:
         side = "t" if rng.random() < 0.5 else "v"
-        leaf = Var(side=side, index=int(rng.integers(1, n + 1)))
-        return Not(leaf) if rng.random() < 0.5 else leaf
-    gate = And if rng.random() < 0.5 else Or
-    return gate(random_circuit(n, rng, max_depth - 1), random_circuit(n, rng, max_depth - 1))
+        leaf = ((side, int(rng.integers(1, n + 1))),)
+        return leaf + ("!",) if rng.random() < 0.5 else leaf
+    gate = "&" if rng.random() < 0.5 else "|"
+    return random_circuit(n, rng, max_depth - 1) + random_circuit(n, rng, max_depth - 1) + (gate,)
 
 
 def sample_table(n: int, seed, require_nonconstant: bool = False, sampler: str = "uniform") -> BooleanTable:
@@ -464,7 +416,7 @@ def additive_fit_aucs(tables: np.ndarray, method: str, n_stages: int = 200) -> n
     """
     if n_stages < 1:
         raise InputError(f"n_stages must be >= 1, got {n_stages}")
-    tables = np.asarray(tables)
+    tables = _bits(tables)
     cells = tables.reshape(len(tables), -1)
     if (cells == cells[:, :1]).all(axis=1).any():
         raise UndefinedMetricError("AUC is undefined for a constant table")
@@ -512,32 +464,20 @@ def run_size_sweep(
     for n in n_values:
         chunks = {m: [] for m in SWEEP_METHODS}
         per_chunk = max(1, _CHUNK_CELLS // table_side(n) ** 2)
+        seeds = [np.random.SeedSequence([seed, n, i]) for i in range(samples_per_n)]
         for first in range(0, samples_per_n, per_chunk):
-            tables = np.stack([
-                sample_table(
-                    n, np.random.SeedSequence([seed, n, i]), require_nonconstant=True, sampler=sampler
-                ).table
-                for i in range(first, min(first + per_chunk, samples_per_n))
-            ])
+            tables = np.stack([sample_table(n, sq, require_nonconstant=True, sampler=sampler).table
+                               for sq in seeds[first : first + per_chunk]])
             for m in SWEEP_METHODS:
                 chunks[m].append(additive_fit_aucs(tables, m, n_stages))
         for m in SWEEP_METHODS:
             aucs = np.concatenate(chunks[m])
-            rows.append(
-                SweepRow(
-                    n=n,
-                    method=m,
-                    mean_auc=float(aucs.mean()),
-                    std_auc=float(aucs.std()),
-                    samples=samples_per_n,
-                )
-            )
+            rows.append(SweepRow(n, m, float(aucs.mean()), float(aucs.std()), samples_per_n))
     return rows
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
     lines = ["n,method,mean_auc,std_auc,samples"]
-    for row in rows:
-        lines.append(f"{row.n},{row.method},{row.mean_auc!r},{row.std_auc!r},{row.samples}")
+    lines += [f"{row.n},{row.method},{row.mean_auc!r},{row.std_auc!r},{row.samples}" for row in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

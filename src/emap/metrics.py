@@ -207,6 +207,25 @@ class SubsampleResult:
     grid_cells: int = field(default=0, compare=False)
 
 
+def _subsample_draws(dataset: PairedDataset, k: int, m: int, metric: str, seed: int) -> list[np.ndarray]:
+    """The subsample protocol's k index sets, refused when ``metric`` is undefined on one.
+
+    Repetition r draws m indices without replacement from the r-th child of
+    ``SeedSequence(seed)`` and keeps them in ascending order.  The refusal
+    reads only the labels, so it comes before any item is scored.
+    """
+    if k < 1:
+        raise InputError("k must be >= 1")
+    if m < 1 or m > dataset.n:
+        raise InputError(f"subsample size m={m} must lie in [1, {dataset.n}]")
+    draws = [np.sort(np.random.default_rng(child).choice(dataset.n, size=m, replace=False))
+             for child in np.random.SeedSequence(seed).spawn(k)]
+    # binary and one-vs-rest AUC alike are defined exactly when every class occurs
+    if metric == "auc" and any(np.unique(dataset.labels[idx]).size < dataset.num_classes for idx in draws):
+        raise UndefinedMetricError("AUC needs both classes present")
+    return draws
+
+
 def subsampled_emap_metric(
     scorer,
     dataset: PairedDataset,
@@ -215,21 +234,21 @@ def subsampled_emap_metric(
     metric: str,
     seed: int = 0,
     full: Projection | None = None,
+    *,
+    draws: list[np.ndarray] | None = None,
 ) -> SubsampleResult:
     """Projection quality on k random size-m subsamples of a dataset.
 
-    Repetition r draws m indices without replacement from the r-th child of
-    ``SeedSequence(seed)`` and keeps them in ascending order -- a subsample
-    is a set, so with m = n the projection is exactly the full-dataset one
-    and the metrics match it bit for bit.  Each repetition's projection is
+    The subsamples are ``_subsample_draws(dataset, k, m, metric, seed)``, or
+    ``draws`` when the caller drew them already.  A subsample is a set, so
+    with m = n the projection is exactly the full-dataset one and the
+    metrics match it bit for bit.  Each repetition's projection is
     ``full.take(idx)`` when ``full``, the projection of ``dataset``, holds a
     grid, and ``project_scorer`` of the subsample otherwise; its projected
     predictions are compared with ``logits_many`` of the same items.
     """
-    if k < 1:
-        raise InputError("k must be >= 1")
-    if m < 1 or m > dataset.n:
-        raise InputError(f"subsample size m={m} must lie in [1, {dataset.n}]")
+    if draws is None:
+        draws = _subsample_draws(dataset, k, m, metric, seed)
     if full is not None and len(full.decomposition.tau) != dataset.n:
         raise InputError(
             f"a projection of {len(full.decomposition.tau)} items is not the projection of {dataset.n} items")
@@ -237,8 +256,7 @@ def subsampled_emap_metric(
     direct_vals = np.empty(k)
     emap_vals = np.empty(k)
     cells = 0
-    for rep, child in enumerate(np.random.SeedSequence(seed).spawn(k)):
-        idx = np.sort(np.random.default_rng(child).choice(dataset.n, size=m, replace=False))
+    for rep, idx in enumerate(draws):
         sub = dataset.take(idx)
         if full is not None and full.grid is not None:
             proj = full.take(idx)
@@ -276,6 +294,9 @@ def evaluate(scorer, dataset: PairedDataset, *, with_emap: bool = False, subsamp
     ``logits_many`` that are not finite raise ``NumericError``.
     """
     scorer = as_scorer(scorer)
+    # only AUC can be undefined on a draw, so only it draws before any item is scored; the other
+    # metrics draw afterwards, and numpy.random (about 1 MB of RSS) loads after the grid's peak
+    draws = _subsample_draws(dataset, *subsample, metric, seed) if subsample and metric == "auc" else None
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below, without warnings
         logits = scorer.logits_many(dataset.text, dataset.visual)
     if not np.isfinite(logits).all():
@@ -290,7 +311,7 @@ def evaluate(scorer, dataset: PairedDataset, *, with_emap: bool = False, subsamp
         if (orig_better_frac := disagreement_advantage(logits, proj, dataset.labels)) is not None:
             report["orig_better_frac"] = orig_better_frac
     if subsample:
-        result = subsampled_emap_metric(scorer, dataset, *subsample, metric, seed=seed, full=projection)
+        result = subsampled_emap_metric(scorer, dataset, *subsample, metric, seed=seed, full=projection, draws=draws)
         cells += result.grid_cells
         stats = ("metric", "k", "m", "direct_mean", "direct_std", "emap_mean", "emap_std")
         report["subsample"] = {key: getattr(result, key) for key in stats}

@@ -15,6 +15,7 @@ import pytest
 
 import emap
 from emap import io as emap_io
+from emap import logic
 from emap.cli import main
 from emap.data import PairedDataset
 from emap.models import LinearModel, Poly2Model
@@ -811,20 +812,30 @@ class TestInputContract:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
 
+    def test_formulas_of_any_depth_evaluate(self, capsys):
+        """3000 '!' or 3000 pairs of parentheses around t1 give t1's verdicts, and a 5000-term
+        chain compiles to a program that evaluates and prints."""
+        code, out, _ = run(capsys, "logic", "check", "--n", "1", "--formula", "t1")
+        verdicts = {**json.loads(out), "formula": None}
+        assert code == 0 and verdicts["representable"] and verdicts["oracle"] and verdicts["emap_auc"] == 1.0
+        for formula in ("!" * 3000 + "t1", "(" * 3000 + "t1" + ")" * 3000):
+            code, out, _ = run(capsys, "logic", "check", "--n", "1", "--formula", formula)
+            assert code == 0 and {**json.loads(out), "formula": None} == verdicts
+        program = logic.parse_formula(" & ".join(["t1"] * 5000))
+        assert repr(program) == repr((("t", 1),) + (("t", 1), "&") * 4999)
+        assert logic.table_from_formula(program, 1).table.tolist() == [[0, 0], [1, 1]]
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ("logic", "check", "--n", "1", "--formula", "!" * 3000 + "t1"),
-            ("logic", "check", "--n", "1", "--formula", "(" * 3000 + "t1" + ")" * 3000),
             # sizes of 10^16 ask for more than the address space, so the allocation fails at once
             ("synth", "--n", "10", "--text-dim", str(10**16), "--out", "OUT"),
             ("train", "--data", "DATA", "--model", "mlp", "--proj-width", str(10**16), "--out", "OUT"),
         ],
-        ids=["deep-not", "deep-parentheses", "synth-huge-text-dim", "train-huge-proj-width"],
+        ids=["synth-huge-text-dim", "train-huge-proj-width"],
     )
-    def test_input_beyond_the_recursion_or_memory_limits(self, capsys, tmp_path, argv):
-        """A formula nested past the parser's limit and a size that cannot be allocated: exit 1,
-        one stderr line, and no artifact and no manifest."""
+    def test_input_beyond_the_memory_limits(self, capsys, tmp_path, argv):
+        """A size that cannot be allocated: exit 1, one stderr line, and no artifact and no manifest."""
         data, out = tmp_path / "data.json", tmp_path / "out.json"
         run(capsys, "synth", "--out", str(data), "--n", "40")
         before = sorted(tmp_path.iterdir())

@@ -1,20 +1,21 @@
 """Boolean representability analysis and additive-fit experiments."""
 
 import collections
+import hashlib
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emap import logic
 from emap.exceptions import InputError, UndefinedMetricError
 from emap.grid import ScoreGrid, emap_decompose
 from emap.logic import (
     ORACLE_SIDE_LIMIT,
-    And,
     BooleanTable,
-    Not,
-    Or,
-    Var,
     additive_fit_auc,
     additive_fit_aucs,
     all_tables,
@@ -46,32 +47,26 @@ def all_n1_tables():
 
 class TestParser:
     def test_simple_and_not(self):
-        assert parse_formula("t1 & !v1") == And(Var("t", 1), Not(Var("v", 1)))
+        assert parse_formula("t1 & !v1") == (("t", 1), ("v", 1), "!", "&")
 
     def test_precedence_not_over_and_over_or(self):
-        assert parse_formula("t1 | t2 & v1") == Or(Var("t", 1), And(Var("t", 2), Var("v", 1)))
-        assert parse_formula("!t1 & v1") == And(Not(Var("t", 1)), Var("v", 1))
+        assert parse_formula("t1 | t2 & v1") == (("t", 1), ("t", 2), ("v", 1), "&", "|")
+        assert parse_formula("!t1 & v1") == (("t", 1), "!", ("v", 1), "&")
 
     def test_left_associativity(self):
-        assert parse_formula("t1 | t2 | v1") == Or(Or(Var("t", 1), Var("t", 2)), Var("v", 1))
+        assert parse_formula("t1 | t2 | v1") == (("t", 1), ("t", 2), "|", ("v", 1), "|")
 
     def test_unicode_aliases(self):
         assert parse_formula("¬t1 ∧ v1") == parse_formula("!t1 & v1")
         assert parse_formula("t1 ∨ v2") == parse_formula("t1 | v2")
 
     def test_three_clause_example(self):
-        ast = parse_formula(SURPRISING_N2)
-        clauses = []
-
-        def flatten(node):
-            if isinstance(node, Or):
-                flatten(node.left)
-                flatten(node.right)
-            else:
-                clauses.append(node)
-
-        flatten(ast)
-        assert len(clauses) == 3
+        t1, t2, v1, v2 = ("t", 1), ("t", 2), ("v", 1), ("v", 2)
+        assert parse_formula(SURPRISING_N2) == (
+            t2, v2, "!", "&",
+            t1, t2, "&", v1, "&", "|",
+            t1, "!", v1, "!", "&", v2, "!", "&", "|",
+        )
 
     def test_trailing_operator_is_an_error(self):
         with pytest.raises(InputError, match="end of input"):
@@ -86,6 +81,81 @@ class TestParser:
     def test_unbalanced_parens(self):
         with pytest.raises(InputError):
             parse_formula("(t1 & v1")
+
+
+PRECEDENCE = {"|": 1, "&": 2, "!": 3}
+
+
+def random_tree(rng: random.Random, n: int, depth: int = 6):
+    """A random formula over t1..tn, v1..vn as nested tuples: a variable's name, ("!", x) or (op, x, y)."""
+    if depth == 0 or rng.random() < 0.2:
+        return f"{rng.choice('tv')}{rng.randint(1, n)}"
+    op = rng.choice("!&|")
+    return (op, *(random_tree(rng, n, depth - 1) for _ in range(1 if op == "!" else 2)))
+
+
+def render(tree, minimal: bool, floor: int = 0) -> str:
+    """A formula tree's text with every binary gate in parentheses, or (``minimal``) only the gates
+    that bind looser than ``floor``, what their place needs; a right operand needs one level more."""
+    if isinstance(tree, str):
+        return tree
+    op, *args = tree
+    if op == "!":
+        return "!" + render(args[0], minimal, PRECEDENCE["!"])
+    level = PRECEDENCE[op]
+    text = f"{render(args[0], minimal, level)} {op} {render(args[1], minimal, level + 1)}"
+    return text if minimal and level >= floor else f"({text})"
+
+
+@st.composite
+def formulas(draw):
+    """``(n, text)``: a random formula over t1..tn, v1..vn in either rendering."""
+    n = draw(st.integers(1, 3))
+    var = st.builds("{}{}".format, st.sampled_from("tv"), st.integers(1, n))
+
+    def gates(sub):
+        return st.one_of(st.tuples(st.just("!"), sub), st.tuples(st.sampled_from("&|"), sub, sub))
+
+    return n, render(draw(st.recursive(var, gates, max_leaves=16)), draw(st.booleans()))
+
+
+class TestCompiler:
+    # sha256 of ``compiled_tables()`` as computed by the recursive-descent parser and its
+    # formula tree, before formulas became postfix programs
+    DIGEST = "80492b2cf4245db3a4318896ad635d3f71b200682bcc77e696d8a809d27b39d0"
+
+    @staticmethod
+    def compiled_tables() -> bytes:
+        """The tables of the fixture and README formula, of 240 random formulas in both renderings
+        (n = 1..4) and of 60 circuit-sampler draws, concatenated."""
+        fixture = (Path(logic.__file__).parent / "fixtures" / "surprising_formula.txt").read_text().strip()
+        texts = [(text, n) for text in (fixture, SURPRISING_N2) for n in (2, 3, 4)]
+        for n in (1, 2, 3, 4):
+            for i in range(60):
+                tree = random_tree(random.Random(1000 * n + i), n)
+                texts += [(render(tree, minimal=False), n), (render(tree, minimal=True), n)]
+        tables = [table_from_formula(parse_formula(text), n).table for text, n in texts]
+        tables += [
+            sample_table(n, np.random.SeedSequence([41, i]), sampler="circuit").table
+            for n in (1, 2, 3, 4)
+            for i in range(15)
+        ]
+        return b"".join(table.tobytes() for table in tables)
+
+    def test_tables_keep_their_digest(self):
+        assert hashlib.sha256(self.compiled_tables()).hexdigest() == self.DIGEST
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(formulas())
+    def test_tables_match_pythons_operators(self, case):
+        """Python's ``~``, ``&`` and ``|`` bind and associate as the grammar's ``!``, ``&`` and ``|``."""
+        n, text = case
+        size = 2**n
+        bits = [((np.arange(size) >> k) & 1).astype(bool) for k in range(n)]
+        env = {f"t{k + 1}": b[:, np.newaxis] for k, b in enumerate(bits)}
+        env |= {f"v{k + 1}": b[np.newaxis, :] for k, b in enumerate(bits)}
+        expected = np.broadcast_to(eval(text.replace("!", "~"), {"__builtins__": {}}, env), (size, size))
+        assert table_from_formula(parse_formula(text), n).table.tobytes() == expected.astype(np.uint8).tobytes()
 
 
 class TestTables:
@@ -109,6 +179,23 @@ class TestTables:
     def test_undeclared_variable(self):
         with pytest.raises(InputError, match="variable index 3"):
             table_from_formula(parse_formula("t3"), 2)
+
+    @pytest.mark.parametrize(
+        "program, message",
+        [
+            ((), "leaves 0 values"),
+            ((("t", 1), ("v", 1)), "leaves 2 values"),
+            ((("t", 1), "&"), "'&' is neither"),
+            (("!",), "'!' is neither"),
+            ((("t", 0),), r"\('t', 0\) is neither"),
+            ((("x", 1),), r"\('x', 1\) is neither"),
+            ((("t", 1), ("v", 1), "^"), "'\\^' is neither"),
+        ],
+        ids=["empty", "two-values", "and-of-one", "not-of-none", "index-zero", "unknown-side", "unknown-gate"],
+    )
+    def test_malformed_programs_are_refused(self, program, message):
+        with pytest.raises(InputError, match=message):
+            table_from_formula(program, 2)
 
     def test_bad_table_shapes(self):
         with pytest.raises(InputError):
@@ -150,6 +237,32 @@ class TestTables:
         table = BooleanTable(1, bits)
         assert table.table.dtype == np.uint8
         assert table.table.tobytes() == XOR.table.tobytes()
+
+
+NOT_BITS = {
+    "half": [[0.5, 1], [1, 1]],
+    "two-and-256": [[2, 0], [0, 256]],
+    "minus-one": [[-1, 0], [0, 1]],
+    "nan": [[np.nan, 1], [1, 1]],
+    "uint8-two": np.array([[0, 1], [2, 1]], dtype=np.uint8),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_BITS.values(), ids=NOT_BITS.keys())
+def test_every_entry_point_refuses_entries_that_are_not_bits(bad):
+    """A cast to uint8 would truncate 0.5 to 0 and wrap 256 to 0; each entry refuses the table
+    alone or stacked after a table of bits."""
+    stack = np.stack([XOR.table, np.asarray(bad)])
+    calls = [
+        lambda: BooleanTable(1, bad),
+        lambda: is_representable(bad),
+        lambda: representable_oracle(bad),
+        lambda: is_representable_many(stack),
+        lambda: representable_oracle_many(stack),
+    ] + [lambda m=m: additive_fit_aucs(stack, m) for m in logic.SWEEP_METHODS]
+    for call in calls:
+        with pytest.raises(InputError, match="table entries must be 0 or 1"):
+            call()
 
 
 class TestRepresentability:

@@ -375,6 +375,29 @@ class TestEvaluate:
         if kind == "linear":  # an additive scorer is its own projection
             assert report["agreement_rate"] == 1.0
 
+    @pytest.mark.parametrize("with_emap", [False, True], ids=["plain", "with-emap"])
+    @pytest.mark.parametrize("labels, num_classes", [([1] + [0] * 19, 2), ([0, 1] * 10, 3)],
+                             ids=["one-positive", "a-class-never-drawn"])
+    def test_auc_undefined_on_a_draw_is_refused_before_any_scoring(self, with_emap, labels, num_classes):
+        rng = np.random.default_rng(12)
+        ds = PairedDataset(text=rng.standard_normal((20, 3)), visual=rng.standard_normal((20, 2)),
+                           labels=np.array(labels), split=np.zeros(20, dtype=np.int8), num_classes=num_classes)
+
+        class Unscorable:
+            def logits_many(self, T, V):
+                raise AssertionError("scored the pairs")
+
+            def logits_grid(self, T, V):
+                raise AssertionError("scored a grid")
+
+            def marginals(self, T, V):
+                raise AssertionError("asked for marginals")
+
+        with pytest.raises(UndefinedMetricError, match="AUC needs both classes present"):
+            evaluate(Unscorable(), ds, with_emap=with_emap, subsample=(4, 5), metric="auc", seed=3)
+        with pytest.raises(UndefinedMetricError, match="AUC needs both classes present"):
+            subsampled_emap_metric(Unscorable(), ds, 4, 5, "auc", seed=3)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_scores_are_a_numeric_error(self, value):
         rng = np.random.default_rng(11)
