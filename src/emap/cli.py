@@ -250,7 +250,8 @@ def _cmd_logic_census(args) -> tuple:
 
 
 def _cmd_logic_check(args) -> tuple:
-    table = logic.table_from_formula(logic.parse_formula(args.formula), args.n)
+    ast = logic.parse_formula(args.formula)
+    table = logic.table_from_formula(ast, args.n)
     fast = logic.is_representable(table)
     verdict = logic.representable_oracle(table) if table.table.shape[0] <= logic.ORACLE_SIDE_LIMIT else None
     payload = {

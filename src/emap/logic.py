@@ -198,8 +198,20 @@ def parse_formula(text: str) -> tuple:
     return tuple(program + pending[::-1])
 
 
+def _is_op(op) -> bool:
+    """Whether ``op`` is a gate or a ``(side, index)`` variable of a postfix program."""
+    if isinstance(op, str):
+        return op in _GATES
+    return (isinstance(op, tuple) and len(op) == 2 and isinstance(op[0], str) and op[0] in ("t", "v")
+            and isinstance(op[1], (int, np.integer)))
+
+
 def table_from_formula(program, n: int) -> BooleanTable:
     """Run a formula's postfix program (``parse_formula``) on all 2^(2n) assignments; rows index the text bits."""
+    program = tuple(program)
+    for op in program:
+        if not _is_op(op):
+            raise InputError(f"formula op {op!r} is neither a variable nor a gate")
     needed = max((op[1] for op in program if isinstance(op, tuple)), default=0)
     if needed > n:
         raise InputError(f"formula uses variable index {needed} but n={n}")
@@ -327,7 +339,9 @@ def representable_oracle_many(tables: np.ndarray) -> np.ndarray:
     """``representable_oracle`` for each table of a ``(tables, rows, cols)`` stack."""
     tables = _bits(tables)
     if tables.shape[1] > ORACLE_SIDE_LIMIT or tables.shape[2] > ORACLE_SIDE_LIMIT:
-        raise InputError(f"oracle limited to {ORACLE_SIDE_LIMIT} rows/columns per side, got {tables.shape[1:]}")
+        raise InputError(
+            f"oracle limited to {ORACLE_SIDE_LIMIT} rows/columns per side, got {tables.shape[1:]}"
+        )
     return _threshold_search(tables)[0]
 
 
@@ -464,20 +478,32 @@ def run_size_sweep(
     for n in n_values:
         chunks = {m: [] for m in SWEEP_METHODS}
         per_chunk = max(1, _CHUNK_CELLS // table_side(n) ** 2)
-        seeds = [np.random.SeedSequence([seed, n, i]) for i in range(samples_per_n)]
         for first in range(0, samples_per_n, per_chunk):
-            tables = np.stack([sample_table(n, sq, require_nonconstant=True, sampler=sampler).table
-                               for sq in seeds[first : first + per_chunk]])
+            tables = np.stack([
+                sample_table(
+                    n, np.random.SeedSequence([seed, n, i]), require_nonconstant=True, sampler=sampler
+                ).table
+                for i in range(first, min(first + per_chunk, samples_per_n))
+            ])
             for m in SWEEP_METHODS:
                 chunks[m].append(additive_fit_aucs(tables, m, n_stages))
         for m in SWEEP_METHODS:
             aucs = np.concatenate(chunks[m])
-            rows.append(SweepRow(n, m, float(aucs.mean()), float(aucs.std()), samples_per_n))
+            rows.append(
+                SweepRow(
+                    n=n,
+                    method=m,
+                    mean_auc=float(aucs.mean()),
+                    std_auc=float(aucs.std()),
+                    samples=samples_per_n,
+                )
+            )
     return rows
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
     lines = ["n,method,mean_auc,std_auc,samples"]
-    lines += [f"{row.n},{row.method},{row.mean_auc!r},{row.std_auc!r},{row.samples}" for row in rows]
+    for row in rows:
+        lines.append(f"{row.n},{row.method},{row.mean_auc!r},{row.std_auc!r},{row.samples}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -234,21 +234,18 @@ def subsampled_emap_metric(
     metric: str,
     seed: int = 0,
     full: Projection | None = None,
-    *,
-    draws: list[np.ndarray] | None = None,
 ) -> SubsampleResult:
     """Projection quality on k random size-m subsamples of a dataset.
 
-    The subsamples are ``_subsample_draws(dataset, k, m, metric, seed)``, or
-    ``draws`` when the caller drew them already.  A subsample is a set, so
-    with m = n the projection is exactly the full-dataset one and the
-    metrics match it bit for bit.  Each repetition's projection is
-    ``full.take(idx)`` when ``full``, the projection of ``dataset``, holds a
-    grid, and ``project_scorer`` of the subsample otherwise; its projected
-    predictions are compared with ``logits_many`` of the same items.
+    The subsamples are ``_subsample_draws(dataset, k, m, metric, seed)``.  A
+    subsample is a set, so with m = n the projection is exactly the
+    full-dataset one and the metrics match it bit for bit.  Each
+    repetition's projection is ``full.take(idx)`` when ``full``, the
+    projection of ``dataset``, holds a grid, and ``project_scorer`` of the
+    subsample otherwise; its projected predictions are compared with
+    ``logits_many`` of the same items.
     """
-    if draws is None:
-        draws = _subsample_draws(dataset, k, m, metric, seed)
+    draws = _subsample_draws(dataset, k, m, metric, seed)
     if full is not None and len(full.decomposition.tau) != dataset.n:
         raise InputError(
             f"a projection of {len(full.decomposition.tau)} items is not the projection of {dataset.n} items")
@@ -294,9 +291,10 @@ def evaluate(scorer, dataset: PairedDataset, *, with_emap: bool = False, subsamp
     ``logits_many`` that are not finite raise ``NumericError``.
     """
     scorer = as_scorer(scorer)
-    # only AUC can be undefined on a draw, so only it draws before any item is scored; the other
-    # metrics draw afterwards, and numpy.random (about 1 MB of RSS) loads after the grid's peak
-    draws = _subsample_draws(dataset, *subsample, metric, seed) if subsample and metric == "auc" else None
+    if subsample and metric == "auc":
+        # only AUC can be undefined on a draw, so it is checked before any item is scored; the sets
+        # are thrown away, and the subsample protocol below draws the same ones again
+        _subsample_draws(dataset, *subsample, metric, seed)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused below, without warnings
         logits = scorer.logits_many(dataset.text, dataset.visual)
     if not np.isfinite(logits).all():
@@ -311,7 +309,7 @@ def evaluate(scorer, dataset: PairedDataset, *, with_emap: bool = False, subsamp
         if (orig_better_frac := disagreement_advantage(logits, proj, dataset.labels)) is not None:
             report["orig_better_frac"] = orig_better_frac
     if subsample:
-        result = subsampled_emap_metric(scorer, dataset, *subsample, metric, seed=seed, full=projection, draws=draws)
+        result = subsampled_emap_metric(scorer, dataset, *subsample, metric, seed=seed, full=projection)
         cells += result.grid_cells
         stats = ("metric", "k", "m", "direct_mean", "direct_std", "emap_mean", "emap_std")
         report["subsample"] = {key: getattr(result, key) for key in stats}

@@ -190,8 +190,15 @@ class TestTables:
             ((("t", 0),), r"\('t', 0\) is neither"),
             ((("x", 1),), r"\('x', 1\) is neither"),
             ((("t", 1), ("v", 1), "^"), "'\\^' is neither"),
+            ((["t", 1],), r"\['t', 1\] is neither"),
+            ((("t",),), r"\('t',\) is neither"),
+            ((("t", "1"),), r"\('t', '1'\) is neither"),
+            ((("t", 1, 2),), r"\('t', 1, 2\) is neither"),
+            (((1, 1),), r"\(1, 1\) is neither"),
+            ((None,), "None is neither"),
         ],
-        ids=["empty", "two-values", "and-of-one", "not-of-none", "index-zero", "unknown-side", "unknown-gate"],
+        ids=["empty", "two-values", "and-of-one", "not-of-none", "index-zero", "unknown-side", "unknown-gate",
+             "list-op", "one-tuple", "string-index", "three-tuple", "int-side", "none"],
     )
     def test_malformed_programs_are_refused(self, program, message):
         with pytest.raises(InputError, match=message):
